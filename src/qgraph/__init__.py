@@ -44,7 +44,6 @@ from .graphs import (
 from .homgame import (
     ChannelRep,
     GameInstance,
-    GameReport,
     check_game_algebra_rep,
     compose_reps,
     extract_channel,
@@ -53,6 +52,7 @@ from .homgame import (
 )
 from .linalg import (
     DEFAULT_TOL,
+    CheckReport,
     Tolerance,
     canonical_shuffle,
     check_measurement,

@@ -22,11 +22,12 @@ from .algebra import VnAlgebra
 from .graphs import (
     ClassicalGraph,
     QuantumGraph,
+    chromatic_number,
     classical_graph_from_operator_system,
     proper_coloring,
 )
-from .homgame import GameInstance, GameReport, verify_structural
-from .linalg import DEFAULT_TOL, Tolerance, hs_norm, matrix_unit, unit_root_power
+from .homgame import GameInstance, verify_structural
+from .linalg import DEFAULT_TOL, CheckReport, Tolerance, hs_norm, matrix_unit, unit_root_power
 from .strategies import BlockStrategy, TracialAncilla
 
 __all__ = [
@@ -154,7 +155,7 @@ class ColoringReport:
     colors: int
     model: str  # "loc" or "q"
     strategy: BlockStrategy
-    verification: GameReport
+    verification: CheckReport
     rigidity: tuple[np.ndarray, ...]  # (psi_M (x) id)(P_a) per color
     r_values: tuple[tuple[np.ndarray, ...], ...]  # R_a^(r) per color, per block
     idempotent_residual: float  # worst |R_a^(r)^2 - R_a^(r)|
@@ -251,7 +252,7 @@ class ChromaticBound:
     method: str
     exact: bool
     witness: BlockStrategy
-    verification: GameReport
+    verification: CheckReport
 
 
 @dataclass(frozen=True)
@@ -349,7 +350,7 @@ def chromatic_bounds(g: QuantumGraph, tol: Tolerance = DEFAULT_TOL) -> BoundsRep
 
     classical = classical_graph_from_operator_system(g, tol)
     if classical is not None and classical.vertices <= 8:
-        chi = _exact_chromatic(classical)
+        chi = chromatic_number(classical)
         coloring = proper_coloring(classical, chi)
         strat = diagonal_strategy(coloring, chi)
         inst = GameInstance(source=g, target=ClassicalGraph.complete(chi))
@@ -365,9 +366,3 @@ def chromatic_bounds(g: QuantumGraph, tol: Tolerance = DEFAULT_TOL) -> BoundsRep
         )
     return BoundsReport(tuple(bounds), tuple(notes))
 
-
-def _exact_chromatic(g: ClassicalGraph) -> int:
-    for c in range(1, g.vertices + 1):
-        if proper_coloring(g, c) is not None:
-            return c
-    return max(g.vertices, 1)

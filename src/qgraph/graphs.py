@@ -20,15 +20,13 @@ from .algebra import (
     project,
     project_onto_span,
 )
-from .linalg import DEFAULT_TOL, Tolerance, as_matrix, hs_norm, matrix_unit
+from .linalg import DEFAULT_TOL, Check, CheckReport, Tolerance, as_matrix, hs_norm, matrix_unit
 
 __all__ = [
     "QuantumGraph",
     "EdgeBasisElement",
     "EdgeBasis",
     "ClassicalGraph",
-    "ValidationCheck",
-    "ValidationReport",
     "validate",
     "edge_basis",
     "adjacency_subspace_basis",
@@ -85,64 +83,34 @@ class QuantumGraph:
         return tuple(orthonormalize(perp))
 
 
-@dataclass(frozen=True)
-class ValidationCheck:
-    name: str
-    passed: bool
-    residual: float
-    witness: dict | None = None
+def _span_defect(z: np.ndarray, span: list[np.ndarray]) -> float:
+    return hs_norm(z - project_onto_span(z, span))
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    checks: tuple[ValidationCheck, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def check(self, name: str) -> ValidationCheck:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
-
-def validate(g: QuantumGraph, tol: Tolerance = DEFAULT_TOL) -> ValidationReport:
+def validate(g: QuantumGraph, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
     """Check the quantum graph invariants, reporting worst residual per check."""
     span = g.span_basis()
-    checks = []
-
-    worst, witness = 0.0, None
-    for idx, y in enumerate(g.s_basis):
-        r = hs_norm(y.conj().T - project_onto_span(y.conj().T, span))
-        if r > worst:
-            worst, witness = r, {"basis_index": idx}
-    checks.append(ValidationCheck("self_adjoint", worst <= tol.eps, worst, witness))
-
+    checks = [
+        Check.of(
+            "self_adjoint",
+            [_span_defect(y.conj().T, span) for y in g.s_basis],
+            tol,
+            "basis_index",
+        )
+    ]
     if g.traceless:
-        worst, witness = 0.0, None
-        for idx, y in enumerate(g.s_basis):
-            r = abs(np.trace(y))
-            if r > worst:
-                worst, witness = r, {"basis_index": idx}
-        checks.append(ValidationCheck("traceless", worst <= tol.eps, worst, witness))
+        traces = [abs(np.trace(y)) for y in g.s_basis]
+        checks.append(Check.of("traceless", traces, tol, "basis_index"))
     else:
         eye = np.eye(g.n, dtype=np.complex128)
-        r = hs_norm(eye - project_onto_span(eye, span))
-        checks.append(ValidationCheck("operator_system", r <= tol.eps, r, None))
+        checks.append(Check.of("operator_system", _span_defect(eye, span), tol))
 
     comm = commutant(g.algebra)
-    worst, witness = 0.0, None
-    for ai, a in enumerate(comm):
-        for bi, b in enumerate(comm):
-            for yi, y in enumerate(g.s_basis):
-                z = a @ y @ b
-                r = hs_norm(z - project_onto_span(z, span))
-                if r > worst:
-                    worst, witness = r, {"comm_left": ai, "comm_right": bi, "basis_index": yi}
-    checks.append(ValidationCheck("bimodule", worst <= tol.eps, worst, witness))
-    return ValidationReport(tuple(checks))
+    bimodule = [
+        [[_span_defect(a @ y @ b, span) for y in g.s_basis] for b in comm] for a in comm
+    ]
+    checks.append(Check.of("bimodule", bimodule, tol, "comm_left", "comm_right", "basis_index"))
+    return CheckReport(tuple(checks))
 
 
 @dataclass(frozen=True)

@@ -15,13 +15,11 @@ import numpy as np
 from .algebra import commutant
 from .correlations import outcome_probability
 from .graphs import SAME_VERTEX, ClassicalGraph, QuantumGraph, adjacency_subspace_basis, edge_basis
-from .linalg import DEFAULT_TOL, Tolerance, hs_norm
+from .linalg import DEFAULT_TOL, Check, CheckReport, Tolerance, hs_norm, worst_residual
 from .strategies import BlockStrategy, TracialAncilla
 
 __all__ = [
     "GameInstance",
-    "GameCheck",
-    "GameReport",
     "ChannelRep",
     "verify_structural",
     "verify_operational",
@@ -39,43 +37,6 @@ class GameInstance:
     target: ClassicalGraph
 
 
-@dataclass(frozen=True)
-class GameCheck:
-    name: str
-    passed: bool
-    max_residual: float
-    witness: dict | None = None
-
-
-@dataclass(frozen=True)
-class GameReport:
-    checks: tuple[GameCheck, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def check(self, name: str) -> GameCheck:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
-    def to_dict(self) -> dict:
-        return {
-            "pass": self.passed,
-            "checks": [
-                {
-                    "name": c.name,
-                    "pass": c.passed,
-                    "max_residual": c.max_residual,
-                    "witness": c.witness,
-                }
-                for c in self.checks
-            ],
-        }
-
-
 def _check_dims(inst: GameInstance, strategy: BlockStrategy):
     if strategy.n != inst.source.n:
         raise ValueError(
@@ -87,15 +48,42 @@ def _check_dims(inst: GameInstance, strategy: BlockStrategy):
         )
 
 
-def _nonadjacent_pairs(target: ClassicalGraph) -> list[tuple[int, int]]:
-    """Pairs (a, b) with a not adjacent to b; includes a = b (targets are loop-free)."""
+def _nonadjacent(target: ClassicalGraph) -> np.ndarray:
+    """Boolean c x c mask of non-adjacent pairs; true on the diagonal (targets are loop-free)."""
     c = target.vertices
-    return [(a, b) for a in range(c) for b in range(c) if not target.adjacent(a, b)]
+    return np.array([[not target.adjacent(a, b) for b in range(c)] for a in range(c)], dtype=bool)
+
+
+def _lift(mats, strategy: BlockStrategy) -> list[np.ndarray]:
+    """X (x) 1 on C^n (x) C^D for each X."""
+    eye = np.eye(strategy.ancilla.dim)
+    return [np.kron(x, eye) for x in mats]
+
+
+def _sandwich_residuals(strategy: BlockStrategy, lifted, mask: np.ndarray) -> np.ndarray:
+    """|P_a Z P_b|_F over axes (a, b, Z) where mask[a, b]; 0 elsewhere."""
+    c = strategy.c
+    out = np.zeros((c, c, len(lifted)))
+    for a, pa in enumerate(strategy.projections):
+        if not mask[a].any():
+            continue
+        left = [pa @ z for z in lifted]
+        for b in np.flatnonzero(mask[a]):
+            pb = strategy.projections[b]
+            out[a, b] = [hs_norm(lz @ pb) for lz in left]
+    return out
+
+
+def _adjacency_zeros(inst: GameInstance, strategy: BlockStrategy, tol: Tolerance, name: str) -> Check:
+    """P_a ((S n (M')perp) (x) 1) P_b = 0 for every non-adjacent pair, including a = b."""
+    lifted = _lift(adjacency_subspace_basis(inst.source), strategy)
+    residuals = _sandwich_residuals(strategy, lifted, _nonadjacent(inst.target))
+    return Check.of(name, residuals, tol, "a", "b", "basis_index")
 
 
 def verify_structural(
     inst: GameInstance, strategy: BlockStrategy, tol: Tolerance = DEFAULT_TOL
-) -> GameReport:
+) -> CheckReport:
     """Winning-strategy conditions on the PVM itself.
 
     (i) the family is a PVM respecting the ancilla blocks, (ii) each P_a lies
@@ -103,47 +91,29 @@ def verify_structural(
     P_b = 0 for every non-adjacent target pair, including a = b.
     """
     _check_dims(inst, strategy)
-    checks = []
-
     rep = strategy.measurement_report(tol)
-    pvm_residual = max(
+    pvm = [
         rep.hermitian_defect,
         max(0.0, -rep.min_eigenvalue),
         rep.sum_defect,
         rep.idempotency_defect,
         rep.orthogonality_defect,
+    ]
+    lifted = _lift(commutant(inst.source.algebra), strategy)
+    membership = [[hs_norm(p @ x - x @ p) for x in lifted] for p in strategy.projections]
+    return CheckReport(
+        (
+            Check.of("pvm", pvm, tol),
+            Check.of("ancilla_blocks", strategy.ancilla_block_defect(), tol),
+            Check.of("membership", membership, tol, "a", "commutant_index"),
+            _adjacency_zeros(inst, strategy, tol, "adjacency_zeros"),
+        )
     )
-    checks.append(GameCheck("pvm", rep.is_pvm, pvm_residual, None))
-
-    block_defect = strategy.ancilla_block_defect()
-    checks.append(GameCheck("ancilla_blocks", block_defect <= tol.eps, block_defect, None))
-
-    d = strategy.ancilla.dim
-    eye = np.eye(d)
-    worst, witness = 0.0, None
-    for a, p in enumerate(strategy.projections):
-        for ci, x in enumerate(commutant(inst.source.algebra)):
-            big = np.kron(x, eye)
-            r = hs_norm(p @ big - big @ p)
-            if r > worst:
-                worst, witness = r, {"a": a, "commutant_index": ci}
-    checks.append(GameCheck("membership", worst <= tol.eps, worst, witness))
-
-    perp = adjacency_subspace_basis(inst.source)
-    worst, witness = 0.0, None
-    for a, b in _nonadjacent_pairs(inst.target):
-        pa, pb = strategy.projections[a], strategy.projections[b]
-        for yi, y in enumerate(perp):
-            r = hs_norm(pa @ np.kron(y, eye) @ pb)
-            if r > worst:
-                worst, witness = r, {"a": a, "b": b, "basis_index": yi}
-    checks.append(GameCheck("adjacency_zeros", worst <= tol.eps, worst, witness))
-    return GameReport(tuple(checks))
 
 
 def verify_operational(
     inst: GameInstance, strategy: BlockStrategy, tol: Tolerance = DEFAULT_TOL
-) -> GameReport:
+) -> CheckReport:
     """Winning-strategy conditions as vanishing forbidden outcome probabilities.
 
     Every same-vertex edge-basis input must give p(a,b) = 0 for a != b; every
@@ -151,30 +121,24 @@ def verify_operational(
     Equivalent to verify_structural for PVM strategies with a faithful trace.
     """
     _check_dims(inst, strategy)
-    basis = edge_basis(inst.source, tol)
-    nonadj = _nonadjacent_pairs(inst.target)
+    elements = edge_basis(inst.source, tol).elements
     c = strategy.c
-
-    same_worst, same_wit = 0.0, None
-    adj_worst, adj_wit = 0.0, None
-    for idx, elem in enumerate(basis.elements):
-        p = outcome_probability(strategy, elem.matrix, tol)
-        if elem.tag == SAME_VERTEX:
-            for a in range(c):
-                for b in range(c):
-                    if a != b and abs(p[a, b]) > same_worst:
-                        same_worst = float(abs(p[a, b]))
-                        same_wit = {"a": a, "b": b, "basis_index": idx}
-        else:
-            for a, b in nonadj:
-                if abs(p[a, b]) > adj_worst:
-                    adj_worst = float(abs(p[a, b]))
-                    adj_wit = {"a": a, "b": b, "basis_index": idx}
-    checks = (
-        GameCheck("same_vertex_rule", same_worst <= tol.eps, same_worst, same_wit),
-        GameCheck("adjacency_rule", adj_worst <= tol.eps, adj_worst, adj_wit),
+    probs = [np.abs(outcome_probability(strategy, e.matrix, tol)) for e in elements]
+    probs = np.reshape(probs, (len(elements), c, c))  # axes (basis_index, a, b)
+    same = np.array([e.tag == SAME_VERTEX for e in elements], dtype=bool)[:, None, None]
+    offdiag = ~np.eye(c, dtype=bool)
+    axes = ("basis_index", "a", "b")
+    return CheckReport(
+        (
+            Check.of("same_vertex_rule", np.where(same & offdiag, probs, 0.0), tol, *axes),
+            Check.of(
+                "adjacency_rule",
+                np.where(~same & _nonadjacent(inst.target), probs, 0.0),
+                tol,
+                *axes,
+            ),
+        )
     )
-    return GameReport(checks)
 
 
 @dataclass(frozen=True)
@@ -233,20 +197,17 @@ def extract_channel(
 
     basis = edge_basis(inst.source, tol)
     eye_d = np.eye(strategy.ancilla.dim)
-    worst = 0.0
+    offdiag = ~np.eye(c, dtype=bool)
+    nonadjacent = _nonadjacent(inst.target)
+    residuals = []
     for elem in basis.elements:
         big = np.kron(elem.matrix, eye_d)
         # [F_i (Y x 1) F_j*] has a single entry at (a_i, a_j); assemble the
         # c x c table of those entries over all Kraus pairs at once.
         table = np.einsum("mau,uv,lbv->mlab", stack, big, np.conj(stack))
-        for a in range(c):
-            for b in range(c):
-                block = float(np.abs(table[:, :, a, b]).max())
-                if elem.tag == SAME_VERTEX:
-                    if a != b:
-                        worst = max(worst, block)
-                elif not inst.target.adjacent(a, b):
-                    worst = max(worst, block)
+        forbidden = offdiag if elem.tag == SAME_VERTEX else nonadjacent
+        residuals.append(np.where(forbidden, np.abs(table).max(axis=(0, 1)), 0.0))
+    worst = worst_residual(residuals)[0]
     if worst > tol.eps:
         raise ValueError(f"channel subset conditions violated (residual {worst:.3e})")
     return ChannelRep(
@@ -259,7 +220,7 @@ def extract_channel(
 
 def check_game_algebra_rep(
     inst: GameInstance, strategy: BlockStrategy, tol: Tolerance = DEFAULT_TOL
-) -> GameReport:
+) -> CheckReport:
     """The defining relations of the game *-algebra on this representation.
 
     Relation 1: the p_a are self-adjoint idempotents summing to I_n (x) 1.
@@ -267,42 +228,24 @@ def check_game_algebra_rep(
     Relation 3: p_a (M' (x) 1) p_b = 0 for a != b.
     """
     _check_dims(inst, strategy)
-    eye_d = np.eye(strategy.ancilla.dim)
-    size = strategy.n * strategy.ancilla.dim
-
-    r1 = max(
-        max(hs_norm(p - p.conj().T) for p in strategy.projections),
-        max(hs_norm(p @ p - p) for p in strategy.projections),
-        hs_norm(sum(strategy.projections) - np.eye(size)),
+    rep = strategy.measurement_report(tol)
+    relation1 = [rep.hermitian_defect, rep.idempotency_defect, rep.sum_defect]
+    lifted = _lift(commutant(inst.source.algebra), strategy)
+    distinct = ~np.eye(strategy.c, dtype=bool)
+    return CheckReport(
+        (
+            Check.of("idempotents_sum_to_identity", relation1, tol),
+            _adjacency_zeros(inst, strategy, tol, "adjacency_relation"),
+            Check.of(
+                "commutant_relation",
+                _sandwich_residuals(strategy, lifted, distinct),
+                tol,
+                "a",
+                "b",
+                "commutant_index",
+            ),
+        )
     )
-
-    perp = adjacency_subspace_basis(inst.source)
-    r2, wit2 = 0.0, None
-    for a, b in _nonadjacent_pairs(inst.target):
-        for yi, y in enumerate(perp):
-            r = hs_norm(strategy.projections[a] @ np.kron(y, eye_d) @ strategy.projections[b])
-            if r > r2:
-                r2, wit2 = r, {"a": a, "b": b, "basis_index": yi}
-
-    comm = commutant(inst.source.algebra)
-    r3, wit3 = 0.0, None
-    for a in range(strategy.c):
-        for b in range(strategy.c):
-            if a == b:
-                continue
-            for ci, x in enumerate(comm):
-                r = hs_norm(
-                    strategy.projections[a] @ np.kron(x, eye_d) @ strategy.projections[b]
-                )
-                if r > r3:
-                    r3, wit3 = r, {"a": a, "b": b, "commutant_index": ci}
-
-    checks = (
-        GameCheck("idempotents_sum_to_identity", r1 <= tol.eps, r1, None),
-        GameCheck("adjacency_relation", r2 <= tol.eps, r2, wit2),
-        GameCheck("commutant_relation", r3 <= tol.eps, r3, wit3),
-    )
-    return GameReport(checks)
 
 
 def compose_reps(
@@ -327,16 +270,13 @@ def compose_reps(
     if any(len(row) != r for row in f):
         raise ValueError("ragged hom representation")
 
-    worst = 0.0
     eye_e = np.eye(e)
-    for a in range(c):
-        worst = max(worst, hs_norm(sum(f[a]) - eye_e))
-        for v in range(r):
-            worst = max(worst, hs_norm(f[a][v] - f[a][v].conj().T))
-            worst = max(worst, hs_norm(f[a][v] @ f[a][v] - f[a][v]))
-            for b in range(c):
-                if a != b:
-                    worst = max(worst, hs_norm(f[a][v] @ f[b][v]))
+    residuals = [hs_norm(sum(row) - eye_e) for row in f]
+    for a, row in enumerate(f):
+        for v, x in enumerate(row):
+            residuals += [hs_norm(x - x.conj().T), hs_norm(x @ x - x)]
+            residuals += [hs_norm(x @ f[b][v]) for b in range(c) if b != a]
+    worst = worst_residual(residuals)[0]
     if worst > tol.eps:
         raise ValueError(f"hom representation fails the K_c -> K_r relations ({worst:.3e})")
 

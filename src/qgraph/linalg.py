@@ -15,6 +15,9 @@ import numpy as np
 __all__ = [
     "Tolerance",
     "DEFAULT_TOL",
+    "Check",
+    "CheckReport",
+    "worst_residual",
     "MeasurementReport",
     "as_matrix",
     "matrix_unit",
@@ -36,11 +39,77 @@ class Tolerance:
     eps: float = 1e-9
 
     def __post_init__(self):
-        if not self.eps > 0:
-            raise ValueError(f"tolerance must be positive, got {self.eps}")
+        if not (self.eps > 0 and np.isfinite(self.eps)):
+            raise ValueError(f"tolerance must be positive and finite, got {self.eps}")
 
 
 DEFAULT_TOL = Tolerance()
+
+
+def worst_residual(residuals, axes: tuple[str, ...] = ()) -> tuple[float, dict | None]:
+    """Largest entry of a residual array and where it occurs.
+
+    Entries that a check does not cover are passed as 0.  NaN counts as +inf,
+    so a residual that could not be computed fails its check.  The witness
+    names the first largest entry in C order, one key per axis; it is None
+    when the array has no axes or no positive entry.
+    """
+    r = np.asarray(residuals, dtype=np.float64)
+    if r.size == 0:
+        return 0.0, None
+    r = np.where(np.isnan(r), np.inf, r)
+    flat = int(np.argmax(r))
+    worst = float(r.flat[flat])
+    if not axes or not worst > 0:
+        return worst, None
+    return worst, {axis: int(i) for axis, i in zip(axes, np.unravel_index(flat, r.shape))}
+
+
+@dataclass(frozen=True)
+class Check:
+    """One verified relation: its verdict, worst residual and witness indices."""
+
+    name: str
+    passed: bool
+    max_residual: float
+    witness: dict | None = None
+
+    @classmethod
+    def of(cls, name: str, residuals, tol: Tolerance, *axes: str) -> "Check":
+        """Reduce a residual array (axes named in order) and compare with tol."""
+        worst, witness = worst_residual(residuals, axes)
+        return cls(name, worst <= tol.eps, worst, witness)
+
+
+@dataclass(frozen=True)
+class CheckReport:
+    """The checks of one verification; it passes when every check passes."""
+
+    checks: tuple[Check, ...]
+
+    @property
+    def passed(self) -> bool:
+        return all(c.passed for c in self.checks)
+
+    def check(self, name: str) -> Check:
+        for c in self.checks:
+            if c.name == name:
+                return c
+        raise KeyError(name)
+
+    def to_dict(self) -> dict:
+        return {
+            "pass": self.passed,
+            "checks": [
+                {
+                    "name": c.name,
+                    "pass": c.passed,
+                    "max_residual": c.max_residual,
+                    "witness": c.witness,
+                }
+                for c in self.checks
+            ],
+        }
 
 
 def as_matrix(m) -> np.ndarray:
@@ -174,17 +243,17 @@ def check_measurement(ops, tol: Tolerance = DEFAULT_TOL) -> MeasurementReport:
         if p.shape != shape:
             raise ValueError(f"shape mismatch: {p.shape} vs {shape}")
 
-    herm = max(hs_norm(p - p.conj().T) for p in mats)
-    min_eig = min(
-        float(np.linalg.eigvalsh((p + p.conj().T) / 2).min()) for p in mats
-    )
-    total = sum(mats)
-    sum_defect = hs_norm(total - np.eye(shape[0]))
-    idem = max(hs_norm(p @ p - p) for p in mats)
-    orth = 0.0
-    for a in range(len(mats)):
-        for b in range(a + 1, len(mats)):
-            orth = max(orth, hs_norm(mats[a] @ mats[b]))
+    herm = worst_residual([hs_norm(p - p.conj().T) for p in mats])[0]
+    # The lowest eigenvalue is the negated worst of the negated minima, so a
+    # NaN spectrum reads as -inf.
+    min_eig = -worst_residual(
+        [-float(np.linalg.eigvalsh((p + p.conj().T) / 2).min()) for p in mats]
+    )[0]
+    sum_defect = worst_residual(hs_norm(sum(mats) - np.eye(shape[0])))[0]
+    idem = worst_residual([hs_norm(p @ p - p) for p in mats])[0]
+    orth = worst_residual(
+        [hs_norm(mats[a] @ mats[b]) for a in range(len(mats)) for b in range(a + 1, len(mats))]
+    )[0]
 
     is_povm = herm <= tol.eps and min_eig >= -tol.eps and sum_defect <= tol.eps
     is_pvm = is_povm and idem <= tol.eps and orth <= tol.eps

@@ -60,10 +60,22 @@ def _as_int(value, path, minimum=None):
     return value
 
 
+def _finite(arr: np.ndarray, path: str) -> np.ndarray:
+    """Reject NaN and infinite entries; the pointer names the first in C order."""
+    bad = ~np.isfinite(arr)
+    if bad.any():
+        index = np.unravel_index(int(np.argmax(bad)), np.shape(arr))
+        raise SchemaError(path + "".join(f"/{i}" for i in index), "expected a finite number")
+    return arr
+
+
 def _as_real(value, path):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(path, f"expected a real number, got {value!r}")
-    return float(value)
+    try:
+        return float(_finite(np.float64(value), path))
+    except OverflowError:  # an integer literal beyond the float range
+        raise SchemaError(path, "expected a finite number") from None
 
 
 def matrix_to_json(m) -> list:
@@ -90,10 +102,13 @@ def matrix_from_json(obj, path: str, shape: tuple[int, int] | None = None) -> np
                 or any(isinstance(t, bool) or not isinstance(t, (int, float)) for t in z)
             ):
                 raise SchemaError(f"{path}/{i}/{j}", f"expected [re, im], got {z!r}")
-            out[i, j] = complex(z[0], z[1])
+            try:
+                out[i, j] = complex(z[0], z[1])
+            except OverflowError:
+                raise SchemaError(f"{path}/{i}/{j}", "expected a finite number") from None
     if shape is not None and out.shape != shape:
         raise SchemaError(path, f"expected shape {shape}, got {out.shape}")
-    return out
+    return _finite(out, path)
 
 
 def algebra_to_json(alg: VnAlgebra) -> dict:
@@ -251,12 +266,13 @@ def correlation_from_json(obj, path: str = "") -> Correlation:
     tensor = np.zeros((c, c, n, n, n, n), dtype=np.complex128)
     try:
         arr = np.asarray(data, dtype=np.float64)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise SchemaError(f"{path}/X", f"not a rectangular numeric array: {exc}") from exc
     if arr.shape != (c, c, n, n, n, n, 2):
         raise SchemaError(
             f"{path}/X", f"expected shape {(c, c, n, n, n, n, 2)}, got {arr.shape}"
         )
+    _finite(arr, f"{path}/X")
     tensor = arr[..., 0] + 1j * arr[..., 1]
     return Correlation(n=n, c=c, tensor=tensor)
 
@@ -271,11 +287,11 @@ def classical_correlation_from_json(obj, path: str = "") -> ClassicalCorrelation
     data = _require(obj, "p", path)
     try:
         arr = np.asarray(data, dtype=np.float64)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise SchemaError(f"{path}/p", f"not a rectangular numeric array: {exc}") from exc
     if arr.shape != (c, c, n, n):
         raise SchemaError(f"{path}/p", f"expected shape {(c, c, n, n)}, got {arr.shape}")
-    return ClassicalCorrelation(n=n, c=c, p=arr)
+    return ClassicalCorrelation(n=n, c=c, p=_finite(arr, f"{path}/p"))
 
 
 def povm_from_json(obj, path: str = "") -> tuple[list[np.ndarray], int, int]:

@@ -23,6 +23,7 @@ from .linalg import (
     hs_norm,
     psd_sqrt,
     unit_root_power,
+    worst_residual,
 )
 
 __all__ = [
@@ -162,9 +163,9 @@ class BlockStrategy:
         for sl in self.ancilla.block_slices():
             mask[sl, sl] = True
         off_block = ~np.tile(mask, (self.n, self.n))
-        return max(
-            float(np.linalg.norm(np.where(off_block, p, 0.0))) for p in self.projections
-        )
+        return worst_residual(
+            [float(np.linalg.norm(np.where(off_block, p, 0.0))) for p in self.projections]
+        )[0]
 
     def is_loc(self, tol: Tolerance = DEFAULT_TOL) -> bool:
         """True when all entries pairwise *-commute (abelian ancilla behaviour)."""

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -63,11 +64,11 @@ def test_validate_failure_names_check(tmp_path, capsys):
     assert "operator_system" in failed
 
 
-def test_validate_multiple_files_with_jobs(tmp_path, capsys):
+def test_validate_multiple_files(tmp_path, capsys):
     g = graph_operator_system(ClassicalGraph.cycle(4))
     p1 = write(tmp_path, "a.json", graph_to_json(g))
     p2 = write(tmp_path, "b.json", graph_to_json(g))
-    assert main(["validate", p1, p2, "--jobs", "2"]) == 0
+    assert main(["validate", p1, p2]) == 0
     out = json.loads(capsys.readouterr().out)
     assert isinstance(out, list) and len(out) == 2
 
@@ -252,3 +253,102 @@ def test_verify_reports_are_bit_stable(tmp_path, m2_graph_file, capsys):
     main(args)
     second = capsys.readouterr().out
     assert first == second
+
+
+EXAMPLES = Path(__file__).resolve().parent.parent / "docs" / "examples"
+
+# (arguments, file to corrupt, field set to a non-finite number, expected pointer);
+# FILE stands for the corrupted copy.  Matrix pointers name the [re, im] pair.
+NON_FINITE_CASES = [
+    (["validate", "FILE"], "quantum_graph.json", "/s_basis/1/0/1/0", "/s_basis/1/0/1"),
+    (["color", "--method", "shift-multiply", "--algebra", "FILE"], "algebra.json",
+     "/unitary/1/1/1", "/unitary/1/1"),
+    (["verify-hom", "--graph", "quantum_graph.json", "--complete", "4", "--strategy", "FILE"],
+     "strategy.json", "/projections/2/3/1/0", "/projections/2/3/1"),
+    (["verify-hom", "--graph", "quantum_graph.json", "--complete", "4", "--strategy", "FILE"],
+     "strategy.json", "/ancilla/trace_weights/0", "/ancilla/trace_weights/0"),
+    (["check-sync", "FILE"], "correlation.json", "/X/0/1/0/0/0/0/1", "/X/0/1/0/0/0/0/1"),
+    (["bisync", "FILE"], "classical_correlation.json", "/p/1/0/0/0", "/p/1/0/0/0"),
+    (["dilate", "FILE"], "povm.json", "/ops/1/0/1/1", "/ops/1/0/1"),
+    (["round-pvm", "FILE"], "almost_pvm.json", "/ops/0/1/1/0", "/ops/0/1/1"),
+    (["embed", "FILE"], "families.json", "/families/1/0/0/0/0", "/families/1/0/0/0"),
+    (["compose", "--strategy", "strategy.json", "--map", "FILE"], "hom_map.json",
+     "/f/0/1/0/0/0", "/f/0/1/0/0"),
+]
+
+
+def _set_field(doc, pointer, value):
+    keys = [int(k) if k.isdigit() else k for k in pointer.strip("/").split("/")]
+    node = doc
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+
+
+@pytest.mark.parametrize("literal", ["NaN", "-Infinity", "1e999", "1" + "0" * 400])
+@pytest.mark.parametrize(
+    "argv, example, field, pointer", NON_FINITE_CASES, ids=[c[0][0] + ":" + c[3] for c in NON_FINITE_CASES]
+)
+def test_non_finite_input_exits_2_with_pointer(tmp_path, capsys, argv, example, field, pointer, literal):
+    doc = json.loads((EXAMPLES / example).read_text())
+    if example == "algebra.json":
+        doc["unitary"] = matrix_to_json(np.eye(doc["n"]))
+    sentinel = 123456.5
+    _set_field(doc, field, sentinel)
+    path = tmp_path / example
+    path.write_text(json.dumps(doc).replace(json.dumps(sentinel), literal))
+    args = [str(path) if a == "FILE" else str(EXAMPLES / a) if a.endswith(".json") else a for a in argv]
+    assert main(args) == 2
+    err = json.loads(capsys.readouterr().err)["pointer"]
+    # An integer beyond the float range in an array parsed in one piece (the
+    # correlations) is reported at the array; everything else at the entry.
+    assert err == pointer or (literal.isdigit() and pointer.startswith(err + "/"))
+
+
+@pytest.mark.parametrize(
+    "tol_args, env",
+    [(["--tol", "inf"], None), (["--tol", "nan"], None), (["--tol", "1e300"], None), ([], "1e300")],
+)
+def test_tolerance_that_passes_anything_is_refused(tmp_path, m2_graph_file, monkeypatch, capsys, tol_args, env):
+    zero = np.zeros((2, 2))
+    sdoc = {
+        "n": 2,
+        "c": 4,
+        "ancilla": {"block_dims": [1], "trace_weights": [1.0]},
+        "projections": [matrix_to_json(zero)] * 4,
+    }
+    spath = write(tmp_path, "zero.json", sdoc)
+    args = ["verify-hom", "--graph", m2_graph_file, "--complete", "4", "--strategy", spath]
+    assert main(args) == 1
+    capsys.readouterr()
+    if env is not None:
+        monkeypatch.setenv("QGRAPH_TOL", env)
+    assert main(args + tol_args) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["pointer"] == ("--tol" if tol_args else "QGRAPH_TOL")
+
+
+def test_validate_has_no_jobs_option(tmp_path):
+    path = write(tmp_path, "c4.json", graph_to_json(graph_operator_system(ClassicalGraph.cycle(4))))
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", path, "--jobs", "2"])
+    assert exc.value.code == 2
+
+
+def test_overflowing_residual_exits_1_without_invalid_json(tmp_path, m2_graph_file, capsys):
+    # Finite input whose products overflow: the report cannot be strict JSON.
+    big = 1e200 * np.eye(2)
+    sdoc = {
+        "n": 2,
+        "c": 4,
+        "ancilla": {"block_dims": [1], "trace_weights": [1.0]},
+        "projections": [matrix_to_json(big)] * 4,
+    }
+    spath = write(tmp_path, "big.json", sdoc)
+    args = ["verify-hom", "--graph", m2_graph_file, "--complete", "4", "--strategy", spath,
+            "--mode", "structural"]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error" in json.loads(captured.err)

@@ -58,7 +58,7 @@ class TestValidate:
         assert not report.passed
         check = report.check("bimodule")
         assert not check.passed
-        assert check.residual == pytest.approx(1 / np.sqrt(2), abs=1e-12)
+        assert check.max_residual == pytest.approx(1 / np.sqrt(2), abs=1e-12)
 
     def test_traceless_variant(self):
         alg = VnAlgebra(n=2, blocks=((1, 2),))
