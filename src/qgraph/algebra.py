@@ -272,11 +272,20 @@ def _star_algebra_closure(generators, n: int, drop_tol: float) -> list[np.ndarra
 
 
 def _cluster_eigenvalues(w: np.ndarray, gap: float) -> list[np.ndarray]:
-    """Index groups of (sorted) eigenvalues split at gaps larger than gap."""
+    """Index groups of (sorted) eigenvalues split at gaps larger than gap.
+
+    A split gap below 1000 * gap is a nearly degenerate generic element: its
+    eigenvectors, and so the recovered frame, are accurate only to about
+    roundoff over that gap.  That is a genericity failure, and the caller
+    draws another element.
+    """
     order = np.argsort(w)
     groups, current = [], [order[0]]
     for idx in order[1:]:
-        if w[idx] - w[current[-1]] > gap:
+        step = w[idx] - w[current[-1]]
+        if gap < step <= 1e3 * gap:
+            raise _GenericityFailure(f"eigenvalue gap {step:.3e} is too close to {gap:.3e}")
+        if step > gap:
             groups.append(np.array(current))
             current = [idx]
         else:

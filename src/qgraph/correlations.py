@@ -101,24 +101,24 @@ def outcome_probability(
 
     The input matrix must have unit Frobenius norm (unit input state).  The
     entries are checked to be real and nonnegative within tolerance before
-    the imaginary parts are dropped.
+    the imaginary parts are dropped; a NaN entry fails that check.
+
+    By cyclicity p(a,b) = tr(G_a P_b) with G_a = W* P_a T P_a W, where
+    W = Y (x) 1 and T is the diagonal of trace weights; this needs no
+    idempotency, so it holds for POVMs too.
     """
     y = as_matrix(y)
     if y.shape != (strategy.n, strategy.n):
         raise ValueError(f"input shape {y.shape}, expected {(strategy.n, strategy.n)}")
-    if abs(hs_norm(y) - 1.0) > tol.eps * 100:
+    if not abs(hs_norm(y) - 1.0) <= tol.eps * 100:
         raise ValueError(f"input state is not normalized: |Y|_F = {hs_norm(y)}")
-    d = strategy.ancilla.dim
-    w = np.kron(y, np.eye(d))
-    diag_weights = np.tile(strategy.ancilla.trace_diagonal(), strategy.n)
-    p = np.empty((strategy.c, strategy.c), dtype=np.complex128)
-    for a, pa in enumerate(strategy.projections):
-        left = pa @ w
-        for b, pb in enumerate(strategy.projections):
-            z = left @ pb @ w.conj().T @ pa
-            p[a, b] = np.sum(diag_weights * np.diagonal(z))
+    w = np.kron(y, np.eye(strategy.ancilla.dim))
+    t = np.tile(strategy.ancilla.trace_diagonal(), strategy.n)
+    ps = np.stack(strategy.projections)
+    g = w.conj().T @ ((ps * t) @ ps) @ w
+    p = np.einsum("aij,bji->ab", g, ps)
     imag = float(np.abs(p.imag).max())
-    if imag > tol.eps * 100:
+    if not imag <= tol.eps * 100:
         raise ValueError(f"outcome probabilities have imaginary residual {imag:.3e}")
     return p.real
 

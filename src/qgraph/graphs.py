@@ -83,17 +83,41 @@ class QuantumGraph:
         return tuple(orthonormalize(perp))
 
 
-def _span_defect(z: np.ndarray, span: list[np.ndarray]) -> float:
-    return hs_norm(z - project_onto_span(z, span))
+def _span_defects(stack: np.ndarray, span: list[np.ndarray]) -> np.ndarray:
+    """|Z - P(Z)|_F for each Z of an (m, n, n) stack, P the projection onto span.
+
+    With the flattened stack as the rows of Z and the orthonormal span as the
+    rows of B, the projections are (Z B^H) B.
+    """
+    m, n, _ = stack.shape
+    z = stack.reshape(m, n * n)
+    b = np.reshape(np.asarray(span, dtype=np.complex128), (len(span), n * n))
+    return np.linalg.norm(z - (z @ b.conj().T) @ b, axis=1)
 
 
 def validate(g: QuantumGraph, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
-    """Check the quantum graph invariants, reporting worst residual per check."""
+    """Check the quantum graph invariants, reporting worst residual per check.
+
+    Memoized per graph and tolerance, so edge_basis reuses the report.
+    """
+    return _memoized(g, "_validate_cache", tol, _compute_validation)
+
+
+def _memoized(g: QuantumGraph, name: str, tol: Tolerance, compute):
+    """compute(g, tol), stored on the (immutable) graph under name per tolerance."""
+    cache = g.__dict__.setdefault(name, {})
+    if tol.eps not in cache:
+        cache[tol.eps] = compute(g, tol)
+    return cache[tol.eps]
+
+
+def _compute_validation(g: QuantumGraph, tol: Tolerance) -> CheckReport:
     span = g.span_basis()
+    basis = np.reshape(np.asarray(g.s_basis, dtype=np.complex128), (len(g.s_basis), g.n, g.n))
     checks = [
         Check.of(
             "self_adjoint",
-            [_span_defect(y.conj().T, span) for y in g.s_basis],
+            _span_defects(basis.conj().transpose(0, 2, 1), span),
             tol,
             "basis_index",
         )
@@ -103,12 +127,17 @@ def validate(g: QuantumGraph, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
         checks.append(Check.of("traceless", traces, tol, "basis_index"))
     else:
         eye = np.eye(g.n, dtype=np.complex128)
-        checks.append(Check.of("operator_system", _span_defect(eye, span), tol))
+        checks.append(Check.of("operator_system", _span_defects(eye[None], span)[0], tol))
 
-    comm = commutant(g.algebra)
-    bimodule = [
-        [[_span_defect(a @ y @ b, span) for y in g.s_basis] for b in comm] for a in comm
-    ]
+    # One (comm_right, basis_index) stack of a Y b per left commutant element a.
+    comm = np.asarray(commutant(g.algebra))
+    bimodule = np.array(
+        [
+            _span_defects(((a @ basis)[None] @ comm[:, None]).reshape(-1, g.n, g.n), span)
+            .reshape(len(comm), len(basis))
+            for a in comm
+        ]
+    )
     checks.append(Check.of("bimodule", bimodule, tol, "comm_left", "comm_right", "basis_index"))
     return CheckReport(tuple(checks))
 
@@ -146,14 +175,12 @@ def edge_basis(g: QuantumGraph, tol: Tolerance = DEFAULT_TOL) -> EdgeBasis:
     over the compressions of S intersect (M')^perp.  Deterministic, and
     memoized per graph and tolerance.
     """
-    cache = g.__dict__.setdefault("_edge_basis_cache", {})
-    if tol.eps not in cache:
-        cache[tol.eps] = _compute_edge_basis(g, tol)
-    return cache[tol.eps]
+    return _memoized(g, "_edge_basis_cache", tol, _compute_edge_basis)
 
 
 def _compute_edge_basis(g: QuantumGraph, tol: Tolerance) -> EdgeBasis:
-    report = validate(g, tol)
+    # A report the caller already made is read from the memo, not validated again.
+    report = g.__dict__.get("_validate_cache", {}).get(tol.eps) or validate(g, tol)
     if not report.passed:
         failed = [c.name for c in report.checks if not c.passed]
         raise ValueError(f"quantum graph fails validation: {failed}")

@@ -123,7 +123,11 @@ def verify_operational(
     _check_dims(inst, strategy)
     elements = edge_basis(inst.source, tol).elements
     c = strategy.c
-    probs = [np.abs(outcome_probability(strategy, e.matrix, tol)) for e in elements]
+    if all(np.isfinite(p).all() for p in strategy.projections):
+        probs = [np.abs(outcome_probability(strategy, e.matrix, tol)) for e in elements]
+    else:
+        # outcome_probability refuses NaN; every rule reads it and fails instead.
+        probs = np.full((len(elements), c, c), np.nan)
     probs = np.reshape(probs, (len(elements), c, c))  # axes (basis_index, a, b)
     same = np.array([e.tag == SAME_VERTEX for e in elements], dtype=bool)[:, None, None]
     offdiag = ~np.eye(c, dtype=bool)

@@ -64,9 +64,11 @@ class TracialAncilla:
             w = tuple(float(x) for x in self.trace_weights)
             if len(w) != len(dims):
                 raise ValueError("one trace weight per block required")
-            if any(x <= 0 for x in w):
-                raise ValueError(f"trace weights must be positive (faithfulness), got {w}")
-            if abs(sum(w) - 1.0) > 1e-9:
+            if not all(0 < x < np.inf for x in w):
+                raise ValueError(
+                    f"trace weights must be positive (faithfulness) and finite, got {w}"
+                )
+            if not abs(sum(w) - 1.0) <= 1e-9:
                 raise ValueError(f"trace weights must sum to 1, got sum {sum(w)}")
             object.__setattr__(self, "trace_weights", w)
 
@@ -171,18 +173,34 @@ class BlockStrategy:
         """True when all entries pairwise *-commute (abelian ancilla behaviour)."""
         if self.ancilla.dim == 1:
             return True  # scalar entries commute
-        ents = [
-            self.entry(a, i, j)
-            for a in range(self.c)
-            for i in range(self.n)
-            for j in range(self.n)
-        ]
-        worst = 0.0
-        for x in ents:
-            for y in ents:
-                worst = max(worst, hs_norm(x @ y - y @ x))
-                worst = max(worst, hs_norm(x @ y.conj().T - y.conj().T @ x))
-        return worst <= tol.eps
+        d = self.ancilla.dim
+        return _worst_star_commutator(self.entries().reshape(-1, d, d)) <= tol.eps
+
+
+# Bound on the bytes of the temporaries of one chunk of _worst_star_commutator.
+_CHUNK_BYTES = 4 << 20
+
+
+def _worst_star_commutator(ents: np.ndarray) -> float:
+    """Largest |xy - yx|_F and |xy* - y*x|_F over all pairs x, y of a (N, D, D) stack.
+
+    ad_x = x (x) 1 - 1 (x) x^T maps the row-major vec(y) to vec(xy - yx), so
+    a chunk of rows x takes one product of its stacked ad_x with the
+    (D^2, 2N) matrix of every vec(y) and vec(y*).  No N x N array is formed.
+    NaN reads as +inf.
+    """
+    count, d, _ = ents.shape
+    vecs = np.concatenate([ents, ents.conj().transpose(0, 2, 1)]).reshape(2 * count, d * d).T
+    eye = np.eye(d)
+    # Per row x: three D^2 x D^2 ad temporaries, and D^2 x 2N images with their moduli.
+    rows = max(1, _CHUNK_BYTES // (48 * d * d * (d * d + count)))
+    worst = []
+    for start in range(0, count, rows):
+        x = ents[start : start + rows]
+        ad = np.einsum("kij,lm->kiljm", x, eye) - np.einsum("ij,kml->kiljm", eye, x)
+        moduli = np.abs((ad.reshape(-1, d * d) @ vecs).reshape(len(x), d * d, 2 * count))
+        worst.append(worst_residual(np.sqrt(np.einsum("kij,kij->kj", moduli, moduli)))[0])
+    return worst_residual(worst)[0]
 
 
 @dataclass(frozen=True)

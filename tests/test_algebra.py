@@ -1,3 +1,6 @@
+import json
+import os
+
 import numpy as np
 import pytest
 
@@ -5,6 +8,9 @@ from helpers import rand_unitary
 from qgraph import VnAlgebra, commutant, normal_form, plancherel, project
 from qgraph.algebra import algebra_basis, orthonormalize, project_onto_span
 from qgraph.linalg import hs_norm, matrix_unit
+from qgraph.serialize import matrix_from_json
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
 
 def diag_algebra(n):
@@ -160,6 +166,20 @@ class TestNormalForm:
             for g in gens:
                 conj = w.conj().T @ g @ w
                 assert hs_norm(conj - project_onto_span(conj, canon)) < 1e-7
+
+    def test_nearly_degenerate_central_element_redrawn(self):
+        # The first seeded central element of these generators has an
+        # eigenvalue gap of about 2.5e-5: above the clustering gap, but close
+        # enough that its eigenvectors left the block pattern by 2.3e-9.
+        with open(os.path.join(FIXTURES, "near_degenerate_center.json")) as f:
+            fixture = json.load(f)
+        gens = [matrix_from_json(m, "generators") for m in fixture["generators"]]
+        rec, u = normal_form(gens)
+        assert rec.blocks == tuple(tuple(b) for b in fixture["blocks"])
+        canon = algebra_basis(VnAlgebra(n=rec.n, blocks=rec.blocks))
+        for g in gens:
+            conj = u.conj().T @ g @ u
+            assert hs_norm(conj - project_onto_span(conj, canon)) <= 1e-10
 
     def test_idempotent(self):
         alg = VnAlgebra(n=4, blocks=((1, 2), (2, 1)))

@@ -1,11 +1,11 @@
 """The shared check report: its reducer, fail-closed NaN handling, and a
-seeded cross-check of every verifier against the per-residual loops it
-replaced."""
+seeded cross-check of every verifier and array kernel against the
+per-residual loops it replaced."""
 
 import numpy as np
 import pytest
 
-from helpers import rand_unitary
+from helpers import rand_unitary, random_block_strategy, random_povm
 from qgraph import (
     BlockStrategy,
     CheckReport,
@@ -17,15 +17,17 @@ from qgraph import (
     check_game_algebra_rep,
     graph_operator_system,
     shift_multiply_coloring,
+    teleport_coloring,
     validate,
     verify_operational,
     verify_structural,
 )
 from qgraph.algebra import commutant, project_onto_span
 from qgraph.colorings import complete_quantum_graph, diagonal_strategy
-from qgraph.correlations import outcome_probability
+from qgraph.correlations import embed_classical, outcome_probability
 from qgraph.graphs import SAME_VERTEX, adjacency_subspace_basis, edge_basis
 from qgraph.linalg import Check, hs_norm, worst_residual
+from qgraph.strategies import _worst_star_commutator
 
 K = ClassicalGraph.complete
 
@@ -203,6 +205,41 @@ def reference_structural(inst, strategy, tol):
     return out
 
 
+def reference_outcome_probability(strategy, y, tol):
+    """The (a, b) loop of outcome_probability: (Tr (x) tau)(P_a W P_b W* P_a)."""
+    d = strategy.ancilla.dim
+    w = np.kron(y, np.eye(d))
+    diag_weights = np.tile(strategy.ancilla.trace_diagonal(), strategy.n)
+    p = np.empty((strategy.c, strategy.c), dtype=np.complex128)
+    for a, pa in enumerate(strategy.projections):
+        left = pa @ w
+        for b, pb in enumerate(strategy.projections):
+            z = left @ pb @ w.conj().T @ pa
+            p[a, b] = np.sum(diag_weights * np.diagonal(z))
+    imag = float(np.abs(p.imag).max())
+    if imag > tol.eps * 100:
+        raise ValueError(f"outcome probabilities have imaginary residual {imag:.3e}")
+    return p.real
+
+
+def reference_is_loc(strategy, tol):
+    """The pairwise loop of is_loc; returns (verdict, worst residual)."""
+    if strategy.ancilla.dim == 1:
+        return True, 0.0
+    ents = [
+        strategy.entry(a, i, j)
+        for a in range(strategy.c)
+        for i in range(strategy.n)
+        for j in range(strategy.n)
+    ]
+    worst = 0.0
+    for x in ents:
+        for y in ents:
+            worst = max(worst, hs_norm(x @ y - y @ x))
+            worst = max(worst, hs_norm(x @ y.conj().T - y.conj().T @ x))
+    return worst <= tol.eps, worst
+
+
 def reference_operational(inst, strategy, tol):
     basis = edge_basis(inst.source, tol)
     nonadj = _nonadjacent_pairs(inst.target)
@@ -210,7 +247,7 @@ def reference_operational(inst, strategy, tol):
     same_worst, same_wit, same_table = 0.0, None, {}
     adj_worst, adj_wit, adj_table = 0.0, None, {}
     for idx, elem in enumerate(basis.elements):
-        p = outcome_probability(strategy, elem.matrix, tol)
+        p = reference_outcome_probability(strategy, elem.matrix, tol)
         if elem.tag == SAME_VERTEX:
             for a in range(c):
                 for b in range(c):
@@ -335,3 +372,44 @@ def test_verifiers_match_reference_loops(label, g, target, s, wins):
         check_game_algebra_rep(inst, s, tol), reference_algebra(inst, s, tol)
     )
     assert verify_structural(inst, s, tol).passed == wins
+
+
+# --- the array kernels of is_loc and outcome_probability ---------------------------
+
+
+def kernel_cases():
+    for label, _, _, s, _ in CASES:
+        yield label, s
+    for d, k in ((1, 2), (2, 2), (1, 3)):
+        yield f"teleport d={d} k={k}", teleport_coloring(d, k)
+    rng = np.random.default_rng(2021)
+    yield "random block PVM (2, 1)", random_block_strategy(rng, 3, 3, (2, 1))
+    # Entries block diagonal over M_1 + M_1: D = 2 and loc.
+    yield "loc D=2", random_block_strategy(rng, 3, 2, (1, 1))
+    # A POVM, not a PVM: the kernel does not use idempotency.
+    yield "POVM", embed_classical([random_povm(rng, 2, 3) for _ in range(3)])
+
+
+KERNEL_CASES = list(kernel_cases())
+
+
+@pytest.mark.parametrize("label, s", KERNEL_CASES, ids=[c[0] for c in KERNEL_CASES])
+def test_is_loc_matches_reference_loop(label, s):
+    tol = Tolerance()
+    loc, worst = reference_is_loc(s, tol)
+    assert s.is_loc(tol) == loc
+    assert loc == (label == "loc D=2" or s.ancilla.dim == 1)
+    if s.ancilla.dim > 1:
+        d = s.ancilla.dim
+        assert abs(_worst_star_commutator(s.entries().reshape(-1, d, d)) - worst) <= 1e-12
+
+
+@pytest.mark.parametrize("label, s", KERNEL_CASES, ids=[c[0] for c in KERNEL_CASES])
+def test_outcome_probability_matches_reference_loop(label, s):
+    tol = Tolerance()
+    rng = np.random.default_rng(2022)
+    for _ in range(3):
+        y = rng.normal(size=(s.n, s.n)) + 1j * rng.normal(size=(s.n, s.n))
+        y /= np.linalg.norm(y)
+        ref = reference_outcome_probability(s, y, tol)
+        assert np.abs(outcome_probability(s, y, tol) - ref).max() <= 1e-12

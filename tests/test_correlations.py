@@ -165,6 +165,15 @@ class TestOutcomeProbability:
         with pytest.raises(ValueError):
             outcome_probability(s, np.eye(2))
 
+    def test_nan_strategy_rejected(self):
+        # NaN probabilities fail the realness precondition instead of passing it.
+        s = diagonal_unit_strategy(2)
+        projections = [p.copy() for p in s.projections]
+        projections[0][0, 0] = np.nan
+        s = BlockStrategy(n=s.n, c=s.c, ancilla=s.ancilla, projections=tuple(projections))
+        with pytest.raises(ValueError, match="imaginary residual"):
+            outcome_probability(s, matrix_unit(2, 0, 0))
+
     def test_conjugation_covariance(self):
         # Conjugating the strategy by U (x) 1 and the input by U leaves every
         # outcome probability unchanged.

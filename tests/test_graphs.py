@@ -7,6 +7,7 @@ from helpers import rand_unitary
 from qgraph import (
     ClassicalGraph,
     QuantumGraph,
+    Tolerance,
     VnAlgebra,
     bell_state,
     chromatic_number,
@@ -59,6 +60,30 @@ class TestValidate:
         check = report.check("bimodule")
         assert not check.passed
         assert check.max_residual == pytest.approx(1 / np.sqrt(2), abs=1e-12)
+
+    def test_report_memoized_for_edge_basis(self, monkeypatch):
+        from qgraph import graphs
+
+        calls = []
+        compute = graphs._compute_validation
+        monkeypatch.setattr(
+            graphs, "_compute_validation", lambda g, tol: calls.append(tol) or compute(g, tol)
+        )
+        g = full_graph(3)
+        report = validate(g)
+        edge_basis(g)
+        assert validate(g) is report and len(calls) == 1
+        validate(g, Tolerance(1e-6))
+        assert len(calls) == 2
+        # A graph validated by nobody yet is validated once inside edge_basis.
+        edge_basis(full_graph(3))
+        assert len(calls) == 3
+
+    def test_empty_spanning_set(self):
+        g = QuantumGraph(n=2, algebra=diag_algebra(2), s_basis=())
+        report = validate(g)
+        assert not report.check("operator_system").passed
+        assert report.check("self_adjoint").passed and report.check("bimodule").passed
 
     def test_traceless_variant(self):
         alg = VnAlgebra(n=2, blocks=((1, 2),))

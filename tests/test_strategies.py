@@ -29,6 +29,13 @@ class TestTracialAncilla:
         with pytest.raises(ValueError):
             TracialAncilla((1, 1), (1.0, 0.0))
 
+    @pytest.mark.parametrize(
+        "weights", [(float("nan"),), (0.5, float("nan")), (float("inf"), 1.0), (1.0, -float("inf"))]
+    )
+    def test_non_finite_weights_rejected(self, weights):
+        with pytest.raises(ValueError):
+            TracialAncilla((1,) * len(weights), weights)
+
     def test_trace_normalized(self):
         a = TracialAncilla((2, 3), (0.25, 0.75))
         assert a.trace(np.eye(5)) == pytest.approx(1.0)
@@ -73,6 +80,16 @@ class TestBlockStrategy:
         assert diag.is_loc()
         rng = np.random.default_rng(21)
         s = random_block_strategy(rng, 2, 2, (2,))
+        assert not s.is_loc()
+
+    def test_is_loc_fails_closed_on_nan(self):
+        # Diagonal D = 2 entries commute; one NaN entry must not read as 0.
+        anc = TracialAncilla((1, 1))
+        p0 = np.diag([1.0, 0.0, 1.0, 0.0]).astype(complex)
+        s = BlockStrategy(n=2, c=2, ancilla=anc, projections=(p0, np.eye(4) - p0))
+        assert s.is_loc()
+        p0[2, 2] = np.nan
+        s = BlockStrategy(n=2, c=2, ancilla=anc, projections=(p0, np.eye(4) - p0))
         assert not s.is_loc()
 
 
