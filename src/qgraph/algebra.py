@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, Tolerance, as_matrix, hermitian_eig, hs_norm
+from .linalg import DEFAULT_TOL, Tolerance, as_matrix, hermitian_eig, hs_norm, worst_residual
 
 __all__ = [
     "VnAlgebra",
@@ -54,7 +54,7 @@ class VnAlgebra:
             if u.shape != (self.n, self.n):
                 raise ValueError(f"embedding unitary has shape {u.shape}, expected {(self.n, self.n)}")
             defect = hs_norm(u.conj().T @ u - np.eye(self.n))
-            if defect > 1e-8:
+            if not defect <= 1e-8:
                 raise ValueError(f"embedding matrix is not unitary (defect {defect:.3e})")
             object.__setattr__(self, "unitary", u)
 
@@ -186,11 +186,15 @@ def project(alg: VnAlgebra, space: str, x) -> np.ndarray:
 
 
 def project_onto_span(x: np.ndarray, orthonormal: list[np.ndarray]) -> np.ndarray:
-    """Projection onto the span of an HS-orthonormal family."""
-    out = np.zeros_like(x)
-    for b in orthonormal:
-        out += np.vdot(b, x) * b
-    return out
+    """Projection onto the span of an HS-orthonormal family.
+
+    x is one matrix or an (m, n, n) stack.  With the flattened matrices as the
+    rows of Z and the family as the rows of B, the projections are (Z B^H) B.
+    """
+    x = np.asarray(x, dtype=np.complex128)
+    z = x.reshape(-1, x.shape[-2] * x.shape[-1])
+    b = np.reshape(np.asarray(orthonormal, dtype=np.complex128), (len(orthonormal), z.shape[1]))
+    return ((z @ b.conj().T) @ b).reshape(x.shape)
 
 
 def orthonormalize(mats, drop_tol: float = 1e-8) -> list[np.ndarray]:
@@ -322,7 +326,7 @@ def normal_form(
 
     eye = np.eye(n, dtype=np.complex128)
     unit_residual = hs_norm(eye - project_onto_span(eye, basis))
-    if unit_residual > np.sqrt(n) * 1e-7:
+    if not unit_residual <= np.sqrt(n) * 1e-7:
         raise ValueError(
             f"generated algebra does not contain the identity (residual {unit_residual:.3e})"
         )
@@ -422,14 +426,13 @@ def _normal_form_attempt(
 
     # Validate the recovery before committing to it.
     defect = hs_norm(u.conj().T @ u - np.eye(n))
-    if defect > 1e-8:
+    if not defect <= 1e-8:
         raise _GenericityFailure(f"assembled frame is not unitary (defect {defect:.3e})")
     candidate = VnAlgebra(n=n, blocks=blocks, unitary=u)
     canon = algebra_basis(VnAlgebra(n=n, blocks=blocks))
-    worst = 0.0
-    for b in basis:
-        b_can = u.conj().T @ b @ u
-        worst = max(worst, hs_norm(b_can - project_onto_span(b_can, canon)))
-    if worst > np.sqrt(n) * 1e-7:
+    b_can = u.conj().T @ np.asarray(basis) @ u
+    residuals = np.linalg.norm(b_can - project_onto_span(b_can, canon), axis=(-2, -1))
+    worst = worst_residual(residuals)[0]
+    if not worst <= np.sqrt(n) * 1e-7:
         raise _GenericityFailure(f"conjugated basis leaves canonical span (residual {worst:.3e})")
     return candidate, u

@@ -37,7 +37,7 @@ from .correlations import (
 )
 from .graphs import chromatic_number, edge_basis, validate
 from .homgame import GameInstance, check_game_algebra_rep, compose_reps, extract_channel, verify_operational, verify_structural
-from .linalg import Tolerance, check_measurement
+from .linalg import Tolerance, check_measurement, worst_residual
 from .serialize import (
     SchemaError,
     classical_correlation_from_json,
@@ -139,10 +139,9 @@ def _cmd_dilate(args) -> int:
     ops, n, h = povm_from_json(_load_json(args.input))
     c = len(ops)
     dilated = dilate_block_povm(ops, n=n, h=h, tol=tol)
-    corner = max(
-        float(np.linalg.norm(corner_compress(p, n, c, h) - q))
-        for p, q in zip(dilated, ops)
-    )
+    corner = worst_residual(
+        [np.linalg.norm(corner_compress(p, n, c, h) - q) for p, q in zip(dilated, ops)]
+    )[0]
     rep = check_measurement(dilated, tol)
     report = {
         "n": n,

@@ -27,7 +27,7 @@ from .graphs import (
     proper_coloring,
 )
 from .homgame import GameInstance, verify_structural
-from .linalg import DEFAULT_TOL, CheckReport, Tolerance, hs_norm, matrix_unit, unit_root_power
+from .linalg import DEFAULT_TOL, CheckReport, Tolerance, hs_norm, matrix_unit, unit_root_power, worst_residual
 from .strategies import BlockStrategy, TracialAncilla
 
 __all__ = [
@@ -165,12 +165,13 @@ class ColoringReport:
     trace_covariance_residual: float  # worst |(psi_M (x) id)(P_a) - 1/dim(M)|, minimal case
 
     def passed(self, tol: Tolerance = DEFAULT_TOL) -> bool:
-        worst = max(
-            self.idempotent_residual, self.block_sum_residual, self.total_sum_residual
+        residuals = (
+            self.idempotent_residual,
+            self.block_sum_residual,
+            self.total_sum_residual,
+            self.trace_covariance_residual,  # 0 unless minimal
         )
-        if self.minimal:
-            worst = max(worst, self.trace_covariance_residual)
-        return self.verification.passed and worst <= tol.eps
+        return self.verification.passed and worst_residual(residuals)[0] <= tol.eps
 
 
 def rigidity_check(
@@ -191,43 +192,34 @@ def rigidity_check(
         raise ValueError("strategy is not a valid coloring of the quantum complete graph")
 
     d = strategy.ancilla.dim
-    projections = strategy.projections
+    stack = np.stack(strategy.projections)
     if alg.unitary is not None:
         u_big = np.kron(alg.unitary, np.eye(d))
-        projections = tuple(u_big.conj().T @ p @ u_big for p in projections)
+        stack = u_big.conj().T @ stack @ u_big
 
     dim_m = alg.dim_algebra
-    offsets = alg.block_offsets()
     eye_d = np.eye(d)
-
-    r_values: list[tuple[np.ndarray, ...]] = []
-    idem = 0.0
-    block_totals = [np.zeros((d, d), dtype=np.complex128) for _ in alg.blocks]
-    for p in projections:
-        per_block = []
-        for r, (off, (m_r, k_r)) in enumerate(zip(offsets, alg.blocks)):
-            tr_block = np.zeros((d, d), dtype=np.complex128)
-            for u in range(off, off + m_r * k_r):
-                tr_block += p[u * d : (u + 1) * d, u * d : (u + 1) * d]
-            r_ar = (k_r / m_r) * tr_block
-            per_block.append(r_ar)
-            idem = max(idem, hs_norm(r_ar @ r_ar - r_ar))
-            block_totals[r] += r_ar
-        r_values.append(tuple(per_block))
+    # Diagonal D x D entries P_{a,uu}, axes (a, u); R has axes (a, r).
+    diag = np.einsum("auiuj->auij", stack.reshape(strategy.c, alg.n, d, alg.n, d))
+    r_stack = np.stack(
+        [
+            (k_r / m_r) * diag[:, off : off + m_r * k_r].sum(axis=1)
+            for off, (m_r, k_r) in zip(alg.block_offsets(), alg.blocks)
+        ],
+        axis=1,
+    )
+    idem = worst_residual(np.linalg.norm(r_stack @ r_stack - r_stack, axis=(-2, -1)))[0]
+    block_totals = r_stack.sum(axis=0)
+    squares = np.array([k_r * k_r for _, k_r in alg.blocks])[:, None, None]
+    block_sum = worst_residual(np.linalg.norm(block_totals - squares * eye_d, axis=(-2, -1)))[0]
+    total_sum = hs_norm(block_totals.sum(axis=0) - dim_m * eye_d)
 
     # (psi_M (x) id)(P_a) = (1/dim M) sum_r R_a^(r).
-    rigidity = [sum(per_block) / dim_m for per_block in r_values]
-
-    block_sum = max(
-        hs_norm(total - k_r * k_r * eye_d)
-        for total, (_, k_r) in zip(block_totals, alg.blocks)
-    )
-    total_sum = hs_norm(sum(block_totals) - dim_m * eye_d)
-
+    rigidity = r_stack.sum(axis=1) / dim_m
     minimal = strategy.c == dim_m
     trace_cov = 0.0
     if minimal:
-        trace_cov = max(hs_norm(psi_p - eye_d / dim_m) for psi_p in rigidity)
+        trace_cov = worst_residual(np.linalg.norm(rigidity - eye_d / dim_m, axis=(-2, -1)))[0]
 
     model = "loc" if strategy.is_loc(tol) else "q"
     return ColoringReport(
@@ -236,7 +228,7 @@ def rigidity_check(
         strategy=strategy,
         verification=verification,
         rigidity=tuple(rigidity),
-        r_values=tuple(r_values),
+        r_values=tuple(tuple(per_block) for per_block in r_stack),
         idempotent_residual=idem,
         block_sum_residual=block_sum,
         total_sum_residual=total_sum,

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, Tolerance, as_matrix, hs_norm
+from .linalg import DEFAULT_TOL, Tolerance, as_matrix, hs_norm, worst_residual
 from .strategies import BlockStrategy, TensorStrategy, TracialAncilla
 
 __all__ = [
@@ -133,10 +133,10 @@ class SyncReport:
 def check_synchronous(x: Correlation, tol: Tolerance = DEFAULT_TOL) -> SyncReport:
     """Partition-free synchronicity criterion on the correlation entries."""
     diag = np.einsum("aaijij->", x.tensor) / x.n
-    diagonal_residual = abs(complex(diag) - 1.0)
     cross = np.einsum("abijij->ab", x.tensor)
     np.fill_diagonal(cross, 0.0)
-    cross_residual = float(np.abs(cross).max()) if x.c > 1 else 0.0
+    diagonal_residual = worst_residual(abs(complex(diag) - 1.0))[0]
+    cross_residual = worst_residual(np.abs(cross))[0]
     ok = diagonal_residual <= tol.eps and cross_residual <= tol.eps
     return SyncReport(ok, diagonal_residual, cross_residual)
 
@@ -165,26 +165,17 @@ class IdentityReport:
 def synchronous_identities(x: Correlation, tol: Tolerance = DEFAULT_TOL) -> IdentityReport:
     t = x.tensor
     diag_entries = np.einsum("abiijj->abij", t)
-    positivity = max(
-        float(np.abs(diag_entries.imag).max()),
-        float(max(0.0, -diag_entries.real.min())),
-    )
+    positivity = worst_residual([np.abs(diag_entries.imag), np.maximum(-diag_entries.real, 0.0)])[0]
 
-    conj_residual = float(np.abs(t - np.conj(t.transpose(0, 1, 3, 2, 5, 4))).max())
+    conj_residual = worst_residual(np.abs(t - np.conj(t.transpose(0, 1, 3, 2, 5, 4))))[0]
 
-    row = np.einsum("abikjk->abij", t)
-    col = np.einsum("abkikj->abij", t)
-    off = 0.0
-    for a in range(x.c):
-        for b in range(x.c):
-            if a != b:
-                off = max(off, float(np.abs(row[a, b]).max()), float(np.abs(col[a, b]).max()))
+    # Row and column sums, kept for a != b only.
+    sums = np.abs([np.einsum("abikjk->abij", t), np.einsum("abkikj->abij", t)])
+    distinct = ~np.eye(x.c, dtype=bool)[:, :, None, None]
+    off = worst_residual(np.where(distinct, sums, 0.0))[0]
 
-    eye = np.eye(x.n)
-    diag_sum = max(
-        float(np.abs(np.einsum("aaikjk->ij", t) - eye).max()),
-        float(np.abs(np.einsum("aakikj->ij", t) - eye).max()),
-    )
+    diag_sums = [np.einsum("aaikjk->ij", t), np.einsum("aakikj->ij", t)]
+    diag_sum = worst_residual(np.abs(np.subtract(diag_sums, np.eye(x.n))))[0]
     return IdentityReport(positivity, conj_residual, off, diag_sum)
 
 
@@ -228,22 +219,13 @@ def compress_to_classical(
     """p(a,b|x,y) = X^{(a,b)}_{(x,x),(y,y)}; entries must be real within tolerance."""
     diag = np.einsum("abxxyy->abxy", x.tensor)
     imag = float(np.abs(diag.imag).max())
-    if imag > tol.eps * 100:
+    if not imag <= tol.eps * 100:
         raise ValueError(f"compressed correlation has imaginary residual {imag:.3e}")
     return ClassicalCorrelation(n=x.n, c=x.c, p=diag.real)
 
 
 def check_bisynchronous(p: ClassicalCorrelation, tol: Tolerance = DEFAULT_TOL) -> bool:
     """p(a,b|x,x) = 0 for a != b and p(a,a|x,y) = 0 for x != y, within tolerance."""
-    arr = p.p
-    sync = 0.0
-    for a in range(p.c):
-        for b in range(p.c):
-            if a != b:
-                sync = max(sync, float(np.abs(np.diagonal(arr[a, b])).max()))
-    bisync = 0.0
-    for x in range(p.n):
-        for y in range(p.n):
-            if x != y:
-                bisync = max(bisync, float(np.abs(np.diagonal(arr[:, :, x, y])).max()))
-    return sync <= tol.eps and bisync <= tol.eps
+    sync = np.where(~np.eye(p.c, dtype=bool)[:, :, None], np.einsum("abxx->abx", p.p), 0.0)
+    bisync = np.where(~np.eye(p.n, dtype=bool), np.einsum("aaxy->axy", p.p), 0.0)
+    return all(worst_residual(np.abs(r))[0] <= tol.eps for r in (sync, bisync))

@@ -17,7 +17,6 @@ from .algebra import (
     VnAlgebra,
     commutant,
     orthonormalize,
-    project,
     project_onto_span,
 )
 from .linalg import DEFAULT_TOL, Check, CheckReport, Tolerance, as_matrix, hs_norm, matrix_unit
@@ -79,20 +78,8 @@ class QuantumGraph:
 
     @cached_property
     def _adjacency_basis(self) -> tuple[np.ndarray, ...]:
-        perp = [project(self.algebra, "comm_perp", y) for y in self.s_basis]
-        return tuple(orthonormalize(perp))
-
-
-def _span_defects(stack: np.ndarray, span: list[np.ndarray]) -> np.ndarray:
-    """|Z - P(Z)|_F for each Z of an (m, n, n) stack, P the projection onto span.
-
-    With the flattened stack as the rows of Z and the orthonormal span as the
-    rows of B, the projections are (Z B^H) B.
-    """
-    m, n, _ = stack.shape
-    z = stack.reshape(m, n * n)
-    b = np.reshape(np.asarray(span, dtype=np.complex128), (len(span), n * n))
-    return np.linalg.norm(z - (z @ b.conj().T) @ b, axis=1)
+        basis = np.asarray(self.s_basis)
+        return tuple(orthonormalize(basis - project_onto_span(basis, commutant(self.algebra))))
 
 
 def validate(g: QuantumGraph, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
@@ -113,31 +100,23 @@ def _memoized(g: QuantumGraph, name: str, tol: Tolerance, compute):
 
 def _compute_validation(g: QuantumGraph, tol: Tolerance) -> CheckReport:
     span = g.span_basis()
+
+    def span_defects(stack):
+        return np.linalg.norm(stack - project_onto_span(stack, span), axis=(-2, -1))
+
     basis = np.reshape(np.asarray(g.s_basis, dtype=np.complex128), (len(g.s_basis), g.n, g.n))
     checks = [
-        Check.of(
-            "self_adjoint",
-            _span_defects(basis.conj().transpose(0, 2, 1), span),
-            tol,
-            "basis_index",
-        )
+        Check.of("self_adjoint", span_defects(basis.conj().transpose(0, 2, 1)), tol, "basis_index")
     ]
     if g.traceless:
         traces = [abs(np.trace(y)) for y in g.s_basis]
         checks.append(Check.of("traceless", traces, tol, "basis_index"))
     else:
-        eye = np.eye(g.n, dtype=np.complex128)
-        checks.append(Check.of("operator_system", _span_defects(eye[None], span)[0], tol))
+        checks.append(Check.of("operator_system", span_defects(np.eye(g.n)), tol))
 
     # One (comm_right, basis_index) stack of a Y b per left commutant element a.
     comm = np.asarray(commutant(g.algebra))
-    bimodule = np.array(
-        [
-            _span_defects(((a @ basis)[None] @ comm[:, None]).reshape(-1, g.n, g.n), span)
-            .reshape(len(comm), len(basis))
-            for a in comm
-        ]
-    )
+    bimodule = np.array([span_defects((a @ basis)[None] @ comm[:, None]) for a in comm])
     checks.append(Check.of("bimodule", bimodule, tol, "comm_left", "comm_right", "basis_index"))
     return CheckReport(tuple(checks))
 
@@ -248,7 +227,7 @@ def _checked_basis(basis, n: int) -> np.ndarray:
     v = as_matrix(basis)
     if v.shape != (n, n):
         raise ValueError(f"basis must be {n} column vectors of length {n}")
-    if hs_norm(v.conj().T @ v - np.eye(n)) > 1e-8:
+    if not hs_norm(v.conj().T @ v - np.eye(n)) <= 1e-8:
         raise ValueError("basis columns are not orthonormal")
     return v
 
@@ -334,20 +313,17 @@ def classical_graph_from_operator_system(
         return None
     n = g.n
     span = g.span_basis()
-    edges = []
-    for i in range(n):
-        e = matrix_unit(n, i, i)
-        if hs_norm(e - project_onto_span(e, span)) > tol.eps:
-            return None
-    for i in range(n):
-        for j in range(i + 1, n):
-            e = matrix_unit(n, i, j)
-            r = hs_norm(e - project_onto_span(e, span))
-            if r <= tol.eps:
-                edges.append((i, j))
-            elif abs(r - 1.0) > tol.eps * 10:
-                return None  # partially present matrix unit: not a graph system
-    candidate = ClassicalGraph(n, tuple(edges))
+    # Row i * n + j is the matrix unit E_ij.
+    units = np.eye(n * n, dtype=np.complex128).reshape(n * n, n, n)
+    r = np.linalg.norm(units - project_onto_span(units, span), axis=(-2, -1)).reshape(n, n)
+    if not np.all(np.diagonal(r) <= tol.eps):
+        return None
+    rows, cols = np.triu_indices(n, 1)
+    present = r[rows, cols] <= tol.eps
+    # A partially present matrix unit means g is not a graph system.
+    if not np.all(present | (np.abs(r[rows, cols] - 1.0) <= tol.eps * 10)):
+        return None
+    candidate = ClassicalGraph(n, tuple(zip(rows[present].tolist(), cols[present].tolist())))
     if len(span) != n + 2 * len(candidate.edges):
         return None
     return candidate

@@ -15,7 +15,7 @@ import numpy as np
 from .algebra import commutant
 from .correlations import outcome_probability
 from .graphs import SAME_VERTEX, ClassicalGraph, QuantumGraph, adjacency_subspace_basis, edge_basis
-from .linalg import DEFAULT_TOL, Check, CheckReport, Tolerance, hs_norm, worst_residual
+from .linalg import DEFAULT_TOL, Check, CheckReport, Tolerance, check_measurement, hs_norm, worst_residual
 from .strategies import BlockStrategy, TracialAncilla
 
 __all__ = [
@@ -184,7 +184,7 @@ def extract_channel(
     for a, p in enumerate(strategy.projections):
         w, v = np.linalg.eigh((p + p.conj().T) / 2)
         drift = float(np.minimum(np.abs(w), np.abs(w - 1.0)).max())
-        if drift > max(tol.eps * 100, 1e-8):
+        if not drift <= max(tol.eps * 100, 1e-8):
             raise ValueError(f"P_{a} spectrum drifts from {{0,1}} by {drift:.3e}")
         for k in np.nonzero(w > 0.5)[0]:
             f = np.zeros((c, size), dtype=np.complex128)
@@ -274,12 +274,10 @@ def compose_reps(
     if any(len(row) != r for row in f):
         raise ValueError("ragged hom representation")
 
-    eye_e = np.eye(e)
-    residuals = [hs_norm(sum(row) - eye_e) for row in f]
-    for a, row in enumerate(f):
-        for v, x in enumerate(row):
-            residuals += [hs_norm(x - x.conj().T), hs_norm(x @ x - x)]
-            residuals += [hs_norm(x @ f[b][v]) for b in range(c) if b != a]
+    # Each row {f_{a,v}}_v is a PVM and each column {f_{a,v}}_a is orthogonal.
+    rows = [check_measurement(row, tol) for row in f]
+    residuals = [d for m in rows for d in (m.hermitian_defect, m.idempotency_defect, m.sum_defect)]
+    residuals += [check_measurement(col, tol).orthogonality_defect for col in zip(*f)]
     worst = worst_residual(residuals)[0]
     if worst > tol.eps:
         raise ValueError(f"hom representation fails the K_c -> K_r relations ({worst:.3e})")

@@ -57,8 +57,10 @@ def worst_residual(residuals, axes: tuple[str, ...] = ()) -> tuple[float, dict |
     r = np.asarray(residuals, dtype=np.float64)
     if r.size == 0:
         return 0.0, None
-    r = np.where(np.isnan(r), np.inf, r)
     flat = int(np.argmax(r))
+    if np.isnan(r.flat[flat]):  # argmax stops at the first NaN; an earlier inf ties with it
+        r = np.where(np.isnan(r), np.inf, r)
+        flat = int(np.argmax(r))
     worst = float(r.flat[flat])
     if not axes or not worst > 0:
         return worst, None
@@ -185,7 +187,7 @@ def hermitian_eig(a, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarr
     """
     a = as_matrix(a)
     herm_defect = hs_norm(a - a.conj().T)
-    if herm_defect > tol.eps * 10:
+    if not herm_defect <= tol.eps * 10:
         raise ValueError(f"matrix is not Hermitian (defect {herm_defect:.3e})")
     w, v = np.linalg.eigh((a + a.conj().T) / 2)
     return w, v
@@ -198,7 +200,7 @@ def psd_sqrt(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     anything more negative is an error.
     """
     w, v = hermitian_eig(a, tol)
-    if w.min(initial=0.0) < -tol.eps * 10:
+    if not w.min(initial=0.0) >= -tol.eps * 10:
         raise ValueError(f"matrix is not positive (min eigenvalue {w.min():.3e})")
     w = np.clip(w, 0.0, None)
     return (v * np.sqrt(w)) @ v.conj().T
@@ -243,17 +245,18 @@ def check_measurement(ops, tol: Tolerance = DEFAULT_TOL) -> MeasurementReport:
         if p.shape != shape:
             raise ValueError(f"shape mismatch: {p.shape} vs {shape}")
 
-    herm = worst_residual([hs_norm(p - p.conj().T) for p in mats])[0]
+    stack = np.stack(mats)
+    adjoint = stack.conj().transpose(0, 2, 1)
+    herm = worst_residual(np.linalg.norm(stack - adjoint, axis=(-2, -1)))[0]
     # The lowest eigenvalue is the negated worst of the negated minima, so a
     # NaN spectrum reads as -inf.
-    min_eig = -worst_residual(
-        [-float(np.linalg.eigvalsh((p + p.conj().T) / 2).min()) for p in mats]
-    )[0]
-    sum_defect = worst_residual(hs_norm(sum(mats) - np.eye(shape[0])))[0]
-    idem = worst_residual([hs_norm(p @ p - p) for p in mats])[0]
-    orth = worst_residual(
-        [hs_norm(mats[a] @ mats[b]) for a in range(len(mats)) for b in range(a + 1, len(mats))]
-    )[0]
+    min_eig = -worst_residual(-np.linalg.eigvalsh((stack + adjoint) / 2).min(axis=-1))[0]
+    sum_defect = worst_residual(hs_norm(stack.sum(axis=0) - np.eye(shape[0])))[0]
+    idem = worst_residual(np.linalg.norm(stack @ stack - stack, axis=(-2, -1)))[0]
+    # |P_a P_b|_F over ordered pairs a != b, one row a at a time.
+    distinct = ~np.eye(len(stack), dtype=bool)
+    rows = [np.linalg.norm(p @ stack, axis=(-2, -1)) for p in stack]
+    orth = worst_residual(np.where(distinct, rows, 0.0))[0]
 
     is_povm = herm <= tol.eps and min_eig >= -tol.eps and sum_defect <= tol.eps
     is_pvm = is_povm and idem <= tol.eps and orth <= tol.eps

@@ -78,6 +78,24 @@ def _as_real(value, path):
         raise SchemaError(path, "expected a finite number") from None
 
 
+def _number_array(data, path: str, shape: tuple[int, ...]) -> np.ndarray:
+    """A rectangular array of JSON numbers of the given shape, as floats.
+
+    Strings, booleans and nulls are refused by the dtype numpy infers; a
+    boolean among numbers is coerced to 0 or 1, because checking each leaf
+    would cost more than the parse.
+    """
+    try:
+        arr = np.asarray(data)
+    except ValueError as exc:
+        raise SchemaError(path, f"not a rectangular numeric array: {exc}") from exc
+    if arr.dtype.kind not in "iuf":
+        raise SchemaError(path, f"not a rectangular numeric array: entries of type {arr.dtype}")
+    if arr.shape != shape:
+        raise SchemaError(path, f"expected shape {shape}, got {arr.shape}")
+    return _finite(arr.astype(np.float64), path)
+
+
 def matrix_to_json(m) -> list:
     m = np.asarray(m, dtype=np.complex128)
     return [[[float(z.real), float(z.imag)] for z in row] for row in m]
@@ -262,19 +280,8 @@ def correlation_to_json(x: Correlation) -> dict:
 def correlation_from_json(obj, path: str = "") -> Correlation:
     n = _as_int(_require(obj, "n", path), f"{path}/n", minimum=1)
     c = _as_int(_require(obj, "c", path), f"{path}/c", minimum=1)
-    data = _require(obj, "X", path)
-    tensor = np.zeros((c, c, n, n, n, n), dtype=np.complex128)
-    try:
-        arr = np.asarray(data, dtype=np.float64)
-    except (ValueError, TypeError, OverflowError) as exc:
-        raise SchemaError(f"{path}/X", f"not a rectangular numeric array: {exc}") from exc
-    if arr.shape != (c, c, n, n, n, n, 2):
-        raise SchemaError(
-            f"{path}/X", f"expected shape {(c, c, n, n, n, n, 2)}, got {arr.shape}"
-        )
-    _finite(arr, f"{path}/X")
-    tensor = arr[..., 0] + 1j * arr[..., 1]
-    return Correlation(n=n, c=c, tensor=tensor)
+    arr = _number_array(_require(obj, "X", path), f"{path}/X", (c, c, n, n, n, n, 2))
+    return Correlation(n=n, c=c, tensor=arr[..., 0] + 1j * arr[..., 1])
 
 
 def classical_correlation_to_json(p: ClassicalCorrelation) -> dict:
@@ -284,14 +291,8 @@ def classical_correlation_to_json(p: ClassicalCorrelation) -> dict:
 def classical_correlation_from_json(obj, path: str = "") -> ClassicalCorrelation:
     n = _as_int(_require(obj, "n", path), f"{path}/n", minimum=1)
     c = _as_int(_require(obj, "c", path), f"{path}/c", minimum=1)
-    data = _require(obj, "p", path)
-    try:
-        arr = np.asarray(data, dtype=np.float64)
-    except (ValueError, TypeError, OverflowError) as exc:
-        raise SchemaError(f"{path}/p", f"not a rectangular numeric array: {exc}") from exc
-    if arr.shape != (c, c, n, n):
-        raise SchemaError(f"{path}/p", f"expected shape {(c, c, n, n)}, got {arr.shape}")
-    return ClassicalCorrelation(n=n, c=c, p=_finite(arr, f"{path}/p"))
+    arr = _number_array(_require(obj, "p", path), f"{path}/p", (c, c, n, n))
+    return ClassicalCorrelation(n=n, c=c, p=arr)
 
 
 def povm_from_json(obj, path: str = "") -> tuple[list[np.ndarray], int, int]:

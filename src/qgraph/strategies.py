@@ -340,13 +340,13 @@ def unitary_to_pvm(u, c: int, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
     """Fourier inversion on Z_c: P_a = (1/c) sum_d omega^{-ad} U^d."""
     u = as_matrix(u)
     size = u.shape[0]
-    if hs_norm(u.conj().T @ u - np.eye(size)) > tol.eps * 10:
+    if not hs_norm(u.conj().T @ u - np.eye(size)) <= tol.eps * 10:
         raise ValueError("input is not unitary within tolerance")
     powers = [np.eye(size, dtype=np.complex128)]
     for _ in range(c):
         powers.append(powers[-1] @ u)
     order_defect = hs_norm(powers[c] - np.eye(size))
-    if order_defect > tol.eps * 100:
+    if not order_defect <= tol.eps * 100:
         raise ValueError(f"U^{c} differs from the identity (defect {order_defect:.3e})")
     out = []
     for a in range(1, c + 1):
@@ -382,20 +382,14 @@ def round_almost_pvm(
 
     Spectral rounding of the outcome-weighted sum A = sum_a (a+1) P_a: each
     eigenvalue is rounded to the nearest integer clamped to {1..c} and Q_a is
-    the corresponding eigenprojection.  Always succeeds; the quality is the
+    the corresponding eigenprojection.  Succeeds on finite input; the quality is the
     reported max operator-norm distance to the input.
     """
     mats = [as_matrix(p) for p in ops]
     if not mats:
         raise ValueError("need at least one operator")
-    size = mats[0].shape[0]
     c = len(mats)
-    overlap = max(
-        (hs_norm(mats[a] @ mats[b]) for a in range(c) for b in range(c) if a != b),
-        default=0.0,
-    )
-    idem = max(hs_norm(p @ p - p) for p in mats)
-    sum_defect = hs_norm(sum(mats) - np.eye(size))
+    defects = check_measurement(mats, tol)
 
     weighted = sum((a + 1) * ((p + p.conj().T) / 2) for a, p in enumerate(mats))
     w, v = hermitian_eig(weighted, Tolerance(1e-6))
@@ -405,12 +399,12 @@ def round_almost_pvm(
         cols = v[:, labels == a]
         out.append(cols @ cols.conj().T)
 
-    dist = max(float(np.linalg.norm(q - p, ord=2)) for q, p in zip(out, mats))
+    dist = np.linalg.norm(np.stack(out) - np.stack(mats), ord=2, axis=(-2, -1))
     report = RoundingReport(
-        overlap_defect=overlap,
-        idempotency_defect=idem,
-        sum_defect=sum_defect,
-        max_distance_2norm=dist,
+        overlap_defect=defects.orthogonality_defect,
+        idempotency_defect=defects.idempotency_defect,
+        sum_defect=defects.sum_defect,
+        max_distance_2norm=worst_residual(dist)[0],
     )
     return out, report
 

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -352,3 +353,22 @@ def test_overflowing_residual_exits_1_without_invalid_json(tmp_path, m2_graph_fi
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error" in json.loads(captured.err)
+
+
+NUMBER = r"-?\d+(\.\d+)?(e-?\d+)?"
+
+
+@pytest.mark.parametrize(
+    "argv, example, key", [(["check-sync"], "correlation.json", "X"), (["bisync"], "classical_correlation.json", "p")]
+)
+@pytest.mark.parametrize("leaf", ["string", "all-boolean"])
+def test_array_loaders_reject_non_numbers(tmp_path, capsys, argv, example, key, leaf):
+    doc = json.loads((EXAMPLES / example).read_text())
+    text = json.dumps(doc[key])
+    if leaf == "string":  # the first number becomes "0.5", say
+        text = re.sub(NUMBER, lambda m: json.dumps(m.group()), text, count=1)
+    else:
+        text = re.sub(NUMBER, "true", text)
+    doc[key] = json.loads(text)
+    assert main(argv + [write(tmp_path, example, doc)]) == 2
+    assert json.loads(capsys.readouterr().err)["pointer"] == "/" + key
