@@ -208,11 +208,10 @@ def orthonormalize(mats, drop_tol: float = 1e-8) -> list[np.ndarray]:
         return []
     shape = mats[0].shape
     stack = np.stack([m.ravel() for m in mats])
-    u, s, vh = np.linalg.svd(stack, full_matrices=False)
+    _, s, vh = np.linalg.svd(stack, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return []
-    keep = s > drop_tol * s[0]
-    return [vh[i].reshape(shape) for i in range(len(s)) if keep[i]]
+    return list(vh[s > drop_tol * s[0]].reshape(-1, *shape))
 
 
 @dataclass(frozen=True)
@@ -240,39 +239,13 @@ def plancherel(alg: VnAlgebra) -> PlancherelTrace:
 
 
 def _nullspace(mat: np.ndarray, rel_tol: float = 1e-9) -> np.ndarray:
-    """Rows spanning the (right) nullspace of mat.
+    """Orthonormal rows spanning the (right) nullspace of a tall matrix.
 
     The absolute floor keeps an all-noise matrix (every singular value at
     roundoff scale) from being assigned spurious rank.
     """
-    u, s, vh = np.linalg.svd(mat)
-    if s.size == 0:
-        return np.eye(mat.shape[1], dtype=np.complex128)
-    threshold = max(rel_tol * s[0], 1e-12)
-    rank = int(np.sum(s > threshold))
-    return vh[rank:].conj()
-
-
-def _star_algebra_closure(generators, n: int, drop_tol: float) -> list[np.ndarray]:
-    """Orthonormal basis of the *-algebra generated, by iterated products.
-
-    The identity is not adjoined; whether the closure contains it is the
-    caller's degeneracy check.
-    """
-    seed = []
-    for g in generators:
-        g = as_matrix(g)
-        if g.shape != (n, n):
-            raise ValueError(f"generator shape {g.shape} does not match n={n}")
-        seed.append(g)
-        seed.append(g.conj().T)
-    basis = orthonormalize(seed, drop_tol)
-    while True:
-        products = [a @ b for a in basis for b in basis]
-        new_basis = orthonormalize(basis + products, drop_tol)
-        if len(new_basis) == len(basis):
-            return new_basis
-        basis = new_basis
+    _, s, vh = np.linalg.svd(mat, full_matrices=False)
+    return vh[int(np.sum(s > max(rel_tol * s[0], 1e-12))) :].conj()
 
 
 def _cluster_eigenvalues(w: np.ndarray, gap: float) -> list[np.ndarray]:
@@ -298,55 +271,48 @@ def _cluster_eigenvalues(w: np.ndarray, gap: float) -> list[np.ndarray]:
     return groups
 
 
-def _commutant_of_span(basis: list[np.ndarray], dim: int) -> np.ndarray:
-    """Matrix-stack nullspace computation of {X : [X, A]=0 for all A}."""
-    eye = np.eye(dim, dtype=np.complex128)
-    rows = [np.kron(a, eye) - np.kron(eye, a.T) for a in basis]
-    return _nullspace(np.vstack(rows))
+_MAX_ATTEMPTS = 8
 
 
-def normal_form(
-    generators, tol: Tolerance = DEFAULT_TOL, _max_attempts: int = 8
-) -> tuple[VnAlgebra, np.ndarray]:
+def normal_form(generators, tol: Tolerance = DEFAULT_TOL) -> tuple[VnAlgebra, np.ndarray]:
     """Recover block structure and embedding unitary from algebra generators.
 
     Returns (alg, U) with U* <generators> U = (+)_r C I_{n_r} (x) M_{k_r};
     the VnAlgebra carries U so it reproduces the input algebra in ambient
     coordinates.  Blocks are sorted by (k_r, n_r) for determinism.
 
-    The algorithm eigendecomposes a generic self-adjoint central element to
-    find the minimal central projections, then aligns the multiplicity copies
-    inside each block with a generic commutant element.
+    Works from the commutant A' alone (Murota, Kanno, Kojima and Kojima,
+    2010): A' is one nullspace, the X with [b, X] = 0 for an orthonormal
+    basis b of the generators and their adjoints.  A generic Hermitian
+    element of A' has the irreducible copies as eigenspaces.  For a second
+    generic Y in A', V_i* Y V_j is a nonzero multiple of a unitary within a
+    block and zero across blocks; its polar part aligns the frames.  A unitary
+    U, U* b U in the canonical algebra and sum n_r^2 = dim A' together
+    certify the result.
     """
     generators = [as_matrix(g) for g in generators]
     if not generators:
         raise ValueError("need at least one generator")
     n = generators[0].shape[0]
-    basis = _star_algebra_closure(generators, n, drop_tol=tol.eps * 10)
+    if any(g.shape != (n, n) for g in generators):
+        raise ValueError(f"generator shapes {[g.shape for g in generators]} are not all {(n, n)}")
+    if not all(np.isfinite(g).all() for g in generators):
+        raise ValueError("generators have non-finite entries")
+    if not any(g.any() for g in generators):
+        raise ValueError("generators are all zero, so they generate no unital algebra")
+    basis = orthonormalize(generators + [g.conj().T for g in generators], drop_tol=tol.eps * 10)
 
-    eye = np.eye(n, dtype=np.complex128)
-    unit_residual = hs_norm(eye - project_onto_span(eye, basis))
-    if not unit_residual <= np.sqrt(n) * 1e-7:
-        raise ValueError(
-            f"generated algebra does not contain the identity (residual {unit_residual:.3e})"
-        )
-
-    # Center Z(A) = A intersect A': solve both memberships at once.
-    stack = np.stack([b.ravel() for b in basis])
-    in_alg = np.eye(n * n) - stack.T @ stack.conj()  # complement of the projection onto span(A)
-    comm_rows = []
-    for a in basis:
-        comm_rows.append(np.kron(a, eye) - np.kron(eye, a.T))
-    constraint = np.vstack(comm_rows + [in_alg])
-    center = _nullspace(constraint)
-    if center.shape[0] == 0:
-        raise ValueError("empty center; generators do not span a unital *-algebra")
+    # A *-algebra contains I exactly when its generators and their adjoints
+    # have no common kernel vector.
+    if _nullspace(np.concatenate(basis)).shape[0]:
+        raise ValueError("generated algebra does not contain the identity (common kernel vector)")
+    eye = np.eye(n)
+    comm = _nullspace(np.concatenate([np.kron(b, eye) - np.kron(eye, b.T) for b in basis]))
 
     rng = np.random.default_rng(7)
-    last_err: Exception | None = None
-    for _ in range(_max_attempts):
+    for _ in range(_MAX_ATTEMPTS):
         try:
-            return _normal_form_attempt(basis, center, n, tol, rng)
+            return _normal_form_attempt(basis, comm, n, rng)
         except _GenericityFailure as exc:  # retry with fresh generic elements
             last_err = exc
     raise ValueError(f"normal form recovery failed: {last_err}")
@@ -356,83 +322,57 @@ class _GenericityFailure(RuntimeError):
     pass
 
 
-def _normal_form_attempt(
-    basis: list[np.ndarray],
-    center: np.ndarray,
-    n: int,
-    tol: Tolerance,
-    rng: np.random.Generator,
-) -> tuple[VnAlgebra, np.ndarray]:
-    z = np.zeros((n, n), dtype=np.complex128)
-    for row in center:
-        c = rng.normal() + 1j * rng.normal()
-        z += c * row.reshape(n, n)
-    z = z + z.conj().T
-    w, v = hermitian_eig(z, Tolerance(1e-7))
-    scale = max(1.0, float(np.abs(w).max()))
-    groups = _cluster_eigenvalues(w, gap=1e-6 * scale)
+def _normal_form_attempt(basis, comm: np.ndarray, n: int, rng: np.random.Generator):
+    def generic() -> np.ndarray:
+        c = rng.normal(size=len(comm)) + 1j * rng.normal(size=len(comm))
+        return (c @ comm).reshape(n, n)
 
-    found: list[tuple[int, int, np.ndarray]] = []  # (k_r, n_r, block isometry)
-    for idx in groups:
-        w_block = v[:, idx]  # isometry C^{m_r} -> C^n
-        m_r = w_block.shape[1]
-        compressed = orthonormalize(
-            [w_block.conj().T @ b @ w_block for b in basis], drop_tol=1e-8
-        )
-        k = round(np.sqrt(len(compressed)))
-        if k * k != len(compressed) or m_r % k != 0:
-            raise _GenericityFailure(
-                f"central cluster of size {m_r} gave algebra dim {len(compressed)}"
-            )
-        mult = m_r // k
-        comm_basis = _commutant_of_span(compressed, m_r)
-        if comm_basis.shape[0] != mult * mult:
-            raise _GenericityFailure("block commutant has unexpected dimension")
+    x = generic()
+    w, v = hermitian_eig(x + x.conj().T, Tolerance(1e-7))
+    copies = _cluster_eigenvalues(w, gap=1e-6 * max(1.0, float(np.abs(w).max())))
+    starts = np.cumsum([0] + [len(ix) for ix in copies[:-1]])
+    v = v[:, np.concatenate(copies)]  # copy i spans columns starts[i] : starts[i] + k_i
 
-        g0 = np.zeros((m_r, m_r), dtype=np.complex128)
-        for row in comm_basis:
-            c = rng.normal() + 1j * rng.normal()
-            g0 += c * row.reshape(m_r, m_r)
-        g_herm = g0 + g0.conj().T
-        w2, v2 = hermitian_eig(g_herm, Tolerance(1e-7))
-        scale2 = max(1.0, float(np.abs(w2).max()))
-        copies = _cluster_eigenvalues(w2, gap=1e-6 * scale2)
-        if len(copies) != mult or any(len(ix) != k for ix in copies):
-            raise _GenericityFailure("commutant element not generic")
+    # links[i, j] = |V_i* Y V_j|_F / |Y|_F; a link inside the window is not generic.
+    y = generic()
+    yv = v.conj().T @ y @ v
+    links = np.sqrt(np.add.reduceat(np.add.reduceat(np.abs(yv) ** 2, starts, 0), starts, 1))
+    links /= max(1.0, hs_norm(y))
+    np.fill_diagonal(links, np.inf)  # each copy lies in its own block
 
-        g = np.zeros((m_r, m_r), dtype=np.complex128)
-        for row in comm_basis:
-            c = rng.normal() + 1j * rng.normal()
-            g += c * row.reshape(m_r, m_r)
-
-        v0 = v2[:, copies[0]]
-        cols = [v0]
-        for ix in copies[1:]:
-            vp = v2[:, ix]
-            cand = vp @ (vp.conj().T @ g @ v0)
-            nrm = np.linalg.norm(cand[:, 0])
-            if nrm < 1e-8:
-                raise _GenericityFailure("commutant element does not connect copies")
-            cand = cand / nrm
-            # Snap to the closest isometry (polar correction).
-            uu, _, vv = np.linalg.svd(cand, full_matrices=False)
-            cols.append(uu @ vv)
-        v_r = np.hstack(cols)  # columns ordered (p, j) with j fast
-        found.append((k, mult, w_block @ v_r))
+    found = []  # (k_r, n_r, block isometry)
+    placed = np.zeros(len(copies), dtype=bool)
+    for i in range(len(copies)):
+        if placed[i]:
+            continue
+        if np.any((links[i] > 1e-6) & (links[i] <= 1e-3)):
+            raise _GenericityFailure("a link between two copies is nearly zero")
+        members, k = np.flatnonzero(links[i] > 1e-3), len(copies[i])
+        if placed[members].any() or any(len(copies[j]) != k for j in members):
+            raise _GenericityFailure("links do not split the copies into blocks")
+        placed[members] = True
+        cols = [v[:, starts[i] : starts[i] + k]]
+        for j in members[1:]:
+            # V_j* Y V_i = c W_j* W_i: its polar part maps copy j onto copy i's frame.
+            p, _, q = np.linalg.svd(yv[starts[j] : starts[j] + k, starts[i] : starts[i] + k])
+            cols.append(v[:, starts[j] : starts[j] + k] @ p @ q)
+        found.append((k, len(members), np.hstack(cols)))
 
     found.sort(key=lambda t: (t[0], t[1]))
     u = np.hstack([iso for _, _, iso in found])
     blocks = tuple((mult, k) for k, mult, _ in found)
+    # Merged copies, or copies grouped into the wrong blocks, change sum n_r^2.
+    if sum(m * m for m, _ in blocks) != len(comm):
+        raise _GenericityFailure(f"blocks {blocks} do not match dim A' = {len(comm)}")
 
     # Validate the recovery before committing to it.
     defect = hs_norm(u.conj().T @ u - np.eye(n))
     if not defect <= 1e-8:
         raise _GenericityFailure(f"assembled frame is not unitary (defect {defect:.3e})")
-    candidate = VnAlgebra(n=n, blocks=blocks, unitary=u)
     canon = algebra_basis(VnAlgebra(n=n, blocks=blocks))
     b_can = u.conj().T @ np.asarray(basis) @ u
     residuals = np.linalg.norm(b_can - project_onto_span(b_can, canon), axis=(-2, -1))
     worst = worst_residual(residuals)[0]
     if not worst <= np.sqrt(n) * 1e-7:
         raise _GenericityFailure(f"conjugated basis leaves canonical span (residual {worst:.3e})")
-    return candidate, u
+    return VnAlgebra(n=n, blocks=blocks, unitary=u), u

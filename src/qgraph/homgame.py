@@ -54,23 +54,18 @@ def _nonadjacent(target: ClassicalGraph) -> np.ndarray:
     return np.array([[not target.adjacent(a, b) for b in range(c)] for a in range(c)], dtype=bool)
 
 
-def _lift(mats, strategy: BlockStrategy) -> list[np.ndarray]:
-    """X (x) 1 on C^n (x) C^D for each X."""
-    eye = np.eye(strategy.ancilla.dim)
-    return [np.kron(x, eye) for x in mats]
+def _lift(mats, strategy: BlockStrategy) -> np.ndarray:
+    """X (x) 1 on C^n (x) C^D for each X, as an (m, nD, nD) stack."""
+    size = strategy.n * strategy.ancilla.dim
+    return np.reshape([np.kron(x, np.eye(strategy.ancilla.dim)) for x in mats], (-1, size, size))
 
 
 def _sandwich_residuals(strategy: BlockStrategy, lifted, mask: np.ndarray) -> np.ndarray:
     """|P_a Z P_b|_F over axes (a, b, Z) where mask[a, b]; 0 elsewhere."""
-    c = strategy.c
-    out = np.zeros((c, c, len(lifted)))
-    for a, pa in enumerate(strategy.projections):
-        if not mask[a].any():
-            continue
-        left = [pa @ z for z in lifted]
-        for b in np.flatnonzero(mask[a]):
-            pb = strategy.projections[b]
-            out[a, b] = [hs_norm(lz @ pb) for lz in left]
+    p = np.asarray(strategy.projections)
+    a, b = np.nonzero(mask)
+    out = np.zeros((strategy.c, strategy.c, len(lifted)))
+    out[a, b] = np.linalg.norm((p[:, None] @ lifted)[a] @ p[b, None], axis=(-2, -1))
     return out
 
 
@@ -100,7 +95,8 @@ def verify_structural(
         rep.orthogonality_defect,
     ]
     lifted = _lift(commutant(inst.source.algebra), strategy)
-    membership = [[hs_norm(p @ x - x @ p) for x in lifted] for p in strategy.projections]
+    p = np.asarray(strategy.projections)[:, None]
+    membership = np.linalg.norm(p @ lifted - lifted @ p, axis=(-2, -1))  # axes (a, commutant_index)
     return CheckReport(
         (
             Check.of("pvm", pvm, tol),

@@ -97,8 +97,9 @@ def _number_array(data, path: str, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def matrix_to_json(m) -> list:
+    """Nested lists of the array's shape with each complex entry as [re, im]."""
     m = np.asarray(m, dtype=np.complex128)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
+    return np.stack([m.real, m.imag], -1).tolist()
 
 
 def matrix_from_json(obj, path: str, shape: tuple[int, int] | None = None) -> np.ndarray:
@@ -257,24 +258,7 @@ def strategy_from_json(obj, path: str = "") -> BlockStrategy:
 
 
 def correlation_to_json(x: Correlation) -> dict:
-    t = x.tensor
-    data = [
-        [
-            [
-                [
-                    [
-                        [[float(z.real), float(z.imag)] for z in t[a, b, i, j, k]]
-                        for k in range(x.n)
-                    ]
-                    for j in range(x.n)
-                ]
-                for i in range(x.n)
-            ]
-            for b in range(x.c)
-        ]
-        for a in range(x.c)
-    ]
-    return {"n": x.n, "c": x.c, "X": data}
+    return {"n": x.n, "c": x.c, "X": matrix_to_json(x.tensor)}
 
 
 def correlation_from_json(obj, path: str = "") -> Correlation:

@@ -168,9 +168,10 @@ class TestNormalForm:
                 assert hs_norm(conj - project_onto_span(conj, canon)) < 1e-7
 
     def test_nearly_degenerate_central_element_redrawn(self):
-        # The first seeded central element of these generators has an
-        # eigenvalue gap of about 2.5e-5: above the clustering gap, but close
-        # enough that its eigenvectors left the block pattern by 2.3e-9.
+        # The first seeded central element of the earlier centre-based
+        # recovery had an eigenvalue gap of about 2.5e-5 on these generators:
+        # above the clustering gap, but close enough that its eigenvectors
+        # left the block pattern by 2.3e-9.  The bound below stays for this input.
         with open(os.path.join(FIXTURES, "near_degenerate_center.json")) as f:
             fixture = json.load(f)
         gens = [matrix_from_json(m, "generators") for m in fixture["generators"]]
@@ -196,7 +197,7 @@ class TestNormalForm:
         assert rec.blocks == ((1, 2), (1, 2))
 
     def test_from_few_generators(self):
-        # A single generic Hermitian generator plus closure gives D_n.
+        # A single generic Hermitian generator generates D_n.
         gen = np.diag([1.0, 2.0, 5.0]).astype(complex)
         rec, _ = normal_form([gen])
         assert rec.blocks == ((1, 1), (1, 1), (1, 1))

@@ -1,8 +1,11 @@
 """The shared check report: its reducer, fail-closed NaN handling, and a
 seeded cross-check of every verifier and array kernel against the
-per-residual loops it replaced."""
+per-residual loops it replaced, and of normal_form against the *-closure
+and centre solve it replaced."""
 
 import dataclasses
+import json
+import os
 
 import numpy as np
 import pytest
@@ -25,6 +28,7 @@ from qgraph import (
     compress_to_classical,
     correlation_from_trace,
     graph_operator_system,
+    normal_form,
     rigidity_check,
     round_almost_pvm,
     shift_multiply_coloring,
@@ -34,14 +38,24 @@ from qgraph import (
     verify_operational,
     verify_structural,
 )
-from qgraph.algebra import commutant, project_onto_span
+from qgraph.algebra import (
+    _cluster_eigenvalues,
+    _GenericityFailure,
+    algebra_basis,
+    commutant,
+    orthonormalize,
+    project_onto_span,
+)
 from qgraph.colorings import complete_quantum_graph, diagonal_strategy
 from qgraph.correlations import ClassicalCorrelation, Correlation, embed_classical, outcome_probability
 from qgraph.graphs import SAME_VERTEX, adjacency_subspace_basis, classical_graph_from_operator_system, edge_basis
+from qgraph.homgame import _lift, _nonadjacent, _sandwich_residuals
 from qgraph.linalg import Check, hermitian_eig, hs_norm, matrix_unit, worst_residual
+from qgraph.serialize import matrix_from_json
 from qgraph.strategies import _worst_star_commutator
 
 K = ClassicalGraph.complete
+FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
 
 # --- the reducer --------------------------------------------------------------
@@ -860,3 +874,239 @@ def test_rigidity_matches_reference_loop(label, alg, s):
     assert np.abs(np.subtract(rep.rigidity, reference["rigidity"])).max() <= 1e-12
     assert rep.minimal == (s.c == alg.dim_algebra)
     assert rep.passed()
+
+
+# --- homgame's stacked sandwich kernel against its (a, b) loop ----------------------
+
+
+def reference_sandwich(strategy, lifted, mask):
+    """The (a, b) loop of _sandwich_residuals: one hs_norm per (a, b, Z)."""
+    c = strategy.c
+    out = np.zeros((c, c, len(lifted)))
+    for a, pa in enumerate(strategy.projections):
+        if not mask[a].any():
+            continue
+        left = [pa @ z for z in lifted]
+        for b in np.flatnonzero(mask[a]):
+            out[a, b] = [hs_norm(lz @ strategy.projections[b]) for lz in left]
+    return out
+
+
+@pytest.mark.parametrize("label, g, target, s, wins", CASES, ids=[c[0] for c in CASES])
+def test_sandwich_kernel_matches_reference_loop(label, g, target, s, wins):
+    rng = np.random.default_rng(2024)
+    masks = [_nonadjacent(target), ~np.eye(s.c, dtype=bool), rng.random((s.c, s.c)) < 0.3]
+    for mats in (commutant(g.algebra), adjacency_subspace_basis(g), []):
+        lifted = _lift(mats, s)
+        for mask in masks:
+            ref = reference_sandwich(s, lifted, mask)
+            assert np.abs(_sandwich_residuals(s, lifted, mask) - ref).max(initial=0.0) <= 1e-12
+
+
+# --- normal_form against the *-closure and centre solve it replaced -----------------
+
+
+def _reference_nullspace(mat, rel_tol=1e-9):
+    u, s, vh = np.linalg.svd(mat)
+    if s.size == 0:
+        return np.eye(mat.shape[1], dtype=np.complex128)
+    rank = int(np.sum(s > max(rel_tol * s[0], 1e-12)))
+    return vh[rank:].conj()
+
+
+def _reference_commutant_of_span(basis, dim):
+    eye = np.eye(dim, dtype=np.complex128)
+    return _reference_nullspace(np.vstack([np.kron(a, eye) - np.kron(eye, a.T) for a in basis]))
+
+
+def reference_normal_form(generators, tol=Tolerance()):
+    """The old normal_form: *-closure by products, centre solve, then per
+    central cluster a compression, a commutant solve and two generic draws."""
+    generators = [np.asarray(g, dtype=np.complex128) for g in generators]
+    n = generators[0].shape[0]
+    basis = orthonormalize(generators + [g.conj().T for g in generators], tol.eps * 10)
+    while True:
+        new_basis = orthonormalize(basis + [a @ b for a in basis for b in basis], tol.eps * 10)
+        if len(new_basis) == len(basis):
+            break
+        basis = new_basis
+    basis = new_basis
+    eye = np.eye(n, dtype=np.complex128)
+    unit_residual = hs_norm(eye - project_onto_span(eye, basis))
+    if not unit_residual <= np.sqrt(n) * 1e-7:
+        raise ValueError(f"generated algebra does not contain the identity ({unit_residual:.3e})")
+    stack = np.stack([b.ravel() for b in basis])
+    in_alg = np.eye(n * n) - stack.T @ stack.conj()
+    center = _reference_nullspace(
+        np.vstack([np.kron(a, eye) - np.kron(eye, a.T) for a in basis] + [in_alg])
+    )
+    if center.shape[0] == 0:
+        raise ValueError("empty center")
+    rng = np.random.default_rng(7)
+    for _ in range(8):
+        try:
+            return _reference_attempt(basis, center, n, rng)
+        except _GenericityFailure as exc:
+            last_err = exc
+    raise ValueError(f"normal form recovery failed: {last_err}")
+
+
+def _reference_attempt(basis, center, n, rng):
+    def draw(rows, m):
+        g = np.zeros((m, m), dtype=np.complex128)
+        for row in rows:
+            g += (rng.normal() + 1j * rng.normal()) * row.reshape(m, m)
+        return g
+
+    z = draw(center, n)
+    w, v = hermitian_eig(z + z.conj().T, Tolerance(1e-7))
+    groups = _cluster_eigenvalues(w, gap=1e-6 * max(1.0, float(np.abs(w).max())))
+    found = []
+    for idx in groups:
+        w_block = v[:, idx]
+        m_r = w_block.shape[1]
+        compressed = orthonormalize([w_block.conj().T @ b @ w_block for b in basis], 1e-8)
+        k = round(np.sqrt(len(compressed)))
+        if k * k != len(compressed) or m_r % k != 0:
+            raise _GenericityFailure("central cluster is not a full matrix block")
+        mult = m_r // k
+        comm_basis = _reference_commutant_of_span(compressed, m_r)
+        if comm_basis.shape[0] != mult * mult:
+            raise _GenericityFailure("block commutant has unexpected dimension")
+        g0 = draw(comm_basis, m_r)
+        w2, v2 = hermitian_eig(g0 + g0.conj().T, Tolerance(1e-7))
+        copies = _cluster_eigenvalues(w2, gap=1e-6 * max(1.0, float(np.abs(w2).max())))
+        if len(copies) != mult or any(len(ix) != k for ix in copies):
+            raise _GenericityFailure("commutant element not generic")
+        g = draw(comm_basis, m_r)
+        v0 = v2[:, copies[0]]
+        cols = [v0]
+        for ix in copies[1:]:
+            vp = v2[:, ix]
+            cand = vp @ (vp.conj().T @ g @ v0)
+            nrm = np.linalg.norm(cand[:, 0])
+            if nrm < 1e-8:
+                raise _GenericityFailure("commutant element does not connect copies")
+            uu, _, vv = np.linalg.svd(cand / nrm, full_matrices=False)
+            cols.append(uu @ vv)
+        found.append((k, mult, w_block @ np.hstack(cols)))
+    found.sort(key=lambda t: (t[0], t[1]))
+    u = np.hstack([iso for _, _, iso in found])
+    blocks = tuple((mult, k) for k, mult, _ in found)
+    if not hs_norm(u.conj().T @ u - np.eye(n)) <= 1e-8:
+        raise _GenericityFailure("assembled frame is not unitary")
+    canon = algebra_basis(VnAlgebra(n=n, blocks=blocks))
+    b_can = u.conj().T @ np.asarray(basis) @ u
+    residuals = np.linalg.norm(b_can - project_onto_span(b_can, canon), axis=(-2, -1))
+    if not worst_residual(residuals)[0] <= np.sqrt(n) * 1e-7:
+        raise _GenericityFailure("conjugated basis leaves canonical span")
+    return VnAlgebra(n=n, blocks=blocks, unitary=u), u
+
+
+def block_pattern_residual(h, blocks):
+    """Distance of h from (+)_r I_{n_r} (x) M_{k_r} in canonical layout."""
+    fitted = np.zeros_like(h)
+    off = 0
+    for m, k in blocks:
+        blk = h[off : off + m * k, off : off + m * k].reshape(m, k, m, k)
+        fitted[off : off + m * k, off : off + m * k] = np.kron(np.eye(m), np.einsum("pipj->ij", blk) / m)
+        off += m * k
+    return float(np.linalg.norm(h - fitted))
+
+
+NF_LADDER = {
+    **LADDER,
+    "M_2+M_3": ((1, 2), (1, 3)),
+    "I_2xM_3": ((2, 3),),
+    "M_4": ((1, 4),),
+    "(I_2xM_2)^2": ((2, 2), (2, 2)),
+}
+
+
+def _generic_elements(rng, blocks, v):
+    """Two random self-adjoint elements of v ((+)_r I_{n_r} (x) M_{k_r}) v*."""
+    out = []
+    for _ in range(2):
+        x = np.zeros((len(v), len(v)), dtype=np.complex128)
+        off = 0
+        for m, k in blocks:
+            x[off : off + m * k, off : off + m * k] = np.kron(np.eye(m), rand_hermitian(rng, k))
+            off += m * k
+        out.append(v @ x @ v.conj().T)
+    return out
+
+
+def normal_form_cases():
+    rng = np.random.default_rng(2025)
+    for seed in range(3):
+        for label, blocks in NF_LADDER.items():
+            n = sum(m * k for m, k in blocks)
+            v = rand_unitary(rng, n)
+            yield f"{label} two generators #{seed}", _generic_elements(rng, blocks, v), seed == 0
+            full = algebra_basis(VnAlgebra(n=n, blocks=blocks, unitary=v))
+            yield f"{label} full basis #{seed}", full, seed == 0
+    for m in (5, 6, 7, 8):
+        yield f"D_{m}", _generic_elements(rng, ((1, 1),) * m, rand_unitary(rng, m)), True
+    with open(os.path.join(FIXTURES, "near_degenerate_center.json")) as f:
+        fixture = json.load(f)
+    yield "near-degenerate centre", [matrix_from_json(m, "") for m in fixture["generators"]], True
+
+
+NF_CASES = list(normal_form_cases())
+
+
+def _verdicts(alg):
+    g = complete_quantum_graph(alg)
+    s = shift_multiply_coloring(alg)
+    out = {"validate": validate(g).passed}
+    for tag, target, strat in (("winning", K(s.c), s), ("merged", K(s.c - 1), _merge_first_two(s))):
+        inst = GameInstance(source=g, target=target)
+        for fn in (verify_structural, verify_operational, check_game_algebra_rep):
+            out[tag, fn.__name__] = fn(inst, strat).passed
+    return out
+
+
+@pytest.mark.parametrize("label, gens, verdicts", NF_CASES, ids=[c[0] for c in NF_CASES])
+def test_normal_form_matches_reference(label, gens, verdicts):
+    alg, u = normal_form(gens)
+    ref_alg, ref_u = reference_normal_form(gens)
+    assert alg.blocks == ref_alg.blocks
+    for w in (u, ref_u):
+        assert max(block_pattern_residual(w.conj().T @ g @ w, alg.blocks) for g in gens) <= 1e-9
+    if verdicts:
+        new = _verdicts(alg)
+        assert new == _verdicts(ref_alg)
+        assert all(new[k] == (k == "validate" or k[0] == "winning") for k in new)
+
+
+@pytest.mark.parametrize(
+    "gens",
+    [
+        [np.diag([1.0, 1.0, 0.0])],
+        [matrix_unit(2, 0, 0)],
+        [matrix_unit(3, 0, 1), np.diag([0.0, 0.0, 0.0])],
+        _conjugate(rand_unitary(np.random.default_rng(2026), 4), [np.diag([1.0, 2.0, 0.0, 0.0])]),
+        _conjugate(
+            rand_unitary(np.random.default_rng(2027), 3),
+            [np.pad(matrix_unit(2, i, j), ((0, 1), (0, 1))) for i in range(2) for j in range(2)],
+        ),
+    ],
+)
+def test_normal_form_refuses_what_the_reference_refuses(gens):
+    with pytest.raises(ValueError, match="identity"):
+        reference_normal_form(gens)
+    with pytest.raises(ValueError, match="identity"):
+        normal_form(gens)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_normal_form_refuses_non_finite_generators_before_any_svd(value):
+    gen = np.eye(2, dtype=np.complex128)
+    gen[0, 1] = value
+    with pytest.raises(ValueError, match="non-finite"):
+        normal_form([np.eye(2), gen])
+
+
+def test_normal_form_refuses_all_zero_generators():
+    with pytest.raises(ValueError, match="all zero"):
+        normal_form([np.zeros((3, 3)), np.zeros((3, 3))])

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -107,3 +109,42 @@ def test_correlation_shape_checked():
     with pytest.raises(SchemaError) as exc:
         correlation_from_json({"n": 2, "c": 1, "X": [[[0.0, 0.0]]]})
     assert exc.value.pointer == "/X"
+
+
+def _old_matrix_to_json(m):
+    """The per-entry comprehension that matrix_to_json replaced."""
+    m = np.asarray(m, dtype=np.complex128)
+    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
+
+
+def _old_correlation_to_json(x):
+    """The six-deep comprehension that correlation_to_json replaced."""
+    t = x.tensor
+    data = [
+        [
+            [
+                [
+                    [[[float(z.real), float(z.imag)] for z in t[a, b, i, j, k]] for k in range(x.n)]
+                    for j in range(x.n)
+                ]
+                for i in range(x.n)
+            ]
+            for b in range(x.c)
+        ]
+        for a in range(x.c)
+    ]
+    return {"n": x.n, "c": x.c, "X": data}
+
+
+def test_complex_json_is_byte_identical_to_the_per_entry_comprehension():
+    rng = np.random.default_rng(81)
+    m = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
+    m[0, 0] = complex(-0.0, 0.0)
+    m[0, 1] = complex(0.0, -0.0)
+    m[1, 2] = complex(5e-324, -1.7976931348623157e308)
+    m[2, 3] = complex(1 / 3, 1e16)
+    for mat in (m, np.eye(2), [[1, 2], [3, 4]]):
+        assert json.dumps(matrix_to_json(mat), indent=2) == json.dumps(_old_matrix_to_json(mat), indent=2)
+    x = correlation_from_trace(random_block_strategy(rng, 2, 3, (1, 2)))
+    x = type(x)(n=x.n, c=x.c, tensor=np.where(np.abs(x.tensor) < 1e-3, complex(-0.0, -0.0), x.tensor))
+    assert json.dumps(correlation_to_json(x), indent=2) == json.dumps(_old_correlation_to_json(x), indent=2)
