@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, Tolerance, as_matrix, hs_norm, worst_residual
+from .linalg import DEFAULT_TOL, Tolerance, as_matrix, worst_residual
 from .strategies import BlockStrategy, TensorStrategy, TracialAncilla
 
 __all__ = [
@@ -80,13 +80,9 @@ def correlation_from_tensor(strategy: TensorStrategy) -> Correlation:
     """X^{(a,b)}_{(i,j),(k,l)} = <(P_{a,ij} (x) Q_{b,kl}) chi, chi>."""
     n, c = strategy.n, strategy.c
     da, db = strategy.dims
-    p_ent = np.empty((c, n, n, da, da), dtype=np.complex128)
-    q_ent = np.empty((c, n, n, db, db), dtype=np.complex128)
-    for a in range(c):
-        for i in range(n):
-            for j in range(n):
-                p_ent[a, i, j] = strategy.alice_entry(a, i, j)
-                q_ent[a, i, j] = strategy.bob_entry(a, i, j)
+    # P_{a,ij} is a D_A x D_A cell of C^n (x) H_A; Q_{b,kl} is the stride-n cell of H_B (x) C^n.
+    p_ent = np.stack(strategy.alice).reshape(c, n, da, n, da).transpose(0, 1, 3, 2, 4)
+    q_ent = np.stack(strategy.bob).reshape(c, db, n, db, n).transpose(0, 2, 4, 1, 3)
     chi = strategy.chi.reshape(da, db)
     x = np.einsum(
         "aijuv,bklxy,vy,ux->abijkl", p_ent, q_ent, chi, np.conj(chi), optimize=True
@@ -97,27 +93,32 @@ def correlation_from_tensor(strategy: TensorStrategy) -> Correlation:
 def outcome_probability(
     strategy: BlockStrategy, y, tol: Tolerance = DEFAULT_TOL
 ) -> np.ndarray:
-    """p(a,b) = (Tr (x) tau)(P_a (Y (x) 1) P_b (Y* (x) 1) P_a) for a unit input Y.
+    """p(a,b) = (Tr (x) tau)(P_a (Y (x) 1) P_b (Y* (x) 1) P_a) for unit inputs Y.
 
-    The input matrix must have unit Frobenius norm (unit input state).  The
-    entries are checked to be real and nonnegative within tolerance before
-    the imaginary parts are dropped; a NaN entry fails that check.
+    y is one n x n matrix, giving a (c, c) array, or an (m, n, n) stack,
+    giving (m, c, c).  Every input must have unit Frobenius norm (unit input
+    state).  The entries are checked to be real within tolerance before the
+    imaginary parts are dropped; a NaN entry fails that check.
 
     By cyclicity p(a,b) = tr(G_a P_b) with G_a = W* P_a T P_a W, where
     W = Y (x) 1 and T is the diagonal of trace weights; this needs no
     idempotency, so it holds for POVMs too.
     """
-    y = as_matrix(y)
-    if y.shape != (strategy.n, strategy.n):
-        raise ValueError(f"input shape {y.shape}, expected {(strategy.n, strategy.n)}")
-    if not abs(hs_norm(y) - 1.0) <= tol.eps * 100:
-        raise ValueError(f"input state is not normalized: |Y|_F = {hs_norm(y)}")
-    w = np.kron(y, np.eye(strategy.ancilla.dim))
-    t = np.tile(strategy.ancilla.trace_diagonal(), strategy.n)
+    y = np.asarray(y, dtype=np.complex128)
+    n, d = strategy.n, strategy.ancilla.dim
+    if y.ndim not in (2, 3) or y.shape[-2:] != (n, n):
+        raise ValueError(f"input shape {y.shape}, expected {(n, n)} or (m, {n}, {n})")
+    norms = np.linalg.norm(y, axis=(-2, -1)).ravel()
+    unnormalized = ~(np.abs(norms - 1.0) <= tol.eps * 100)
+    if unnormalized.any():
+        raise ValueError(f"input state is not normalized: |Y|_F = {norms[unnormalized][0]}")
+    # W = Y (x) 1, with an axis of length 1 that broadcasts over the outcome a.
+    w = np.einsum("...ik,uv->...iukv", y, np.eye(d)).reshape(*y.shape[:-2], 1, n * d, n * d)
+    t = np.tile(strategy.ancilla.trace_diagonal(), n)
     ps = np.stack(strategy.projections)
-    g = w.conj().T @ ((ps * t) @ ps) @ w
-    p = np.einsum("aij,bji->ab", g, ps)
-    imag = float(np.abs(p.imag).max())
+    g = w.conj().swapaxes(-2, -1) @ ((ps * t) @ ps) @ w
+    p = np.einsum("...aij,bji->...ab", g, ps)
+    imag = worst_residual(np.abs(p.imag))[0]
     if not imag <= tol.eps * 100:
         raise ValueError(f"outcome probabilities have imaginary residual {imag:.3e}")
     return p.real

@@ -148,11 +148,14 @@ def adjacency_subspace_basis(g: QuantumGraph) -> list[np.ndarray]:
 def edge_basis(g: QuantumGraph, tol: Tolerance = DEFAULT_TOL) -> EdgeBasis:
     """Quantum edge basis for the homomorphism game.
 
-    Per K-block pair the basis is seeded with the compressions of M'
-    (normalized matrix units between the copies, including the normalized
-    block projections on the diagonal) and extended by modified Gram-Schmidt
-    over the compressions of S intersect (M')^perp.  Deterministic, and
-    memoized per graph and tolerance.
+    The K-block pairs (a, b) come in row-major order.  Each pair first gets
+    its same-vertex element, the normalized matrix unit W_a W_b*/sqrt(k)
+    between two copies of one irreducible representation (none across
+    central blocks or for a traceless graph).  Its adjacency elements follow:
+    an orthonormal basis of E_a (S n (M')perp) E_b, the right singular
+    vectors of the coordinates W_a* Z W_b over an orthonormal basis Z of
+    S n (M')perp, in descending singular value.  Deterministic, and memoized
+    per graph and tolerance.
     """
     return _memoized(g, "_edge_basis_cache", tol, _compute_edge_basis)
 
@@ -165,30 +168,22 @@ def _compute_edge_basis(g: QuantumGraph, tol: Tolerance) -> EdgeBasis:
         raise ValueError(f"quantum graph fails validation: {failed}")
 
     kblocks = g.algebra.k_blocks()
-    perp_basis = adjacency_subspace_basis(g)
-    drop = tol.eps * 10
-
+    perp = np.reshape(adjacency_subspace_basis(g), (-1, g.n, g.n))
     elements: list[EdgeBasisElement] = []
     for a_idx, ka in enumerate(kblocks):
         for b_idx, kb in enumerate(kblocks):
-            seeds: list[np.ndarray] = []
+            wa, wb = ka.isometry, kb.isometry
             if not g.traceless and ka.central == kb.central:
-                # E_a M' E_b is one-dimensional: the normalized matrix unit
-                # between the two copies of the irreducible representation.
-                unit = ka.isometry @ kb.isometry.conj().T / np.sqrt(ka.dim)
-                seeds.append(unit)
+                # E_a M' E_b is one-dimensional and orthogonal to (M')perp.
+                unit = wa @ wb.conj().T / np.sqrt(ka.dim)
                 elements.append(EdgeBasisElement(unit, SAME_VERTEX, (a_idx, b_idx)))
-            pa, pb = ka.projection, kb.projection
-            kept = list(seeds)
-            for z in perp_basis:
-                cand = pa @ z @ pb
-                for prev in kept:
-                    cand = cand - np.vdot(prev, cand) * prev
-                nrm = hs_norm(cand)
-                if nrm >= drop:
-                    cand = cand / nrm
-                    kept.append(cand)
-                    elements.append(EdgeBasisElement(cand, ADJACENCY, (a_idx, b_idx)))
+            # On a bimodule the compression maps S n (M')perp into itself, so
+            # the singular values are 0 or 1.
+            coords = (wa.conj().T @ perp @ wb).reshape(len(perp), ka.dim * kb.dim)
+            _, s, vh = np.linalg.svd(coords, full_matrices=False)
+            for v in vh[s >= tol.eps * 10]:
+                y = wa @ v.reshape(ka.dim, kb.dim) @ wb.conj().T
+                elements.append(EdgeBasisElement(y, ADJACENCY, (a_idx, b_idx)))
     return EdgeBasis(tuple(elements), tuple(k.dim for k in kblocks))
 
 
@@ -253,6 +248,8 @@ class ClassicalGraph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
+        if self.vertices < 0:
+            raise ValueError(f"vertex count must be nonnegative, got {self.vertices}")
         seen = set()
         for e in self.edges:
             x, y = int(e[0]), int(e[1])

@@ -117,14 +117,15 @@ def verify_operational(
     Equivalent to verify_structural for PVM strategies with a faithful trace.
     """
     _check_dims(inst, strategy)
-    elements = edge_basis(inst.source, tol).elements
+    basis = edge_basis(inst.source, tol)
+    elements = basis.elements
     c = strategy.c
     if all(np.isfinite(p).all() for p in strategy.projections):
-        probs = [np.abs(outcome_probability(strategy, e.matrix, tol)) for e in elements]
+        inputs = np.reshape(basis.matrices(), (-1, strategy.n, strategy.n))
+        probs = np.abs(outcome_probability(strategy, inputs, tol))  # axes (basis_index, a, b)
     else:
         # outcome_probability refuses NaN; every rule reads it and fails instead.
         probs = np.full((len(elements), c, c), np.nan)
-    probs = np.reshape(probs, (len(elements), c, c))  # axes (basis_index, a, b)
     same = np.array([e.tag == SAME_VERTEX for e in elements], dtype=bool)[:, None, None]
     offdiag = ~np.eye(c, dtype=bool)
     axes = ("basis_index", "a", "b")
@@ -176,18 +177,17 @@ def extract_channel(
     size = strategy.n * strategy.ancilla.dim
     c = strategy.c
 
-    kraus = []
+    vectors = []
     for a, p in enumerate(strategy.projections):
         w, v = np.linalg.eigh((p + p.conj().T) / 2)
         drift = float(np.minimum(np.abs(w), np.abs(w - 1.0)).max())
         if not drift <= max(tol.eps * 100, 1e-8):
             raise ValueError(f"P_{a} spectrum drifts from {{0,1}} by {drift:.3e}")
-        for k in np.nonzero(w > 0.5)[0]:
-            f = np.zeros((c, size), dtype=np.complex128)
-            f[a, :] = v[:, k].conj()
-            kraus.append(f)
-
-    stack = np.stack(kraus)
+        vectors.append(v[:, w > 0.5])
+    labels = np.repeat(np.arange(c), [v.shape[1] for v in vectors])
+    u = np.concatenate(vectors, axis=1)  # column k is u_k, the Kraus vector of outcome labels[k]
+    stack = np.zeros((len(labels), c, size), dtype=np.complex128)
+    stack[np.arange(len(labels)), labels] = u.conj().T
     completeness = hs_norm(
         np.einsum("mau,mav->uv", np.conj(stack), stack) - np.eye(size)
     )
@@ -195,27 +195,35 @@ def extract_channel(
         size * c, size * c
     )
 
-    basis = edge_basis(inst.source, tol)
-    eye_d = np.eye(strategy.ancilla.dim)
-    offdiag = ~np.eye(c, dtype=bool)
-    nonadjacent = _nonadjacent(inst.target)
-    residuals = []
-    for elem in basis.elements:
-        big = np.kron(elem.matrix, eye_d)
-        # [F_i (Y x 1) F_j*] has a single entry at (a_i, a_j); assemble the
-        # c x c table of those entries over all Kraus pairs at once.
-        table = np.einsum("mau,uv,lbv->mlab", stack, big, np.conj(stack))
-        forbidden = offdiag if elem.tag == SAME_VERTEX else nonadjacent
-        residuals.append(np.where(forbidden, np.abs(table).max(axis=(0, 1)), 0.0))
-    worst = worst_residual(residuals)[0]
+    worst = _subset_residual(inst, strategy, u, labels, tol)
     if worst > tol.eps:
         raise ValueError(f"channel subset conditions violated (residual {worst:.3e})")
     return ChannelRep(
-        kraus=tuple(kraus),
+        kraus=tuple(stack),
         choi=choi,
         completeness_residual=completeness,
         subset_residual=worst,
     )
+
+
+def _subset_residual(
+    inst: GameInstance, strategy: BlockStrategy, u: np.ndarray, labels: np.ndarray, tol: Tolerance
+) -> float:
+    """Worst |<u_k, (Y_e (x) 1) u_l>| over edge-basis elements e and Kraus vectors k, l
+    whose outcome pair (labels[k], labels[l]) the tag of e forbids.
+
+    F_k (Y (x) 1) F_l* is that entry at (labels[k], labels[l]), so this is
+    the largest forbidden entry of any compressed input.
+    """
+    basis = edge_basis(inst.source, tol)
+    n, d = strategy.n, strategy.ancilla.dim
+    ys = np.reshape(basis.matrices(), (-1, n, n))
+    u = u.reshape(n, d, -1)
+    entries = np.einsum("eij,iuk,jul->ekl", ys, np.conj(u), u, optimize=True)
+    same = np.array([e.tag == SAME_VERTEX for e in basis.elements], dtype=bool)[:, None, None]
+    forbidden = np.where(same, ~np.eye(strategy.c, dtype=bool), _nonadjacent(inst.target))
+    mask = forbidden[:, labels][:, :, labels]
+    return worst_residual(np.where(mask, np.abs(entries), 0.0))[0]
 
 
 def check_game_algebra_rep(
@@ -279,30 +287,16 @@ def compose_reps(
         raise ValueError(f"hom representation fails the K_c -> K_r relations ({worst:.3e})")
 
     new_ancilla = strategy.ancilla.tensor(hom_ancilla)
-    n = strategy.n
-    d_new = new_ancilla.dim
-    a_slices = strategy.ancilla.block_slices()
-    b_slices = hom_ancilla.block_slices()
-    new_slices = new_ancilla.block_slices()
-
-    def tensor_entry(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Blockwise Kronecker product into the tensor ancilla's block layout."""
-        out = np.zeros((d_new, d_new), dtype=np.complex128)
-        pos = 0
-        for sa in a_slices:
-            for sb in b_slices:
-                out[new_slices[pos], new_slices[pos]] = np.kron(x[sa, sa], y[sb, sb])
-                pos += 1
-        return out
-
-    projections = []
-    for v in range(r):
-        big = np.zeros((n * d_new, n * d_new), dtype=np.complex128)
-        for i in range(n):
-            for j in range(n):
-                acc = np.zeros((d_new, d_new), dtype=np.complex128)
-                for a in range(c):
-                    acc += tensor_entry(strategy.entry(a, i, j), f[a][v])
-                big[i * d_new : (i + 1) * d_new, j * d_new : (j + 1) * d_new] = acc
-        projections.append(big)
+    n, d_new = strategy.n, new_ancilla.dim
+    ents = strategy.entries()  # axes (a, i, j, x, y)
+    f = np.array(f)  # axes (a, v, z, w)
+    # q_{v,ij} is block diagonal over the tensor ancilla: its blocks, in
+    # lexicographic order, are sum_a p_{a,ij}[sa, sa] (x) f_{a,v}[sb, sb].
+    q = np.zeros((r, n, n, d_new, d_new), dtype=np.complex128)
+    blocks = [(sa, sb) for sa in strategy.ancilla.block_slices() for sb in hom_ancilla.block_slices()]
+    for (sa, sb), sn in zip(blocks, new_ancilla.block_slices()):
+        size = sn.stop - sn.start
+        kron = np.einsum("aijxy,avzw->vijxzyw", ents[..., sa, sa], f[:, :, sb, sb])
+        q[..., sn, sn] = kron.reshape(r, n, n, size, size)
+    projections = q.transpose(0, 1, 3, 2, 4).reshape(r, n * d_new, n * d_new)
     return BlockStrategy(n=n, c=r, ancilla=new_ancilla, projections=tuple(projections))

@@ -217,6 +217,8 @@ class TensorStrategy:
         alice = tuple(as_matrix(p) for p in self.alice)
         bob = tuple(as_matrix(q) for q in self.bob)
         chi = np.asarray(self.chi, dtype=np.complex128).reshape(-1)
+        if len(alice) != len(bob):
+            raise ValueError(f"Alice has {len(alice)} operators, Bob has {len(bob)}")
         n = self.n
         for p in alice:
             if p.shape != (n * da, n * da):

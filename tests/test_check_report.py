@@ -1,7 +1,7 @@
 """The shared check report: its reducer, fail-closed NaN handling, and a
 seeded cross-check of every verifier and array kernel against the
-per-residual loops it replaced, and of normal_form against the *-closure
-and centre solve it replaced."""
+per-residual loops it replaced, of normal_form against the *-closure and
+centre solve it replaced, and of edge_basis against its Gram-Schmidt loop."""
 
 import dataclasses
 import json
@@ -10,7 +10,7 @@ import os
 import numpy as np
 import pytest
 
-from helpers import rand_hermitian, rand_unitary, random_block_strategy, random_povm
+from helpers import rand_hermitian, rand_unitary, random_block_strategy, random_povm, random_pvm
 from qgraph import (
     BlockStrategy,
     CheckReport,
@@ -18,15 +18,19 @@ from qgraph import (
     GameInstance,
     QuantumGraph,
     Tolerance,
+    TensorStrategy,
     TracialAncilla,
     VnAlgebra,
+    bob_from_alice,
     check_bisynchronous,
     check_game_algebra_rep,
     check_measurement,
     check_synchronous,
     compose_reps,
     compress_to_classical,
+    correlation_from_tensor,
     correlation_from_trace,
+    extract_channel,
     graph_operator_system,
     normal_form,
     rigidity_check,
@@ -48,9 +52,17 @@ from qgraph.algebra import (
 )
 from qgraph.colorings import complete_quantum_graph, diagonal_strategy
 from qgraph.correlations import ClassicalCorrelation, Correlation, embed_classical, outcome_probability
-from qgraph.graphs import SAME_VERTEX, adjacency_subspace_basis, classical_graph_from_operator_system, edge_basis
-from qgraph.homgame import _lift, _nonadjacent, _sandwich_residuals
-from qgraph.linalg import Check, hermitian_eig, hs_norm, matrix_unit, worst_residual
+from qgraph.graphs import (
+    ADJACENCY,
+    SAME_VERTEX,
+    EdgeBasis,
+    EdgeBasisElement,
+    adjacency_subspace_basis,
+    classical_graph_from_operator_system,
+    edge_basis,
+)
+from qgraph.homgame import _lift, _nonadjacent, _sandwich_residuals, _subset_residual
+from qgraph.linalg import Check, canonical_shuffle, hermitian_eig, hs_norm, matrix_unit, worst_residual
 from qgraph.serialize import matrix_from_json
 from qgraph.strategies import _worst_star_commutator
 
@@ -330,8 +342,8 @@ def reference_is_loc(strategy, tol):
     return worst <= tol.eps, worst
 
 
-def reference_operational(inst, strategy, tol):
-    basis = edge_basis(inst.source, tol)
+def reference_operational(inst, strategy, tol, basis=None):
+    basis = basis or edge_basis(inst.source, tol)
     nonadj = _nonadjacent_pairs(inst.target)
     c = strategy.c
     same_worst, same_wit, same_table = 0.0, None, {}
@@ -1110,3 +1122,229 @@ def test_normal_form_refuses_non_finite_generators_before_any_svd(value):
 def test_normal_form_refuses_all_zero_generators():
     with pytest.raises(ValueError, match="all zero"):
         normal_form([np.zeros((3, 3)), np.zeros((3, 3))])
+
+
+# --- the edge basis as one SVD per block pair, and the loops it removed --------------
+
+
+def reference_edge_basis(g, tol):
+    """The modified Gram-Schmidt that edge_basis ran over every compression P_a Z P_b."""
+    kblocks = g.algebra.k_blocks()
+    elements = []
+    for a_idx, ka in enumerate(kblocks):
+        for b_idx, kb in enumerate(kblocks):
+            kept = []
+            if not g.traceless and ka.central == kb.central:
+                unit = ka.isometry @ kb.isometry.conj().T / np.sqrt(ka.dim)
+                kept.append(unit)
+                elements.append(EdgeBasisElement(unit, SAME_VERTEX, (a_idx, b_idx)))
+            for z in adjacency_subspace_basis(g):
+                cand = ka.projection @ z @ kb.projection
+                for prev in kept:
+                    cand = cand - np.vdot(prev, cand) * prev
+                nrm = hs_norm(cand)
+                if nrm >= tol.eps * 10:
+                    kept.append(cand / nrm)
+                    elements.append(EdgeBasisElement(cand / nrm, ADJACENCY, (a_idx, b_idx)))
+    return EdgeBasis(tuple(elements), tuple(k.dim for k in kblocks))
+
+
+EDGE_LADDER = dict(LADDER, **{
+    "M_2+M_3": ((1, 2), (1, 3)),
+    "I_2xM_3": ((2, 3),),
+    "M_4": ((1, 4),),
+    "(I_2xM_2)^2": ((2, 2), (2, 2)),
+})
+
+
+def edge_basis_cases():
+    rng = np.random.default_rng(2028)
+    for label, blocks in EDGE_LADDER.items():
+        n = sum(m * k for m, k in blocks)
+        yield label, complete_quantum_graph(VnAlgebra(n=n, blocks=blocks, unitary=rand_unitary(rng, n)))
+    for m in (5, 6, 7, 8):
+        v = rand_unitary(rng, m)
+        g0 = graph_operator_system(ClassicalGraph.cycle(m))
+        alg = VnAlgebra(n=m, blocks=g0.algebra.blocks, unitary=v)
+        yield f"S_C{m}", QuantumGraph(n=m, algebra=alg, s_basis=_conjugate(v, g0.s_basis))
+    v = rand_unitary(rng, 3)
+    offdiag = [matrix_unit(3, i, j) for i in range(3) for j in range(3) if i != j]
+    alg = VnAlgebra(n=3, blocks=((1, 3),), unitary=v)
+    yield "traceless", QuantumGraph(n=3, algebra=alg, s_basis=_conjugate(v, offdiag), traceless=True)
+    # Over C I_2 (x) M_2, M' = M_2 (x) 1, and S = M_2 (x) span{1, sigma_x} is a proper bimodule.
+    v = rand_unitary(rng, 4)
+    sigma = [np.eye(2), np.array([[0, 1], [1, 0]])]
+    s = [np.kron(matrix_unit(2, i, j), x) for i in range(2) for j in range(2) for x in sigma]
+    alg = VnAlgebra(n=4, blocks=((2, 2),), unitary=v)
+    yield "C I_2 (x) M_2, S = M_2 (x) span{1, X}", QuantumGraph(n=4, algebra=alg, s_basis=_conjugate(v, s))
+
+
+EDGE_CASES = list(edge_basis_cases())
+
+
+def _by_block_pair(basis):
+    pairs = {}
+    for e in basis.elements:
+        pairs.setdefault(e.block, {SAME_VERTEX: [], ADJACENCY: []})[e.tag].append(e.matrix)
+    return pairs
+
+
+@pytest.mark.parametrize("label, g", EDGE_CASES, ids=[c[0] for c in EDGE_CASES])
+def test_edge_basis_matches_gram_schmidt_reference(label, g):
+    tol = Tolerance()
+    basis, reference = edge_basis(g, tol), reference_edge_basis(g, tol)
+    assert basis.block_dims == reference.block_dims
+    assert [(e.block, e.tag) for e in basis.elements] == [(e.block, e.tag) for e in reference.elements]
+    got, want = _by_block_pair(basis), _by_block_pair(reference)
+    for pair, tags in want.items():
+        for y, ref in zip(got[pair][SAME_VERTEX], tags[SAME_VERTEX]):
+            assert np.abs(y - ref).max() <= 1e-12
+        # The adjacency elements may differ; the spaces they span may not.
+        vecs = [np.reshape(got[pair][ADJACENCY], (-1, g.n * g.n)), np.reshape(tags[ADJACENCY], (-1, g.n * g.n))]
+        projectors = [v.T @ v.conj() for v in vecs]
+        assert np.abs(projectors[0] - projectors[1]).max() <= 1e-12
+    gram = np.reshape(basis.matrices(), (len(basis.elements), -1))
+    assert np.abs(gram.conj() @ gram.T - np.eye(len(gram))).max() <= 1e-12
+
+
+@pytest.mark.parametrize("label, g, target, s, wins", CASES, ids=[c[0] for c in CASES])
+def test_operational_verdicts_match_gram_schmidt_basis(label, g, target, s, wins):
+    tol = Tolerance()
+    inst = GameInstance(source=g, target=target)
+    report = verify_operational(inst, s, tol)
+    reference = reference_operational(inst, s, tol, reference_edge_basis(g, tol))
+    assert [(c.name, c.passed) for c in report.checks] == [(k, v[0]) for k, v in reference.items()]
+    # Same-vertex elements and their positions are unchanged, so is their residual.
+    same = report.check("same_vertex_rule").max_residual
+    assert abs(same - reference["same_vertex_rule"][1]) <= 1e-12
+    assert report.passed == wins
+
+
+@pytest.mark.parametrize("label, s", KERNEL_CASES, ids=[c[0] for c in KERNEL_CASES])
+def test_stacked_outcome_probability_matches_per_input_calls(label, s):
+    tol = Tolerance()
+    rng = np.random.default_rng(2029)
+    ys = rng.normal(size=(4, s.n, s.n)) + 1j * rng.normal(size=(4, s.n, s.n))
+    ys /= np.linalg.norm(ys, axis=(-2, -1), keepdims=True)
+    stacked = outcome_probability(s, ys, tol)
+    assert stacked.shape == (4, s.c, s.c)
+    for y, p in zip(ys, stacked):
+        assert np.abs(p - reference_outcome_probability(s, y, tol)).max() <= 1e-12
+        assert np.abs(p - outcome_probability(s, y, tol)).max() <= 1e-12
+    for k in range(len(ys)):
+        bad = ys.copy()
+        bad[k] *= 1.001
+        with pytest.raises(ValueError, match="not normalized"):
+            outcome_probability(s, bad, tol)
+
+
+def reference_subset_residual(inst, strategy, kraus, tol):
+    """The per-element loop of extract_channel: one kron and one einsum per input."""
+    stack = np.stack(kraus)
+    eye_d = np.eye(strategy.ancilla.dim)
+    offdiag = ~np.eye(strategy.c, dtype=bool)
+    nonadjacent = _nonadjacent(inst.target)
+    residuals = []
+    for elem in edge_basis(inst.source, tol).elements:
+        big = np.kron(elem.matrix, eye_d)
+        table = np.einsum("mau,uv,lbv->mlab", stack, big, np.conj(stack))
+        forbidden = offdiag if elem.tag == SAME_VERTEX else nonadjacent
+        residuals.append(np.where(forbidden, np.abs(table).max(axis=(0, 1)), 0.0))
+    return worst_residual(residuals)[0]
+
+
+@pytest.mark.parametrize("label, g, target, s, wins", CASES, ids=[c[0] for c in CASES])
+def test_subset_residual_matches_reference_loop(label, g, target, s, wins):
+    tol = Tolerance()
+    inst = GameInstance(source=g, target=target)
+    vectors = [v[:, w > 0.5] for w, v in (np.linalg.eigh((p + p.conj().T) / 2) for p in s.projections)]
+    labels = np.repeat(np.arange(s.c), [v.shape[1] for v in vectors])
+    u = np.concatenate(vectors, axis=1)
+    kraus = [np.outer(np.eye(s.c)[a], u[:, k].conj()) for k, a in enumerate(labels)]
+    worst = reference_subset_residual(inst, s, kraus, tol)
+    assert abs(_subset_residual(inst, s, u, labels, tol) - worst) <= 1e-12
+    assert (worst <= tol.eps) == wins
+    if wins:
+        assert abs(extract_channel(inst, s, tol).subset_residual - worst) <= 1e-12
+    else:
+        with pytest.raises(ValueError, match="subset conditions"):
+            extract_channel(inst, s, tol)
+
+
+def reference_compose(strategy, f, hom_ancilla):
+    """The (v, i, j, a) loop of compose_reps, one blockwise kron per entry."""
+    new_ancilla = strategy.ancilla.tensor(hom_ancilla)
+    n, d_new = strategy.n, new_ancilla.dim
+    new_slices = new_ancilla.block_slices()
+
+    def tensor_entry(x, y):
+        out = np.zeros((d_new, d_new), dtype=np.complex128)
+        pos = 0
+        for sa in strategy.ancilla.block_slices():
+            for sb in hom_ancilla.block_slices():
+                out[new_slices[pos], new_slices[pos]] = np.kron(x[sa, sa], y[sb, sb])
+                pos += 1
+        return out
+
+    projections = []
+    for v in range(len(f[0])):
+        big = np.zeros((n * d_new, n * d_new), dtype=np.complex128)
+        for i in range(n):
+            for j in range(n):
+                acc = sum(tensor_entry(strategy.entry(a, i, j), f[a][v]) for a in range(strategy.c))
+                big[i * d_new : (i + 1) * d_new, j * d_new : (j + 1) * d_new] = acc
+        projections.append(big)
+    return projections
+
+
+@pytest.mark.parametrize("label, c, f", COMPOSE_CASES[:9], ids=[case[0] for case in COMPOSE_CASES[:9]])
+@pytest.mark.parametrize("split", [False, True])
+def test_compose_reps_matches_reference_loop(label, c, f, split):
+    e = len(f[0][0])
+    hom_ancilla = TracialAncilla((1, e - 1)) if split else TracialAncilla.full_matrix_block(e)
+    strategy = random_block_strategy(np.random.default_rng(2030), 2, c, (2, 1))
+    # The loosest tolerance lets the noisy representations through too.
+    composed = compose_reps(strategy, f, hom_ancilla, Tolerance(1e-3))
+    assert composed.ancilla == strategy.ancilla.tensor(hom_ancilla)
+    reference = reference_compose(strategy, f, hom_ancilla)
+    assert np.abs(np.subtract(composed.projections, reference)).max() <= 1e-12
+
+
+def reference_tensor_entries(ts):
+    """The triple copy loop of correlation_from_tensor over alice_entry and bob_entry."""
+    n, c = ts.n, ts.c
+    da, db = ts.dims
+    p_ent = np.empty((c, n, n, da, da), dtype=np.complex128)
+    q_ent = np.empty((c, n, n, db, db), dtype=np.complex128)
+    for a in range(c):
+        for i in range(n):
+            for j in range(n):
+                p_ent[a, i, j] = ts.alice_entry(a, i, j)
+                q_ent[a, i, j] = ts.bob_entry(a, i, j)
+    return p_ent, q_ent
+
+
+def tensor_strategy_cases():
+    for label, s in KERNEL_CASES[:6]:
+        yield f"bob_from_alice {label}", bob_from_alice(s)
+    rng = np.random.default_rng(2031)
+    n, da, db = 3, 2, 3
+    alice = random_pvm(rng, n * da, 2)
+    bob = [canonical_shuffle(q, outer=n, inner=db) for q in random_pvm(rng, n * db, 2)]
+    chi = rng.normal(size=da * db) + 1j * rng.normal(size=da * db)
+    yield "random da=2 db=3", TensorStrategy((da, db), tuple(alice), tuple(bob), chi / np.linalg.norm(chi))
+
+
+TENSOR_CASES = list(tensor_strategy_cases())
+
+
+@pytest.mark.parametrize("label, ts", TENSOR_CASES, ids=[c[0] for c in TENSOR_CASES])
+def test_tensor_entries_match_reference_loop(label, ts):
+    n, c = ts.n, ts.c
+    da, db = ts.dims
+    p_ref, q_ref = reference_tensor_entries(ts)
+    assert np.array_equal(np.stack(ts.alice).reshape(c, n, da, n, da).transpose(0, 1, 3, 2, 4), p_ref)
+    assert np.array_equal(np.stack(ts.bob).reshape(c, db, n, db, n).transpose(0, 2, 4, 1, 3), q_ref)
+    chi = ts.chi.reshape(da, db)
+    x = np.einsum("aijuv,bklxy,vy,ux->abijkl", p_ref, q_ref, chi, np.conj(chi), optimize=True)
+    assert np.abs(correlation_from_tensor(ts).tensor - x).max() <= 1e-12

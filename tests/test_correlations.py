@@ -107,6 +107,11 @@ class TestCorrelationFromTensor:
                     qb = xi_b.conj() @ ts.bob_entry(b, k, ell) @ xi_b
                     assert x.tensor[a, b, i, j, k, ell] == pytest.approx(pa * qb, abs=1e-12)
 
+    def test_family_length_mismatch_rejected(self):
+        alice = (np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex))
+        with pytest.raises(ValueError, match="Alice has 2 operators, Bob has 1"):
+            TensorStrategy(dims=(1, 1), alice=alice, bob=alice[:1], chi=np.array([1.0]))
+
     def test_scalar_spaces(self):
         # H_A = H_B = C: entries are products of scalars.
         alice = (np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex))

@@ -263,6 +263,11 @@ class TestGraphOperatorSystem:
         g = graph_operator_system(ClassicalGraph.empty(3))
         assert len(g.s_basis) == 3
 
+    def test_empty_edge_basis_is_same_vertex_units(self):
+        elements = edge_basis(graph_operator_system(ClassicalGraph.empty(3))).elements
+        assert [e.tag for e in elements] == [SAME_VERTEX] * 3
+        assert all(hs_norm(e.matrix - matrix_unit(3, a, a)) <= 1e-12 for a, e in enumerate(elements))
+
     def test_c5_dimension(self):
         g = graph_operator_system(ClassicalGraph.cycle(5))
         assert len(g.s_basis) == 15
@@ -292,6 +297,11 @@ class TestClassicalGraph:
     def test_edges_deduplicated(self):
         g = ClassicalGraph(3, ((1, 0), (0, 1)))
         assert g.edges == ((0, 1),)
+
+    def test_negative_vertex_count_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            ClassicalGraph(-2, ())
+        assert chromatic_number(ClassicalGraph(0, ())) == 0
 
 
 class TestOracle:

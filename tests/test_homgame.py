@@ -121,6 +121,13 @@ class TestVerifyOperational:
         assert not report.passed
         assert report.check("adjacency_rule").max_residual > 1e-3
 
+    def test_edgeless_source_has_only_same_vertex_inputs(self):
+        # S = M': S n (M')perp is {0}, so the edge basis holds the n same-vertex units.
+        inst = GameInstance(source=graph_operator_system(ClassicalGraph.empty(3)), target=K(2))
+        s = diagonal_strategy([0, 0, 1], 2)
+        assert verify_operational(inst, s).passed
+        assert extract_channel(inst, s).num_kraus == 3
+
 
 class TestExtractChannel:
     def test_completeness_and_count(self):
