@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import DEFAULT_TOL, Tolerance, as_matrix, worst_residual
-from .strategies import BlockStrategy, TensorStrategy, TracialAncilla
+from .strategies import BlockStrategy, TensorStrategy, TracialAncilla, times_input
 
 __all__ = [
     "Correlation",
@@ -100,24 +100,23 @@ def outcome_probability(
     state).  The entries are checked to be real within tolerance before the
     imaginary parts are dropped; a NaN entry fails that check.
 
-    By cyclicity p(a,b) = tr(G_a P_b) with G_a = W* P_a T P_a W, where
-    W = Y (x) 1 and T is the diagonal of trace weights; this needs no
-    idempotency, so it holds for POVMs too.
+    By cyclicity p(a,b) = tr(G_a P_b) with G_a = X_a* T X_a, where
+    X_a = P_a (Y (x) 1) and T is the diagonal of trace weights.  This uses
+    P_a* = P_a but no idempotency, so it holds for POVMs too.
     """
     y = np.asarray(y, dtype=np.complex128)
-    n, d = strategy.n, strategy.ancilla.dim
+    n = strategy.n
     if y.ndim not in (2, 3) or y.shape[-2:] != (n, n):
         raise ValueError(f"input shape {y.shape}, expected {(n, n)} or (m, {n}, {n})")
     norms = np.linalg.norm(y, axis=(-2, -1)).ravel()
     unnormalized = ~(np.abs(norms - 1.0) <= tol.eps * 100)
     if unnormalized.any():
         raise ValueError(f"input state is not normalized: |Y|_F = {norms[unnormalized][0]}")
-    # W = Y (x) 1, with an axis of length 1 that broadcasts over the outcome a.
-    w = np.einsum("...ik,uv->...iukv", y, np.eye(d)).reshape(*y.shape[:-2], 1, n * d, n * d)
-    t = np.tile(strategy.ancilla.trace_diagonal(), n)
     ps = np.stack(strategy.projections)
-    g = w.conj().swapaxes(-2, -1) @ ((ps * t) @ ps) @ w
-    p = np.einsum("...aij,bji->...ab", g, ps)
+    x = times_input(ps, y)  # axes (..., a, row, column)
+    x *= np.sqrt(np.tile(strategy.ancilla.trace_diagonal(), n))[:, None]
+    g = x.conj().swapaxes(-2, -1) @ x
+    p = np.einsum("...aij,bji->...ab", g, ps, optimize=True)
     imag = worst_residual(np.abs(p.imag))[0]
     if not imag <= tol.eps * 100:
         raise ValueError(f"outcome probabilities have imaginary residual {imag:.3e}")

@@ -275,7 +275,7 @@ class ClassicalGraph:
     def adjacent(self, x: int, y: int) -> bool:
         return (min(x, y), max(x, y)) in self._edge_set
 
-    @property
+    @cached_property
     def _edge_set(self) -> frozenset:
         return frozenset(self.edges)
 

@@ -1,7 +1,7 @@
 """The quantum-to-classical graph homomorphism game and its winning checks.
 
 All characterizations of a winning strategy are exposed and cross-checked:
-the structural PVM conditions, the operational (probability) rules on the
+the structural PVM conditions, the operational (amplitude) rules on the
 quantum edge basis, the CPTP channel with its Kraus subset conditions, and
 the game *-algebra relations on a concrete representation.
 """
@@ -13,10 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import commutant
-from .correlations import outcome_probability
 from .graphs import SAME_VERTEX, ClassicalGraph, QuantumGraph, adjacency_subspace_basis, edge_basis
 from .linalg import DEFAULT_TOL, Check, CheckReport, Tolerance, check_measurement, hs_norm, worst_residual
-from .strategies import BlockStrategy, TracialAncilla
+from .strategies import BlockStrategy, TracialAncilla, times_input
 
 __all__ = [
     "GameInstance",
@@ -54,25 +53,28 @@ def _nonadjacent(target: ClassicalGraph) -> np.ndarray:
     return np.array([[not target.adjacent(a, b) for b in range(c)] for a in range(c)], dtype=bool)
 
 
-def _lift(mats, strategy: BlockStrategy) -> np.ndarray:
-    """X (x) 1 on C^n (x) C^D for each X, as an (m, nD, nD) stack."""
-    size = strategy.n * strategy.ancilla.dim
-    return np.reshape([np.kron(x, np.eye(strategy.ancilla.dim)) for x in mats], (-1, size, size))
+def _sandwich(strategy: BlockStrategy, ys, mask: np.ndarray, weights=None) -> np.ndarray:
+    """|W P_a (Y (x) 1) P_b|_F over axes (a, b, Y) where the broadcast mask holds, else 0.
 
-
-def _sandwich_residuals(strategy: BlockStrategy, lifted, mask: np.ndarray) -> np.ndarray:
-    """|P_a Z P_b|_F over axes (a, b, Z) where mask[a, b]; 0 elsewhere."""
-    p = np.asarray(strategy.projections)
-    a, b = np.nonzero(mask)
-    out = np.zeros((strategy.c, strategy.c, len(lifted)))
-    out[a, b] = np.linalg.norm((p[:, None] @ lifted)[a] @ p[b, None], axis=(-2, -1))
+    W is the identity or diag(weights).  Taking one b at a time keeps every
+    array within the size of the stack of P_a (Y (x) 1).
+    """
+    ps = np.stack(strategy.projections)
+    x = times_input(ps, np.reshape(ys, (-1, strategy.n, strategy.n)))  # axes (Y, a, row, column)
+    if weights is not None:
+        x *= weights[:, None]
+    mask = np.broadcast_to(mask, (strategy.c, strategy.c, len(x)))
+    out = np.zeros(mask.shape)
+    for b in range(strategy.c):
+        a, k = np.nonzero(mask[:, b])
+        out[a, b, k] = np.linalg.norm(x[k, a] @ ps[b], axis=(-2, -1))
     return out
 
 
 def _adjacency_zeros(inst: GameInstance, strategy: BlockStrategy, tol: Tolerance, name: str) -> Check:
     """P_a ((S n (M')perp) (x) 1) P_b = 0 for every non-adjacent pair, including a = b."""
-    lifted = _lift(adjacency_subspace_basis(inst.source), strategy)
-    residuals = _sandwich_residuals(strategy, lifted, _nonadjacent(inst.target))
+    nonadjacent = _nonadjacent(inst.target)[:, :, None]
+    residuals = _sandwich(strategy, adjacency_subspace_basis(inst.source), nonadjacent)
     return Check.of(name, residuals, tol, "a", "b", "basis_index")
 
 
@@ -94,9 +96,12 @@ def verify_structural(
         rep.idempotency_defect,
         rep.orthogonality_defect,
     ]
-    lifted = _lift(commutant(inst.source.algebra), strategy)
-    p = np.asarray(strategy.projections)[:, None]
-    membership = np.linalg.norm(p @ lifted - lifted @ p, axis=(-2, -1))  # axes (a, commutant_index)
+    comm = np.asarray(commutant(inst.source.algebra))
+    ps = np.stack(strategy.projections)
+    diff = times_input(ps, comm)
+    # (Z (x) 1) P_a = (P_a^T (Z^T (x) 1))^T, with no copy for the transposes
+    diff -= times_input(ps.swapaxes(-2, -1), comm.swapaxes(-2, -1)).swapaxes(-2, -1)
+    membership = np.linalg.norm(diff, axis=(-2, -1)).T  # axes (a, commutant_index)
     return CheckReport(
         (
             Check.of("pvm", pvm, tol),
@@ -110,34 +115,27 @@ def verify_structural(
 def verify_operational(
     inst: GameInstance, strategy: BlockStrategy, tol: Tolerance = DEFAULT_TOL
 ) -> CheckReport:
-    """Winning-strategy conditions as vanishing forbidden outcome probabilities.
+    """Winning-strategy conditions as vanishing forbidden outcome amplitudes.
 
-    Every same-vertex edge-basis input must give p(a,b) = 0 for a != b; every
-    adjacency input must give p(a,b) = 0 for non-adjacent target pairs.
-    Equivalent to verify_structural for PVM strategies with a faithful trace.
+    The amplitude of outcome (a, b) on an edge-basis input Y is
+    |T^{1/2} P_a (Y (x) 1) P_b|_F, with T the diagonal of trace weights.
+    For a PVM it is sqrt(p(a,b)); for a POVM it vanishes exactly when p(a,b)
+    does.  Every same-vertex input must give 0 for a != b; every adjacency
+    input must give 0 for non-adjacent target pairs.  Equivalent to
+    verify_structural for PVM strategies with a faithful trace.
     """
     _check_dims(inst, strategy)
     basis = edge_basis(inst.source, tol)
-    elements = basis.elements
-    c = strategy.c
-    if all(np.isfinite(p).all() for p in strategy.projections):
-        inputs = np.reshape(basis.matrices(), (-1, strategy.n, strategy.n))
-        probs = np.abs(outcome_probability(strategy, inputs, tol))  # axes (basis_index, a, b)
-    else:
-        # outcome_probability refuses NaN; every rule reads it and fails instead.
-        probs = np.full((len(elements), c, c), np.nan)
-    same = np.array([e.tag == SAME_VERTEX for e in elements], dtype=bool)[:, None, None]
-    offdiag = ~np.eye(c, dtype=bool)
+    same = np.array([e.tag == SAME_VERTEX for e in basis.elements], dtype=bool)
+    distinct, nonadjacent = ~np.eye(strategy.c, dtype=bool), _nonadjacent(inst.target)
+    forbidden = np.where(same, distinct[:, :, None], nonadjacent[:, :, None])
+    weights = np.sqrt(np.tile(strategy.ancilla.trace_diagonal(), strategy.n))
+    amplitudes = np.moveaxis(_sandwich(strategy, basis.matrices(), forbidden, weights), -1, 0)
     axes = ("basis_index", "a", "b")
     return CheckReport(
         (
-            Check.of("same_vertex_rule", np.where(same & offdiag, probs, 0.0), tol, *axes),
-            Check.of(
-                "adjacency_rule",
-                np.where(~same & _nonadjacent(inst.target), probs, 0.0),
-                tol,
-                *axes,
-            ),
+            Check.of("same_vertex_rule", np.where(same[:, None, None], amplitudes, 0.0), tol, *axes),
+            Check.of("adjacency_rule", np.where(same[:, None, None], 0.0, amplitudes), tol, *axes),
         )
     )
 
@@ -238,20 +236,13 @@ def check_game_algebra_rep(
     _check_dims(inst, strategy)
     rep = strategy.measurement_report(tol)
     relation1 = [rep.hermitian_defect, rep.idempotency_defect, rep.sum_defect]
-    lifted = _lift(commutant(inst.source.algebra), strategy)
-    distinct = ~np.eye(strategy.c, dtype=bool)
+    distinct = ~np.eye(strategy.c, dtype=bool)[:, :, None]
+    commutant_relation = _sandwich(strategy, commutant(inst.source.algebra), distinct)
     return CheckReport(
         (
             Check.of("idempotents_sum_to_identity", relation1, tol),
             _adjacency_zeros(inst, strategy, tol, "adjacency_relation"),
-            Check.of(
-                "commutant_relation",
-                _sandwich_residuals(strategy, lifted, distinct),
-                tol,
-                "a",
-                "b",
-                "commutant_index",
-            ),
+            Check.of("commutant_relation", commutant_relation, tol, "a", "b", "commutant_index"),
         )
     )
 

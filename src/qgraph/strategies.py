@@ -177,6 +177,15 @@ class BlockStrategy:
         return _worst_star_commutator(self.entries().reshape(-1, d, d)) <= tol.eps
 
 
+def times_input(ops: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """P (Y (x) 1) for each P of a (c, nD, nD) stack and each Y of an (..., n, n)
+    stack, as (..., c, nD, nD).  Y meets the n-index of P, seen as (c, n, D, n, D),
+    so Y (x) 1 is never formed."""
+    c, n, d = len(ops), y.shape[-1], ops.shape[-1] // y.shape[-1]
+    out = np.einsum("aiujv,...jk->...aiukv", ops.reshape(c, n, d, n, d), y, optimize=True)
+    return out.reshape(*y.shape[:-2], c, n * d, n * d)
+
+
 # Bound on the bytes of the temporaries of one chunk of _worst_star_commutator.
 _CHUNK_BYTES = 4 << 20
 

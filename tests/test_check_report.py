@@ -61,7 +61,7 @@ from qgraph.graphs import (
     classical_graph_from_operator_system,
     edge_basis,
 )
-from qgraph.homgame import _lift, _nonadjacent, _sandwich_residuals, _subset_residual
+from qgraph.homgame import _nonadjacent, _sandwich, _subset_residual
 from qgraph.linalg import Check, canonical_shuffle, hermitian_eig, hs_norm, matrix_unit, worst_residual
 from qgraph.serialize import matrix_from_json
 from qgraph.strategies import _worst_star_commutator
@@ -370,6 +370,30 @@ def reference_operational(inst, strategy, tol, basis=None):
     }
 
 
+def reference_operational_amplitude(inst, strategy, tol, basis=None):
+    """The (Y, a, b) loop of the operational rules: |T^{1/2} P_a (Y (x) 1) P_b|_F."""
+    basis = basis or edge_basis(inst.source, tol)
+    eye = np.eye(strategy.ancilla.dim)
+    root_t = np.diag(np.sqrt(np.tile(strategy.ancilla.trace_diagonal(), strategy.n)))
+    nonadj = _nonadjacent_pairs(inst.target)
+    offdiag = [(a, b) for a in range(strategy.c) for b in range(strategy.c) if a != b]
+    out = {}
+    rules = (("same_vertex_rule", SAME_VERTEX, offdiag), ("adjacency_rule", ADJACENCY, nonadj))
+    for name, tag, pairs in rules:
+        worst, witness, table = 0.0, None, {}
+        for idx, elem in enumerate(basis.elements):
+            if elem.tag != tag:
+                continue
+            w = np.kron(elem.matrix, eye)
+            for a, b in pairs:
+                r = hs_norm(root_t @ strategy.projections[a] @ w @ strategy.projections[b])
+                _record(table, {"a": a, "b": b, "basis_index": idx}, r)
+                if r > worst:
+                    worst, witness = r, {"a": a, "b": b, "basis_index": idx}
+        out[name] = (worst <= tol.eps, worst, witness, table)
+    return out
+
+
 def reference_algebra(inst, strategy, tol):
     eye_d = np.eye(strategy.ancilla.dim)
     size = strategy.n * strategy.ancilla.dim
@@ -468,12 +492,25 @@ def test_verifiers_match_reference_loops(label, g, target, s, wins):
     inst = GameInstance(source=g, target=target)
     assert_matches_reference(verify_structural(inst, s, tol), reference_structural(inst, s, tol))
     assert_matches_reference(
-        verify_operational(inst, s, tol), reference_operational(inst, s, tol)
+        verify_operational(inst, s, tol), reference_operational_amplitude(inst, s, tol)
     )
     assert_matches_reference(
         check_game_algebra_rep(inst, s, tol), reference_algebra(inst, s, tol)
     )
     assert verify_structural(inst, s, tol).passed == wins
+
+
+@pytest.mark.parametrize("label, g, target, s, wins", CASES, ids=[c[0] for c in CASES])
+def test_operational_amplitude_squared_is_the_probability_on_pvms(label, g, target, s, wins):
+    tol = Tolerance()
+    assert s.measurement_report(tol).is_pvm
+    inst = GameInstance(source=g, target=target)
+    report = verify_operational(inst, s, tol)
+    probability = reference_operational(inst, s, tol)
+    for check in report.checks:
+        passed, worst, _, _ = probability[check.name]
+        assert check.passed == passed, check.name
+        assert abs(check.max_residual**2 - worst) <= 1e-12, check.name
 
 
 # --- the array kernels of is_loc and outcome_probability ---------------------------
@@ -888,31 +925,33 @@ def test_rigidity_matches_reference_loop(label, alg, s):
     assert rep.passed()
 
 
-# --- homgame's stacked sandwich kernel against its (a, b) loop ----------------------
+# --- homgame's sandwich kernel against its (a, b, Y) kron loop -----------------------
 
 
-def reference_sandwich(strategy, lifted, mask):
-    """The (a, b) loop of _sandwich_residuals: one hs_norm per (a, b, Z)."""
-    c = strategy.c
-    out = np.zeros((c, c, len(lifted)))
-    for a, pa in enumerate(strategy.projections):
-        if not mask[a].any():
-            continue
-        left = [pa @ z for z in lifted]
-        for b in np.flatnonzero(mask[a]):
-            out[a, b] = [hs_norm(lz @ strategy.projections[b]) for lz in left]
+def reference_sandwich(strategy, mats, mask, weights):
+    """The (a, b, Y) loop of _sandwich: one hs_norm of W P_a (Y (x) 1) P_b each."""
+    eye = np.eye(strategy.ancilla.dim)
+    w = np.diag(weights)
+    out = np.zeros(mask.shape)
+    for a, b, k in zip(*np.nonzero(mask)):
+        lifted = np.kron(mats[k], eye)
+        out[a, b, k] = hs_norm(w @ strategy.projections[a] @ lifted @ strategy.projections[b])
     return out
 
 
 @pytest.mark.parametrize("label, g, target, s, wins", CASES, ids=[c[0] for c in CASES])
 def test_sandwich_kernel_matches_reference_loop(label, g, target, s, wins):
     rng = np.random.default_rng(2024)
-    masks = [_nonadjacent(target), ~np.eye(s.c, dtype=bool), rng.random((s.c, s.c)) < 0.3]
+    size = s.n * s.ancilla.dim
+    pairs = [_nonadjacent(target), ~np.eye(s.c, dtype=bool), rng.random((s.c, s.c)) < 0.3]
     for mats in (commutant(g.algebra), adjacency_subspace_basis(g), []):
-        lifted = _lift(mats, s)
+        masks = [np.repeat(m[:, :, None], len(mats), axis=2) for m in pairs]
+        masks.append(rng.random((s.c, s.c, len(mats))) < 0.3)
         for mask in masks:
-            ref = reference_sandwich(s, lifted, mask)
-            assert np.abs(_sandwich_residuals(s, lifted, mask) - ref).max(initial=0.0) <= 1e-12
+            for weights in (None, rng.random(size)):
+                ref = reference_sandwich(s, mats, mask, np.ones(size) if weights is None else weights)
+                got = _sandwich(s, mats, mask, weights)
+                assert np.abs(got - ref).max(initial=0.0) <= 1e-12
 
 
 # --- normal_form against the *-closure and centre solve it replaced -----------------
@@ -1212,7 +1251,7 @@ def test_operational_verdicts_match_gram_schmidt_basis(label, g, target, s, wins
     tol = Tolerance()
     inst = GameInstance(source=g, target=target)
     report = verify_operational(inst, s, tol)
-    reference = reference_operational(inst, s, tol, reference_edge_basis(g, tol))
+    reference = reference_operational_amplitude(inst, s, tol, reference_edge_basis(g, tol))
     assert [(c.name, c.passed) for c in report.checks] == [(k, v[0]) for k, v in reference.items()]
     # Same-vertex elements and their positions are unchanged, so is their residual.
     same = report.check("same_vertex_rule").max_residual

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import rand_unitary, random_block_strategy
+from helpers import rand_hermitian, rand_unitary, random_block_strategy
 from qgraph import (
     BlockStrategy,
     ClassicalGraph,
@@ -127,6 +127,47 @@ class TestVerifyOperational:
         s = diagonal_strategy([0, 0, 1], 2)
         assert verify_operational(inst, s).passed
         assert extract_channel(inst, s).num_kraus == 3
+
+
+class TestModesAgreeOnSmallViolations:
+    """Rotating a winning PVM by exp(i delta H), with H in M (x) B(A), keeps it
+    an exact PVM in M (x) B(A) and breaks only the adjacency relation, by an
+    amount linear in delta.  Every mode sees it on one scale."""
+
+    @staticmethod
+    def rotated_m3_coloring(delta):
+        alg = VnAlgebra(n=3, blocks=((1, 3),))  # M = M_3, so M (x) B(A) is everything
+        s = shift_multiply_coloring(alg)
+        h = rand_hermitian(np.random.default_rng(61), s.n * s.ancilla.dim)
+        w, v = np.linalg.eigh(h / np.linalg.norm(h))
+        u = (v * np.exp(1j * delta * w)) @ v.conj().T
+        rotated = tuple(u @ p @ u.conj().T for p in s.projections)
+        strategy = BlockStrategy(n=s.n, c=s.c, ancilla=s.ancilla, projections=rotated)
+        return GameInstance(source=complete_quantum_graph(alg), target=K(s.c)), strategy
+
+    def test_every_mode_fails_on_the_adjacency_relation_at_1e_6(self):
+        inst, s = self.rotated_m3_coloring(1e-6)
+        reports = {
+            "structural": verify_structural(inst, s),
+            "operational": verify_operational(inst, s),
+            "algebra": check_game_algebra_rep(inst, s),
+        }
+        adjacency = {
+            "structural": "adjacency_zeros",
+            "operational": "adjacency_rule",
+            "algebra": "adjacency_relation",
+        }
+        for mode, report in reports.items():
+            assert not report.passed, mode
+            assert [c.name for c in report.checks if not c.passed] == [adjacency[mode]], mode
+            assert report.check(adjacency[mode]).witness is not None, mode
+        assert reports["structural"].check("membership").passed
+
+    def test_every_mode_passes_at_1e_12(self):
+        inst, s = self.rotated_m3_coloring(1e-12)
+        assert verify_structural(inst, s).passed
+        assert verify_operational(inst, s).passed
+        assert check_game_algebra_rep(inst, s).passed
 
 
 class TestExtractChannel:
