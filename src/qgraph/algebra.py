@@ -77,15 +77,22 @@ class VnAlgebra:
         return all(k == 1 for _, k in self.blocks)
 
     def embed(self, x: np.ndarray) -> np.ndarray:
-        """Conjugate a matrix in canonical coordinates into ambient ones."""
+        """Conjugate an (..., n d, n d) stack on C^n (x) C^d from canonical
+        coordinates into ambient ones, by U (x) I_d."""
         if self.unitary is None:
             return x
-        return self.unitary @ x @ self.unitary.conj().T
+        u = self._lift(x)
+        return u @ x @ u.conj().T
 
     def to_canonical(self, x: np.ndarray) -> np.ndarray:
+        """The inverse of embed."""
         if self.unitary is None:
             return x
-        return self.unitary.conj().T @ x @ self.unitary
+        u = self._lift(x)
+        return u.conj().T @ x @ u
+
+    def _lift(self, x: np.ndarray) -> np.ndarray:
+        return np.kron(self.unitary, np.eye(x.shape[-1] // self.n))
 
     def central_projections(self) -> list[np.ndarray]:
         """The minimal central projections E_r, in ambient coordinates."""

@@ -35,11 +35,12 @@ from .correlations import (
     embed_classical,
     synchronous_identities,
 )
-from .graphs import chromatic_number, edge_basis, validate
+from .graphs import ClassicalGraph, chromatic_number, edge_basis, validate
 from .homgame import GameInstance, check_game_algebra_rep, compose_reps, extract_channel, verify_operational, verify_structural
-from .linalg import Tolerance, check_measurement, worst_residual
+from .linalg import Check, CheckReport, Tolerance, check_measurement
 from .serialize import (
     SchemaError,
+    algebra_from_json,
     classical_correlation_from_json,
     classical_correlation_to_json,
     classical_graph_from_json,
@@ -49,6 +50,7 @@ from .serialize import (
     graph_from_json,
     hom_rep_from_json,
     matrix_to_json,
+    ops_from_json,
     povm_from_json,
     strategy_from_json,
     strategy_to_json,
@@ -72,16 +74,8 @@ def _load_json(path: str):
         raise SchemaError(path, f"invalid JSON: {exc}")
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    raise TypeError(f"not JSON serializable: {type(obj).__name__}")
-
-
 def _emit(report, out_path: str | None):
-    text = json.dumps(report, indent=2, sort_keys=True, default=_json_default, allow_nan=False)
+    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text + "\n")
@@ -139,41 +133,30 @@ def _cmd_dilate(args) -> int:
     ops, n, h = povm_from_json(_load_json(args.input))
     c = len(ops)
     dilated = dilate_block_povm(ops, n=n, h=h, tol=tol)
-    corner = worst_residual(
-        [np.linalg.norm(corner_compress(p, n, c, h) - q) for p, q in zip(dilated, ops)]
-    )[0]
-    rep = check_measurement(dilated, tol)
+    corner = [np.linalg.norm(corner_compress(p, n, c, h) - q) for p, q in zip(dilated, ops)]
+    rep = CheckReport(
+        check_measurement(dilated, tol).checks
+        + (Check.of("corner", corner, Tolerance(tol.eps * 100), "a"),)
+    )
     report = {
         "n": n,
         "c": c,
         "h": h,
         "projections": [matrix_to_json(p) for p in dilated],
-        "corner_residual": corner,
-        "pvm": rep.is_pvm,
-        "residuals": rep.residuals(),
+        **rep.to_dict(),
     }
     _emit(report, args.out)
-    return PASS if rep.is_pvm and corner <= tol.eps * 100 else FAIL
+    return PASS if rep.passed else FAIL
 
 
 def _cmd_round_pvm(args) -> int:
     tol = _tolerance(args)
-    data = _load_json(args.input)
-    ops_raw = data.get("ops") if isinstance(data, dict) else None
-    if not isinstance(ops_raw, list) or not ops_raw:
-        raise SchemaError("/ops", "expected a non-empty array of matrices")
-    from .serialize import matrix_from_json
-
-    ops = [matrix_from_json(m, f"/ops/{i}") for i, m in enumerate(ops_raw)]
-    rounded, rep = round_almost_pvm(ops, tol)
+    ops = ops_from_json(_load_json(args.input))
+    rounded, distance = round_almost_pvm(ops)
     report = {
         "projections": [matrix_to_json(q) for q in rounded],
-        "input_defects": {
-            "overlap": rep.overlap_defect,
-            "idempotency": rep.idempotency_defect,
-            "sum": rep.sum_defect,
-        },
-        "max_distance_2norm": rep.max_distance_2norm,
+        "input": check_measurement(ops, tol).to_dict(),
+        "max_distance_2norm": distance,
     }
     _emit(report, args.out)
     return PASS
@@ -188,8 +171,6 @@ def _cmd_color(args) -> int:
     else:
         if args.algebra is None:
             raise SchemaError("--algebra", f"{args.method} coloring needs --algebra")
-        from .serialize import algebra_from_json
-
         alg = algebra_from_json(_load_json(args.algebra))
         if args.method == "shift-multiply":
             strat = shift_multiply_coloring(alg)
@@ -200,11 +181,10 @@ def _cmd_color(args) -> int:
         "method": args.method,
         "colors": strat.c,
         "strategy": strategy_to_json(strat),
-        "pvm": rep.is_pvm,
-        "residuals": rep.residuals(),
+        **rep.to_dict(),
     }
     _emit(report, args.out)
-    return PASS if rep.is_pvm else FAIL
+    return PASS if rep.passed else FAIL
 
 
 def _game_instance(args) -> GameInstance:
@@ -212,8 +192,6 @@ def _game_instance(args) -> GameInstance:
     if args.target is not None:
         target = classical_graph_from_json(_load_json(args.target))
     elif args.complete is not None:
-        from .graphs import ClassicalGraph
-
         target = ClassicalGraph.complete(args.complete)
     else:
         raise SchemaError("--target", "need --target FILE or --complete C")
@@ -293,9 +271,9 @@ def _cmd_embed(args) -> int:
 def _cmd_bisync(args) -> int:
     tol = _tolerance(args)
     p = classical_correlation_from_json(_load_json(args.input))
-    ok = check_bisynchronous(p, tol)
-    _emit({"bisynchronous": ok}, args.out)
-    return PASS if ok else FAIL
+    rep = check_bisynchronous(p, tol)
+    _emit(rep.to_dict(), args.out)
+    return PASS if rep.passed else FAIL
 
 
 def _cmd_extract_channel(args) -> int:
@@ -322,8 +300,6 @@ def _cmd_compose(args) -> int:
     report = {"strategy": strategy_to_json(composed)}
     ok = True
     if args.graph is not None:
-        from .graphs import ClassicalGraph
-
         inst = GameInstance(
             source=graph_from_json(_load_json(args.graph)),
             target=ClassicalGraph.complete(composed.c),
@@ -360,8 +336,6 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_rigidity(args) -> int:
     tol = _tolerance(args)
-    from .serialize import algebra_from_json
-
     alg = algebra_from_json(_load_json(args.algebra))
     strat = strategy_from_json(_load_json(args.strategy))
     rep = rigidity_check(strat, alg, tol)

@@ -105,13 +105,9 @@ def shift_multiply_coloring(alg: VnAlgebra) -> BlockStrategy:
                             )
                             big[row * d : (row + 1) * d, col * d : (col + 1) * d] = ent
                 projections.append(big)
-    if alg.unitary is not None:
-        u_big = np.kron(alg.unitary, np.eye(d))
-        projections = [u_big @ p @ u_big.conj().T for p in projections]
     ancilla = TracialAncilla.full_matrix_block(d)
-    return BlockStrategy(
-        n=n, c=alg.dim_algebra, ancilla=ancilla, projections=tuple(projections)
-    )
+    projections = tuple(alg.embed(np.stack(projections)))
+    return BlockStrategy(n=n, c=alg.dim_algebra, ancilla=ancilla, projections=projections)
 
 
 def abelian_loc_coloring(alg: VnAlgebra) -> BlockStrategy:
@@ -192,10 +188,7 @@ def rigidity_check(
         raise ValueError("strategy is not a valid coloring of the quantum complete graph")
 
     d = strategy.ancilla.dim
-    stack = np.stack(strategy.projections)
-    if alg.unitary is not None:
-        u_big = np.kron(alg.unitary, np.eye(d))
-        stack = u_big.conj().T @ stack @ u_big
+    stack = alg.to_canonical(np.stack(strategy.projections))
 
     dim_m = alg.dim_algebra
     eye_d = np.eye(d)
@@ -274,66 +267,24 @@ def chromatic_bounds(g: QuantumGraph, tol: Tolerance = DEFAULT_TOL) -> BoundsRep
     Nonexistence facts are emitted as notes, never as computed results:
     numerics cannot certify that no strategy exists.
     """
-    bounds = []
-    notes = []
     alg = g.algebra
-
-    strat = shift_multiply_coloring(alg)
-    inst = GameInstance(source=g, target=ClassicalGraph.complete(strat.c))
-    bounds.append(
-        ChromaticBound(
-            model="q",
-            colors=strat.c,
-            method="shift_multiply",
-            exact=False,
-            witness=strat,
-            verification=verify_structural(inst, strat, tol),
-        )
-    )
-
+    complete = len(g.span_basis()) == alg.n * alg.n
+    # (model, method, exact, witness), in the order the bounds are reported.
+    candidates = [("q", "shift_multiply", False, shift_multiply_coloring(alg))]
+    notes = []
     if len(alg.blocks) == 1:
-        m, k = alg.blocks[0]
-        strat = teleport_coloring(m, k)
-        if alg.unitary is not None:
-            u_big = np.kron(alg.unitary, np.eye(strat.ancilla.dim))
-            strat = BlockStrategy(
-                n=strat.n,
-                c=strat.c,
-                ancilla=strat.ancilla,
-                projections=tuple(u_big @ p @ u_big.conj().T for p in strat.projections),
-            )
-        inst = GameInstance(source=g, target=ClassicalGraph.complete(strat.c))
-        bounds.append(
-            ChromaticBound(
-                model="q",
-                colors=strat.c,
-                method="teleport",
-                exact=False,
-                witness=strat,
-                verification=verify_structural(inst, strat, tol),
-            )
-        )
-
+        s = teleport_coloring(*alg.blocks[0])
+        projections = tuple(alg.embed(np.stack(s.projections)))
+        candidates.append(("q", "teleport", False, BlockStrategy(s.n, s.c, s.ancilla, projections)))
     if alg.is_abelian():
-        strat = abelian_loc_coloring(alg)
-        inst = GameInstance(source=g, target=ClassicalGraph.complete(strat.c))
-        bounds.append(
-            ChromaticBound(
-                model="loc",
-                colors=strat.c,
-                method="abelian_loc",
-                exact=False,
-                witness=strat,
-                verification=verify_structural(inst, strat, tol),
-            )
-        )
-    elif len(g.span_basis()) == alg.n * alg.n:
+        candidates.append(("loc", "abelian_loc", False, abelian_loc_coloring(alg)))
+    elif complete:
         notes.append(
             "M is non-abelian and S is all of M_n: no loc coloring exists at "
             "any number of colors (theorem-cited; numerics cannot certify "
             "nonexistence)"
         )
-    if len(g.span_basis()) == alg.n * alg.n:
+    if complete:
         notes.append(
             f"every coloring of the complete quantum graph over M needs at "
             f"least dim(M) = {alg.dim_algebra} colors (theorem-cited lower "
@@ -343,18 +294,12 @@ def chromatic_bounds(g: QuantumGraph, tol: Tolerance = DEFAULT_TOL) -> BoundsRep
     classical = classical_graph_from_operator_system(g, tol)
     if classical is not None and classical.vertices <= 8:
         chi = chromatic_number(classical)
-        coloring = proper_coloring(classical, chi)
-        strat = diagonal_strategy(coloring, chi)
-        inst = GameInstance(source=g, target=ClassicalGraph.complete(chi))
-        bounds.append(
-            ChromaticBound(
-                model="loc",
-                colors=chi,
-                method="classical_oracle",
-                exact=True,
-                witness=strat,
-                verification=verify_structural(inst, strat, tol),
-            )
-        )
-    return BoundsReport(tuple(bounds), tuple(notes))
+        strat = diagonal_strategy(proper_coloring(classical, chi), chi)
+        candidates.append(("loc", "classical_oracle", True, strat))
 
+    bounds = []
+    for model, method, exact, strat in candidates:
+        inst = GameInstance(source=g, target=ClassicalGraph.complete(strat.c))
+        verification = verify_structural(inst, strat, tol)
+        bounds.append(ChromaticBound(model, strat.c, method, exact, strat, verification))
+    return BoundsReport(tuple(bounds), tuple(notes))

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, Tolerance, as_matrix, worst_residual
+from .linalg import DEFAULT_TOL, Check, CheckReport, Tolerance, as_matrix, worst_residual
 from .strategies import BlockStrategy, TensorStrategy, TracialAncilla, times_input
 
 __all__ = [
@@ -224,8 +224,14 @@ def compress_to_classical(
     return ClassicalCorrelation(n=x.n, c=x.c, p=diag.real)
 
 
-def check_bisynchronous(p: ClassicalCorrelation, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """p(a,b|x,x) = 0 for a != b and p(a,a|x,y) = 0 for x != y, within tolerance."""
+def check_bisynchronous(p: ClassicalCorrelation, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
+    """Two checks: synchronous, p(a,b|x,x) = 0 for a != b, and bisynchronous,
+    p(a,a|x,y) = 0 for x != y, each within tolerance."""
     sync = np.where(~np.eye(p.c, dtype=bool)[:, :, None], np.einsum("abxx->abx", p.p), 0.0)
     bisync = np.where(~np.eye(p.n, dtype=bool), np.einsum("aaxy->axy", p.p), 0.0)
-    return all(worst_residual(np.abs(r))[0] <= tol.eps for r in (sync, bisync))
+    return CheckReport(
+        (
+            Check.of("synchronous", np.abs(sync), tol, "a", "b", "x"),
+            Check.of("bisynchronous", np.abs(bisync), tol, "a", "x", "y"),
+        )
+    )

@@ -161,10 +161,8 @@ def edge_basis(g: QuantumGraph, tol: Tolerance = DEFAULT_TOL) -> EdgeBasis:
 
 
 def _compute_edge_basis(g: QuantumGraph, tol: Tolerance) -> EdgeBasis:
-    # A report the caller already made is read from the memo, not validated again.
-    report = g.__dict__.get("_validate_cache", {}).get(tol.eps) or validate(g, tol)
-    if not report.passed:
-        failed = [c.name for c in report.checks if not c.passed]
+    failed = validate(g, tol).failures()
+    if failed:
         raise ValueError(f"quantum graph fails validation: {failed}")
 
     kblocks = g.algebra.k_blocks()
@@ -337,27 +335,28 @@ def _check_cap(g: ClassicalGraph, cap: int):
 
 
 def proper_coloring(g: ClassicalGraph, colors: int) -> tuple[int, ...] | None:
-    """First proper coloring with the given number of colors, or None.
+    """First proper coloring with the given number of colors, or None: the
+    first homomorphism g -> K_colors."""
+    return _first_homomorphism(g, ClassicalGraph.complete(max(colors, 0)))
 
-    Backtracking over vertices in index order; deterministic.
-    """
+
+def _first_homomorphism(g: ClassicalGraph, h: ClassicalGraph) -> tuple[int, ...] | None:
+    """Backtracking over the vertices of g in index order, images in index
+    order; deterministic."""
     assignment = [-1] * g.vertices
-    adj = [g.neighbors(v) for v in range(g.vertices)]
+    earlier = [[u for u in g.neighbors(v) if u < v] for v in range(g.vertices)]
 
     def extend(v: int) -> bool:
         if v == g.vertices:
             return True
-        for col in range(colors):
-            if all(assignment[u] != col for u in adj[v] if u < v):
-                assignment[v] = col
+        for img in range(h.vertices):
+            if all(h.adjacent(assignment[u], img) for u in earlier[v]):
+                assignment[v] = img
                 if extend(v + 1):
                     return True
-                assignment[v] = -1
         return False
 
-    if extend(0):
-        return tuple(assignment)
-    return None
+    return tuple(assignment) if extend(0) else None
 
 
 def chromatic_number(g: ClassicalGraph, cap: int = DEFAULT_VERTEX_CAP) -> int:
@@ -376,30 +375,7 @@ def homomorphism_exists(
 ) -> bool:
     """Exhaustive search for a graph homomorphism g -> h."""
     _check_cap(g, cap)
-    if g.vertices == 0:
-        return True
-    if h.vertices == 0:
-        return False
-    adj = [g.neighbors(v) for v in range(g.vertices)]
-    assignment = [-1] * g.vertices
-
-    def extend(v: int) -> bool:
-        if v == g.vertices:
-            return True
-        for img in range(h.vertices):
-            ok = True
-            for u in adj[v]:
-                if u < v and not h.adjacent(assignment[u], img):
-                    ok = False
-                    break
-            if ok:
-                assignment[v] = img
-                if extend(v + 1):
-                    return True
-                assignment[v] = -1
-        return False
-
-    return extend(0)
+    return _first_homomorphism(g, h) is not None
 
 
 @dataclass(frozen=True)

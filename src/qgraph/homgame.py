@@ -88,14 +88,7 @@ def verify_structural(
     P_b = 0 for every non-adjacent target pair, including a = b.
     """
     _check_dims(inst, strategy)
-    rep = strategy.measurement_report(tol)
-    pvm = [
-        rep.hermitian_defect,
-        max(0.0, -rep.min_eigenvalue),
-        rep.sum_defect,
-        rep.idempotency_defect,
-        rep.orthogonality_defect,
-    ]
+    pvm = [c.max_residual for c in strategy.measurement_report(tol).checks]
     comm = np.asarray(commutant(inst.source.algebra))
     ps = np.stack(strategy.projections)
     diff = times_input(ps, comm)
@@ -169,9 +162,9 @@ def extract_channel(
     S_G n (D_c)perp, compressions of same-vertex inputs land in D_c.
     """
     _check_dims(inst, strategy)
-    rep = strategy.measurement_report(tol)
-    if not rep.is_pvm:
-        raise ValueError(f"strategy is not a PVM within tolerance: {rep.residuals()}")
+    failed = strategy.measurement_report(tol).failures()
+    if failed:
+        raise ValueError(f"strategy is not a PVM within tolerance: {failed}")
     size = strategy.n * strategy.ancilla.dim
     c = strategy.c
 
@@ -235,7 +228,7 @@ def check_game_algebra_rep(
     """
     _check_dims(inst, strategy)
     rep = strategy.measurement_report(tol)
-    relation1 = [rep.hermitian_defect, rep.idempotency_defect, rep.sum_defect]
+    relation1 = [rep.check(name).max_residual for name in ("hermitian", "idempotency", "sum")]
     distinct = ~np.eye(strategy.c, dtype=bool)[:, :, None]
     commutant_relation = _sandwich(strategy, commutant(inst.source.algebra), distinct)
     return CheckReport(
@@ -271,8 +264,8 @@ def compose_reps(
 
     # Each row {f_{a,v}}_v is a PVM and each column {f_{a,v}}_a is orthogonal.
     rows = [check_measurement(row, tol) for row in f]
-    residuals = [d for m in rows for d in (m.hermitian_defect, m.idempotency_defect, m.sum_defect)]
-    residuals += [check_measurement(col, tol).orthogonality_defect for col in zip(*f)]
+    residuals = [m.check(name).max_residual for m in rows for name in ("hermitian", "idempotency", "sum")]
+    residuals += [check_measurement(col, tol).check("orthogonality").max_residual for col in zip(*f)]
     worst = worst_residual(residuals)[0]
     if worst > tol.eps:
         raise ValueError(f"hom representation fails the K_c -> K_r relations ({worst:.3e})")

@@ -18,8 +18,9 @@ __all__ = [
     "Check",
     "CheckReport",
     "worst_residual",
-    "MeasurementReport",
+    "POVM_CHECKS",
     "as_matrix",
+    "square_stack",
     "matrix_unit",
     "hs_inner",
     "hs_norm",
@@ -92,6 +93,18 @@ class CheckReport:
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
+
+    def __bool__(self):
+        # As a plain object a report would always be true, and `assert report` could never fail.
+        raise TypeError("a CheckReport has no truth value; read .passed")
+
+    def failures(self, names: tuple[str, ...] | None = None) -> dict[str, float]:
+        """Worst residual of each failed check, among names when given."""
+        return {
+            c.name: c.max_residual
+            for c in self.checks
+            if not c.passed and (names is None or c.name in names)
+        }
 
     def check(self, name: str) -> Check:
         for c in self.checks:
@@ -206,35 +219,12 @@ def psd_sqrt(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     return (v * np.sqrt(w)) @ v.conj().T
 
 
-@dataclass(frozen=True)
-class MeasurementReport:
-    """Outcome of check_measurement.  Residuals are Frobenius-norm defects."""
-
-    is_povm: bool
-    is_pvm: bool
-    hermitian_defect: float
-    min_eigenvalue: float
-    sum_defect: float
-    idempotency_defect: float
-    orthogonality_defect: float
-
-    def residuals(self) -> dict[str, float]:
-        return {
-            "hermitian": self.hermitian_defect,
-            "min_eigenvalue": self.min_eigenvalue,
-            "sum": self.sum_defect,
-            "idempotency": self.idempotency_defect,
-            "orthogonality": self.orthogonality_defect,
-        }
+# The checks of check_measurement that make a family a POVM; all five make a PVM.
+POVM_CHECKS = ("hermitian", "positivity", "sum")
 
 
-def check_measurement(ops, tol: Tolerance = DEFAULT_TOL) -> MeasurementReport:
-    """Decide whether a family of operators is a POVM and/or a PVM.
-
-    POVM: every operator Hermitian positive (min eigenvalue >= -eps) and the
-    family sums to the identity within eps.  PVM additionally requires each
-    P^2 = P and P_a P_b = 0 for a != b, within eps.
-    """
+def square_stack(ops) -> np.ndarray:
+    """A non-empty family of square matrices of one size, as a (c, N, N) stack."""
     if len(ops) == 0:
         raise ValueError("measurement must have at least one operator")
     mats = [as_matrix(p) for p in ops]
@@ -244,30 +234,34 @@ def check_measurement(ops, tol: Tolerance = DEFAULT_TOL) -> MeasurementReport:
     for p in mats:
         if p.shape != shape:
             raise ValueError(f"shape mismatch: {p.shape} vs {shape}")
+    return np.stack(mats)
 
-    stack = np.stack(mats)
+
+def check_measurement(ops, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
+    """Decide whether a family of operators is a POVM and a PVM.
+
+    Five checks, in order: hermitian (|P_a - P_a*|_F), positivity
+    (max(0, -lambda_min(P_a))), sum (|sum_a P_a - 1|_F), idempotency
+    (|P_a^2 - P_a|_F) and orthogonality (|P_a P_b|_F over ordered pairs
+    a != b).  The first three, POVM_CHECKS, make a POVM; the report passes
+    when the family is a PVM.  Witnesses name the operator {a}, or the pair
+    {a, b}; the sum has none.
+    """
+    stack = square_stack(ops)
     adjoint = stack.conj().transpose(0, 2, 1)
-    herm = worst_residual(np.linalg.norm(stack - adjoint, axis=(-2, -1)))[0]
-    # The lowest eigenvalue is the negated worst of the negated minima, so a
-    # NaN spectrum reads as -inf.
-    min_eig = -worst_residual(-np.linalg.eigvalsh((stack + adjoint) / 2).min(axis=-1))[0]
-    sum_defect = worst_residual(hs_norm(stack.sum(axis=0) - np.eye(shape[0])))[0]
-    idem = worst_residual(np.linalg.norm(stack @ stack - stack, axis=(-2, -1)))[0]
-    # |P_a P_b|_F over ordered pairs a != b, one row a at a time.
+    lowest = np.linalg.eigvalsh((stack + adjoint) / 2).min(axis=-1)
+    # +0.0 for a zero eigenvalue of either sign; NaN fails the comparison and reads as inf.
+    negativity = np.where(lowest >= 0.0, 0.0, -lowest)
     distinct = ~np.eye(len(stack), dtype=bool)
-    rows = [np.linalg.norm(p @ stack, axis=(-2, -1)) for p in stack]
-    orth = worst_residual(np.where(distinct, rows, 0.0))[0]
-
-    is_povm = herm <= tol.eps and min_eig >= -tol.eps and sum_defect <= tol.eps
-    is_pvm = is_povm and idem <= tol.eps and orth <= tol.eps
-    return MeasurementReport(
-        is_povm=is_povm,
-        is_pvm=is_pvm,
-        hermitian_defect=herm,
-        min_eigenvalue=min_eig,
-        sum_defect=sum_defect,
-        idempotency_defect=idem,
-        orthogonality_defect=orth,
+    rows = [np.linalg.norm(p @ stack, axis=(-2, -1)) for p in stack]  # one row a at a time
+    return CheckReport(
+        (
+            Check.of("hermitian", np.linalg.norm(stack - adjoint, axis=(-2, -1)), tol, "a"),
+            Check.of("positivity", negativity, tol, "a"),
+            Check.of("sum", hs_norm(stack.sum(axis=0) - np.eye(stack.shape[-1])), tol),
+            Check.of("idempotency", np.linalg.norm(stack @ stack - stack, axis=(-2, -1)), tol, "a"),
+            Check.of("orthogonality", np.where(distinct, rows, 0.0), tol, "a", "b"),
+        )
     )
 
 

@@ -31,6 +31,7 @@ __all__ = [
     "classical_correlation_to_json",
     "classical_correlation_from_json",
     "povm_from_json",
+    "ops_from_json",
     "families_from_json",
     "hom_rep_from_json",
 ]
@@ -283,13 +284,20 @@ def povm_from_json(obj, path: str = "") -> tuple[list[np.ndarray], int, int]:
     """POVM input for the dilate command: {"n", "h", "ops"}; returns (ops, n, h)."""
     n = _as_int(_require(obj, "n", path), f"{path}/n", minimum=1)
     h = _as_int(_require(obj, "h", path), f"{path}/h", minimum=1)
+    return ops_from_json(obj, path, n * h), n, h
+
+
+def ops_from_json(obj, path: str = "", size: int | None = None) -> list[np.ndarray]:
+    """The non-empty array "ops" of size x size matrices; the round-pvm input.
+
+    Without a size, every op must be square with the first op's row count.
+    """
     ops_raw = _require(obj, "ops", path)
     if not isinstance(ops_raw, list) or not ops_raw:
         raise SchemaError(f"{path}/ops", "expected a non-empty array of matrices")
-    ops = [
-        matrix_from_json(m, f"{path}/ops/{i}", (n * h, n * h)) for i, m in enumerate(ops_raw)
-    ]
-    return ops, n, h
+    if size is None and isinstance(ops_raw[0], list):
+        size = len(ops_raw[0])
+    return [matrix_from_json(m, f"{path}/ops/{i}", (size, size)) for i, m in enumerate(ops_raw)]
 
 
 def families_from_json(obj, path: str = "") -> tuple[list, TracialAncilla | None]:

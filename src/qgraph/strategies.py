@@ -14,7 +14,8 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_TOL,
-    MeasurementReport,
+    POVM_CHECKS,
+    CheckReport,
     Tolerance,
     as_matrix,
     canonical_shuffle,
@@ -22,6 +23,7 @@ from .linalg import (
     hermitian_eig,
     hs_norm,
     psd_sqrt,
+    square_stack,
     unit_root_power,
     worst_residual,
 )
@@ -36,7 +38,6 @@ __all__ = [
     "pvm_to_unitary",
     "unitary_to_pvm",
     "round_almost_pvm",
-    "RoundingReport",
     "bob_from_alice",
 ]
 
@@ -153,7 +154,7 @@ class BlockStrategy:
         stack = np.stack(self.projections)
         return stack.reshape(self.c, self.n, d, self.n, d).transpose(0, 1, 3, 2, 4)
 
-    def measurement_report(self, tol: Tolerance = DEFAULT_TOL) -> MeasurementReport:
+    def measurement_report(self, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
         return check_measurement(self.projections, tol)
 
     def ancilla_block_defect(self) -> float:
@@ -272,9 +273,9 @@ def dilate_povm(povm, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
     recovers Q_a.
     """
     mats = [as_matrix(q) for q in povm]
-    rep = check_measurement(mats, tol)
-    if not rep.is_povm:
-        raise ValueError(f"input is not a POVM within tolerance: {rep.residuals()}")
+    failed = check_measurement(mats, tol).failures(POVM_CHECKS)
+    if failed:
+        raise ValueError(f"input is not a POVM within tolerance: {failed}")
     c = len(mats)
     h = mats[0].shape[0]
     roots = [psd_sqrt(q, tol) for q in mats]
@@ -337,9 +338,9 @@ def dilate_block_povm(
 def pvm_to_unitary(pvm, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Order-c unitary U = sum_a omega^a P_a encoding a c-output PVM."""
     mats = [as_matrix(p) for p in pvm]
-    rep = check_measurement(mats, tol)
-    if not rep.is_pvm:
-        raise ValueError(f"input is not a PVM within tolerance: {rep.residuals()}")
+    failed = check_measurement(mats, tol).failures()
+    if failed:
+        raise ValueError(f"input is not a PVM within tolerance: {failed}")
     c = len(mats)
     u = np.zeros_like(mats[0])
     for a, p in enumerate(mats, start=1):
@@ -368,41 +369,24 @@ def unitary_to_pvm(u, c: int, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
     # For a unitary of order c the inversion is an exact PVM; a failure here
     # means the spectrum leaves the c-th roots of unity.  This avoids any
     # non-Hermitian eigensolver.
-    rep = check_measurement(out, Tolerance(max(tol.eps * 100, 1e-8)))
-    if not rep.is_pvm:
-        raise ValueError(
-            f"spectrum is not contained in the c-th roots of unity: {rep.residuals()}"
-        )
+    failed = check_measurement(out, Tolerance(max(tol.eps * 100, 1e-8))).failures()
+    if failed:
+        raise ValueError(f"spectrum is not contained in the c-th roots of unity: {failed}")
     return out
 
 
-@dataclass(frozen=True)
-class RoundingReport:
-    """Input defects and rounding quality for round_almost_pvm."""
-
-    overlap_defect: float
-    idempotency_defect: float
-    sum_defect: float
-    max_distance_2norm: float
-
-
-def round_almost_pvm(
-    ops, tol: Tolerance = DEFAULT_TOL
-) -> tuple[list[np.ndarray], RoundingReport]:
+def round_almost_pvm(ops) -> tuple[list[np.ndarray], float]:
     """Round a family of almost-projections to an exact PVM.
 
     Spectral rounding of the outcome-weighted sum A = sum_a (a+1) P_a: each
     eigenvalue is rounded to the nearest integer clamped to {1..c} and Q_a is
-    the corresponding eigenprojection.  Succeeds on finite input; the quality is the
-    reported max operator-norm distance to the input.
+    the corresponding eigenprojection.  Succeeds on finite input; returns the
+    projections and their max operator-norm distance to the input, the
+    quality of the rounding.
     """
-    mats = [as_matrix(p) for p in ops]
-    if not mats:
-        raise ValueError("need at least one operator")
-    c = len(mats)
-    defects = check_measurement(mats, tol)
-
-    weighted = sum((a + 1) * ((p + p.conj().T) / 2) for a, p in enumerate(mats))
+    stack = square_stack(ops)
+    c = len(stack)
+    weighted = sum((a + 1) * ((p + p.conj().T) / 2) for a, p in enumerate(stack))
     w, v = hermitian_eig(weighted, Tolerance(1e-6))
     labels = np.clip(np.rint(w).astype(int), 1, c)
     out = []
@@ -410,14 +394,8 @@ def round_almost_pvm(
         cols = v[:, labels == a]
         out.append(cols @ cols.conj().T)
 
-    dist = np.linalg.norm(np.stack(out) - np.stack(mats), ord=2, axis=(-2, -1))
-    report = RoundingReport(
-        overlap_defect=defects.orthogonality_defect,
-        idempotency_defect=defects.idempotency_defect,
-        sum_defect=defects.sum_defect,
-        max_distance_2norm=worst_residual(dist)[0],
-    )
-    return out, report
+    dist = np.linalg.norm(np.stack(out) - stack, ord=2, axis=(-2, -1))
+    return out, worst_residual(dist)[0]
 
 
 def bob_from_alice(strategy: BlockStrategy) -> TensorStrategy:

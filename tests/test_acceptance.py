@@ -66,7 +66,7 @@ def test_criterion_01_teleport_coloring():
         s = teleport_coloring(d, k)
         assert s.c == k * k
         rep = s.measurement_report(Tolerance(1e-10))
-        assert rep.is_pvm, (d, k, rep.residuals())
+        assert rep.passed, (d, k, rep.failures())
         alg = VnAlgebra(n=d * k, blocks=((d, k),))
         inst = GameInstance(source=complete_quantum_graph(alg), target=K(k * k))
         game = verify_structural(inst, s, Tolerance(1e-10))
@@ -173,7 +173,7 @@ def test_criterion_06_dilation():
             q = random_povm(rng, n * h, c)
             dil = dilate_block_povm(q, n=n, h=h, tol=Tolerance(1e-10))
             rep = check_measurement(dil, Tolerance(1e-10))
-            assert rep.is_pvm
+            assert rep.passed
             for p, qq in zip(dil, q):
                 assert np.linalg.norm(corner_compress(p, n, c, h) - qq) <= 1e-10
     report(6, "dilation: corner recovery and exact PVM at 1e-10 on 50 random POVMs")
@@ -350,7 +350,7 @@ def test_criterion_09_bisynchronicity():
             projections=tuple(matrix_unit(n, a, a) for a in range(n)),
         )
         p = compress_to_classical(correlation_from_trace(s))
-        assert check_bisynchronous(p, Tolerance(1e-12))
+        assert check_bisynchronous(p, Tolerance(1e-12)).passed
     constant = BlockStrategy(
         n=2,
         c=2,
@@ -359,7 +359,7 @@ def test_criterion_09_bisynchronicity():
     )
     x = correlation_from_trace(constant)
     assert check_synchronous(x).synchronous
-    assert not check_bisynchronous(compress_to_classical(x))
+    assert not check_bisynchronous(compress_to_classical(x)).passed
     report(9, "diagonal colorings bisynchronous; constant answers synchronous only")
 
 
@@ -369,8 +369,8 @@ def test_criterion_10_rounding():
         size = int(rng.integers(2, 9))
         c = int(rng.integers(2, 5))
         pvm = random_pvm(rng, size, c)
-        rounded, rep = round_almost_pvm(pvm)
-        assert rep.max_distance_2norm <= 1e-12
+        rounded, distance = round_almost_pvm(pvm)
+        assert distance <= 1e-12
     for _ in range(100):
         size = int(rng.integers(2, 17))
         c = int(rng.integers(2, 5))
@@ -379,9 +379,9 @@ def test_criterion_10_rounding():
         for p in pvm:
             noise = rand_hermitian(rng, size)
             noisy.append(p + 1e-3 * noise / np.linalg.norm(noise))
-        rounded, rep = round_almost_pvm(noisy)
-        assert check_measurement(rounded, Tolerance(1e-12)).is_pvm
-        assert rep.max_distance_2norm <= 5e-2
+        rounded, distance = round_almost_pvm(noisy)
+        assert check_measurement(rounded, Tolerance(1e-12)).passed
+        assert distance <= 5e-2
     report(10, "rounding: identity on exact PVMs (1e-12); 2-norm <= 5e-2 on 1e-3 noise")
 
 

@@ -62,7 +62,15 @@ from qgraph.graphs import (
     edge_basis,
 )
 from qgraph.homgame import _nonadjacent, _sandwich, _subset_residual
-from qgraph.linalg import Check, canonical_shuffle, hermitian_eig, hs_norm, matrix_unit, worst_residual
+from qgraph.linalg import (
+    POVM_CHECKS,
+    Check,
+    canonical_shuffle,
+    hermitian_eig,
+    hs_norm,
+    matrix_unit,
+    worst_residual,
+)
 from qgraph.serialize import matrix_from_json
 from qgraph.strategies import _worst_star_commutator
 
@@ -173,9 +181,10 @@ def test_check_bisynchronous_fails_on_nan():
     # p(a, b | x, y) = 1/2 when (a == b) == (x == y): bisynchronous.
     same = np.eye(2, dtype=bool)
     p = np.where(same[:, :, None, None] == same[None, None], 0.5, 0.0)
-    assert check_bisynchronous(ClassicalCorrelation(n=2, c=2, p=p))
+    assert check_bisynchronous(ClassicalCorrelation(n=2, c=2, p=p)).passed
     p[0, 1, 0, 0] = np.nan
-    assert not check_bisynchronous(ClassicalCorrelation(n=2, c=2, p=p))
+    rep = check_bisynchronous(ClassicalCorrelation(n=2, c=2, p=p))
+    assert not rep.passed and rep.check("synchronous").witness == {"a": 0, "b": 1, "x": 0}
 
 
 @pytest.mark.parametrize(
@@ -283,14 +292,8 @@ def _reference_adjacency(inst, strategy, tol):
 def reference_structural(inst, strategy, tol):
     out = {}
     rep = strategy.measurement_report(tol)
-    pvm_residual = max(
-        rep.hermitian_defect,
-        max(0.0, -rep.min_eigenvalue),
-        rep.sum_defect,
-        rep.idempotency_defect,
-        rep.orthogonality_defect,
-    )
-    out["pvm"] = (rep.is_pvm, pvm_residual, None, {})
+    pvm_residual = max(c.max_residual for c in rep.checks)
+    out["pvm"] = (rep.passed, pvm_residual, None, {})
     block_defect = strategy.ancilla_block_defect()
     out["ancilla_blocks"] = (block_defect <= tol.eps, block_defect, None, {})
     eye = np.eye(strategy.ancilla.dim)
@@ -503,7 +506,7 @@ def test_verifiers_match_reference_loops(label, g, target, s, wins):
 @pytest.mark.parametrize("label, g, target, s, wins", CASES, ids=[c[0] for c in CASES])
 def test_operational_amplitude_squared_is_the_probability_on_pvms(label, g, target, s, wins):
     tol = Tolerance()
-    assert s.measurement_report(tol).is_pvm
+    assert s.measurement_report(tol).passed
     inst = GameInstance(source=g, target=target)
     report = verify_operational(inst, s, tol)
     probability = reference_operational(inst, s, tol)
@@ -749,18 +752,21 @@ def test_check_measurement_matches_reference_loop(label, ops):
     tol = Tolerance()
     is_povm, is_pvm, residuals = reference_check_measurement(ops, tol)
     rep = check_measurement(ops, tol)
-    assert (rep.is_povm, rep.is_pvm) == (is_povm, is_pvm)
-    for name, value in rep.residuals().items():
-        assert abs(value - residuals[name]) <= 1e-12, name
+    assert (not rep.failures(POVM_CHECKS), rep.passed) == (is_povm, is_pvm)
+    residuals["positivity"] = max(0.0, -residuals.pop("min_eigenvalue"))
+    assert [c.name for c in rep.checks] == ["hermitian", "positivity", "sum", "idempotency", "orthogonality"]
+    for check in rep.checks:
+        assert abs(check.max_residual - residuals[check.name]) <= 1e-12, check.name
 
 
 @pytest.mark.parametrize("hermitian", [True, False])
 @pytest.mark.parametrize("label, s", KERNEL_CASES, ids=[c[0] for c in KERNEL_CASES])
 def test_round_almost_pvm_matches_reference_defects(label, s, hermitian):
     ops = _noisy(np.random.default_rng(2024), s.projections, 1e-3, hermitian)
-    rounded, rep = round_almost_pvm(ops)
+    rounded, distance = round_almost_pvm(ops)
     reference = reference_rounding_defects(ops, rounded)
-    got = (rep.overlap_defect, rep.idempotency_defect, rep.sum_defect, rep.max_distance_2norm)
+    rep = check_measurement(ops)
+    got = [rep.check(name).max_residual for name in ("orthogonality", "idempotency", "sum")] + [distance]
     assert np.abs(np.subtract(got, reference)).max() <= 1e-12
 
 
@@ -795,8 +801,8 @@ def test_compose_relations_match_reference_loop(label, c, f):
     rows = [check_measurement(row, tol) for row in f]
     cols = [check_measurement(col, tol) for col in zip(*f)]
     residuals = [
-        max(m.hermitian_defect, m.idempotency_defect, m.sum_defect) for m in rows
-    ] + [m.orthogonality_defect for m in cols]
+        max(m.check(name).max_residual for name in ("hermitian", "idempotency", "sum")) for m in rows
+    ] + [m.check("orthogonality").max_residual for m in cols]
     assert abs(max(residuals) - worst) <= 1e-12
     strategy = random_block_strategy(np.random.default_rng(2026), 2, c, (1,))
     ancilla = TracialAncilla.full_matrix_block(len(f[0][0]))
@@ -887,12 +893,16 @@ CLASSICAL_CORRELATION_CASES = list(classical_correlation_cases())
     "label, p", CLASSICAL_CORRELATION_CASES, ids=[c[0] for c in CLASSICAL_CORRELATION_CASES]
 )
 def test_bisync_matches_reference_loops(label, p):
-    worst = max(reference_bisync(p))
-    assert check_bisynchronous(p, Tolerance()) == (worst <= Tolerance().eps)
+    residuals = dict(zip(("synchronous", "bisynchronous"), reference_bisync(p)))
+    worst = max(residuals.values())
+    rep = check_bisynchronous(p, Tolerance())
+    assert rep.passed == (worst <= Tolerance().eps)
+    for check in rep.checks:
+        assert abs(check.max_residual - residuals[check.name]) <= 1e-12, check.name
     # The verdict flips within 1e-12 of the reference residual.
-    assert check_bisynchronous(p, Tolerance(worst + 1e-12))
+    assert check_bisynchronous(p, Tolerance(worst + 1e-12)).passed
     if worst > 2e-12:
-        assert not check_bisynchronous(p, Tolerance(worst - 1e-12))
+        assert not check_bisynchronous(p, Tolerance(worst - 1e-12)).passed
 
 
 def rigidity_cases():

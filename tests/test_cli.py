@@ -39,7 +39,7 @@ def test_color_then_verify_roundtrip(tmp_path, m2_graph_file, capsys):
     strat_path = str(tmp_path / "strategy.json")
     assert main(["color", "--method", "teleport", "--d", "1", "--k", "2", "--out", strat_path]) == 0
     doc = read(strat_path)
-    assert doc["pvm"] and doc["colors"] == 4
+    assert doc["pass"] and doc["colors"] == 4
 
     inner = write(tmp_path, "inner.json", doc["strategy"])
     code = main(
@@ -96,7 +96,9 @@ def test_dilate_command(tmp_path, capsys):
     path = write(tmp_path, "povm.json", {"n": 2, "h": 2, "ops": [matrix_to_json(q) for q in povm]})
     assert main(["dilate", path]) == 0
     out = json.loads(capsys.readouterr().out)
-    assert out["pvm"] and out["corner_residual"] < 1e-10
+    assert out["pass"]
+    corner = out["checks"][-1]
+    assert corner["name"] == "corner" and corner["max_residual"] < 1e-10
 
 
 def test_round_pvm_command(tmp_path, capsys):
@@ -108,6 +110,19 @@ def test_round_pvm_command(tmp_path, capsys):
     assert main(["round-pvm", path]) == 0
     out = json.loads(capsys.readouterr().out)
     assert len(out["projections"]) == 2
+    failed = [c["name"] for c in out["input"]["checks"] if not c["pass"]]
+    assert failed == ["idempotency", "orthogonality"] and abs(out["max_distance_2norm"] - 0.5) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "ops, pointer",
+    [([np.eye(2), np.eye(3)], "/ops/1"), ([np.ones((1, 3))], "/ops/0")],
+    ids=["two sizes", "1x3"],
+)
+def test_round_pvm_refuses_ops_of_other_shapes_with_pointer(tmp_path, capsys, ops, pointer):
+    path = write(tmp_path, "ops.json", {"ops": [matrix_to_json(m) for m in ops]})
+    assert main(["round-pvm", path]) == 2
+    assert json.loads(capsys.readouterr().err)["pointer"] == pointer
 
 
 def test_correlation_paths_agree(tmp_path, capsys):
@@ -154,7 +169,8 @@ def test_embed_and_bisync(tmp_path, capsys):
     cls_path = str(tmp_path / "cls.json")
     assert main(["compress", corr_path, "--out", cls_path]) == 0
     assert main(["bisync", cls_path]) == 0
-    assert json.loads(capsys.readouterr().out)["bisynchronous"]
+    out = json.loads(capsys.readouterr().out)
+    assert out["pass"] and [c["name"] for c in out["checks"]] == ["synchronous", "bisynchronous"]
 
 
 def test_extract_channel_command(tmp_path, m2_graph_file, capsys):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import rand_hermitian, rand_unitary, random_block_strategy
+from helpers import rand_unitary, random_block_strategy
 from qgraph import (
     BlockStrategy,
     ClassicalGraph,
@@ -18,6 +18,7 @@ from qgraph import (
     verify_operational,
     verify_structural,
 )
+from qgraph.algebra import algebra_basis
 from qgraph.colorings import complete_quantum_graph, diagonal_strategy
 from qgraph.linalg import matrix_unit
 
@@ -129,24 +130,30 @@ class TestVerifyOperational:
         assert extract_channel(inst, s).num_kraus == 3
 
 
+@pytest.mark.parametrize(
+    "blocks", [((1, 3),), ((1, 2),), ((2, 2),), ((1, 2), (1, 3))], ids=["M_3", "M_2", "I_2xM_2", "M_2+M_3"]
+)
 class TestModesAgreeOnSmallViolations:
     """Rotating a winning PVM by exp(i delta H), with H in M (x) B(A), keeps it
     an exact PVM in M (x) B(A) and breaks only the adjacency relation, by an
     amount linear in delta.  Every mode sees it on one scale."""
 
     @staticmethod
-    def rotated_m3_coloring(delta):
-        alg = VnAlgebra(n=3, blocks=((1, 3),))  # M = M_3, so M (x) B(A) is everything
+    def rotated_coloring(blocks, delta):
+        alg = VnAlgebra(n=sum(m * k for m, k in blocks), blocks=blocks)
         s = shift_multiply_coloring(alg)
-        h = rand_hermitian(np.random.default_rng(61), s.n * s.ancilla.dim)
-        w, v = np.linalg.eigh(h / np.linalg.norm(h))
+        rng, d = np.random.default_rng(61), s.ancilla.dim
+        # sum_i b_i (x) R_i over a basis b_i of M, Hermitised, lies in M (x) B(A).
+        h = sum(np.kron(b, rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+                for b in algebra_basis(alg))
+        w, v = np.linalg.eigh((h + h.conj().T) / np.linalg.norm(h + h.conj().T))
         u = (v * np.exp(1j * delta * w)) @ v.conj().T
         rotated = tuple(u @ p @ u.conj().T for p in s.projections)
         strategy = BlockStrategy(n=s.n, c=s.c, ancilla=s.ancilla, projections=rotated)
         return GameInstance(source=complete_quantum_graph(alg), target=K(s.c)), strategy
 
-    def test_every_mode_fails_on_the_adjacency_relation_at_1e_6(self):
-        inst, s = self.rotated_m3_coloring(1e-6)
+    def test_every_mode_fails_on_the_adjacency_relation_at_1e_6(self, blocks):
+        inst, s = self.rotated_coloring(blocks, 1e-6)
         reports = {
             "structural": verify_structural(inst, s),
             "operational": verify_operational(inst, s),
@@ -163,8 +170,8 @@ class TestModesAgreeOnSmallViolations:
             assert report.check(adjacency[mode]).witness is not None, mode
         assert reports["structural"].check("membership").passed
 
-    def test_every_mode_passes_at_1e_12(self):
-        inst, s = self.rotated_m3_coloring(1e-12)
+    def test_every_mode_passes_at_1e_12(self, blocks):
+        inst, s = self.rotated_coloring(blocks, 1e-12)
         assert verify_structural(inst, s).passed
         assert verify_operational(inst, s).passed
         assert check_game_algebra_rep(inst, s).passed
@@ -295,7 +302,7 @@ class TestComposeReps:
         composed = compose_reps(s, f, anc)
         assert composed.ancilla.dim == s.ancilla.dim * anc.dim
         assert composed.projections[0].shape == (2 * 2 * 2, 2 * 2 * 2)
-        assert composed.measurement_report().is_pvm
+        assert composed.measurement_report().passed
 
     def test_bad_relations_rejected(self):
         s = teleport_coloring(1, 2)

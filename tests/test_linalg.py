@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from helpers import rand_hermitian, random_pvm
 from qgraph import Tolerance, canonical_shuffle, check_measurement, hs_inner, partial_trace
-from qgraph.linalg import hermitian_eig, matrix_unit, psd_sqrt, unit_root_power
+from qgraph.linalg import POVM_CHECKS, hermitian_eig, matrix_unit, psd_sqrt, unit_root_power
 
 
 def test_tolerance_positive():
@@ -78,7 +78,7 @@ class TestCanonicalShuffle:
         rng = np.random.default_rng(3)
         pvm = random_pvm(rng, 12, 3)
         shuffled = [canonical_shuffle(p, 3, 4) for p in pvm]
-        assert check_measurement(shuffled).is_pvm
+        assert check_measurement(shuffled).passed
         for p, s in zip(pvm, shuffled):
             assert np.trace(s) == pytest.approx(np.trace(p))
 
@@ -134,19 +134,39 @@ class TestCheckMeasurement:
                 vecs.append(v)
         projs = [np.outer(v, v.conj()) for v in vecs]
         rep = check_measurement(projs, Tolerance(1e-12))
-        assert rep.is_pvm
-        assert max(rep.residuals().values()) < 1e-12 or rep.min_eigenvalue >= -1e-12
+        assert rep.passed
+        assert max(c.max_residual for c in rep.checks) < 1e-12
 
     def test_povm_not_pvm(self):
         rep = check_measurement([np.eye(2) / 2, np.eye(2) / 2])
-        assert rep.is_povm and not rep.is_pvm
+        assert not rep.failures(POVM_CHECKS) and not rep.passed
 
     def test_tolerance_breach(self):
         p1 = matrix_unit(2, 0, 0)
         p2 = matrix_unit(2, 1, 1)
         p1 = p1 + 1e-6 * matrix_unit(2, 0, 0)
         rep = check_measurement([p1, p2], Tolerance(1e-9))
-        assert not rep.is_pvm
+        assert not rep.passed
+
+    @pytest.mark.parametrize(
+        "name, a, change, witness",
+        [
+            ("hermitian", 1, 1e-3 * matrix_unit(3, 1, 2), {"a": 1}),
+            ("positivity", 2, -1e-3 * matrix_unit(3, 0, 0), {"a": 2}),
+            ("idempotency", 0, matrix_unit(3, 0, 0), {"a": 0}),
+            ("orthogonality", 2, matrix_unit(3, 1, 1), {"a": 1, "b": 2}),
+        ],
+    )
+    def test_each_check_names_the_offending_operator_or_pair(self, name, a, change, witness):
+        ps = [matrix_unit(3, b, b) for b in range(3)]
+        assert check_measurement(ps).passed
+        ps[a] = ps[a] + change
+        check = check_measurement(ps).check(name)
+        assert not check.passed and check.witness == witness
+
+    def test_report_has_no_truth_value(self):
+        with pytest.raises(TypeError):
+            assert check_measurement([np.eye(2)])
 
     def test_errors(self):
         with pytest.raises(ValueError):

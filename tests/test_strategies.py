@@ -98,7 +98,7 @@ class TestDilatePovm:
         dil = dilate_povm([np.array([[0.5]]), np.array([[0.5]])])
         assert dil[0][0, 0] == pytest.approx(0.5)
         assert dil[1][0, 0] == pytest.approx(0.5)
-        assert check_measurement(dil).is_pvm
+        assert check_measurement(dil).passed
 
     def test_pvm_input_corners_exact(self):
         pvm = [np.diag([1.0, 0, 0]).astype(complex), np.diag([0.0, 1, 1]).astype(complex)]
@@ -112,13 +112,13 @@ class TestDilatePovm:
         dil = dilate_povm(povm)
         assert dil[0].shape == (5 * 3, 5 * 3)
         rep = check_measurement(dil)
-        assert rep.is_pvm
-        assert rep.sum_defect <= 1e-10
+        assert rep.passed
+        assert rep.check("sum").max_residual <= 1e-10
 
     def test_single_output(self):
         dil = dilate_povm([np.eye(2, dtype=complex)])
         assert dil[0].shape == (4, 4)
-        assert check_measurement(dil).is_pvm
+        assert check_measurement(dil).passed
         np.testing.assert_allclose(dil[0][:2, :2], np.eye(2), atol=1e-14)
 
     def test_rejects_non_povm(self):
@@ -140,7 +140,7 @@ class TestDilateBlockPovm:
             for c in (2, 3):
                 povm = random_povm(rng, n * h, c)
                 dil = dilate_block_povm(povm, n=n, h=h)
-                assert check_measurement(dil, Tolerance(1e-10)).is_pvm
+                assert check_measurement(dil, Tolerance(1e-10)).passed
                 for p, q in zip(dil, povm):
                     assert np.linalg.norm(corner_compress(p, n, c, h) - q) <= 1e-10
 
@@ -184,32 +184,32 @@ class TestRoundAlmostPvm:
     def test_identity_on_exact(self):
         rng = np.random.default_rng(28)
         pvm = random_pvm(rng, 6, 3)
-        rounded, rep = round_almost_pvm(pvm)
+        rounded, distance = round_almost_pvm(pvm)
         for p, q in zip(pvm, rounded):
             assert np.linalg.norm(q - p, ord=2) <= 1e-12
-        assert rep.max_distance_2norm <= 1e-12
+        assert distance <= 1e-12
 
     def test_output_exact_pvm(self):
         rng = np.random.default_rng(29)
         pvm = random_pvm(rng, 8, 3)
         noisy = [p + 1e-3 * rand_hermitian(rng, 8) for p in pvm]
         rounded, _ = round_almost_pvm(noisy)
-        assert check_measurement(rounded, Tolerance(1e-12)).is_pvm
+        assert check_measurement(rounded, Tolerance(1e-12)).passed
 
     def test_retraction(self):
         rng = np.random.default_rng(30)
         pvm = random_pvm(rng, 6, 2)
         noisy = [p + 1e-3 * rand_hermitian(rng, 6) for p in pvm]
         once, _ = round_almost_pvm(noisy)
-        twice, rep = round_almost_pvm(once)
-        assert rep.max_distance_2norm <= 1e-12
+        twice, distance = round_almost_pvm(once)
+        assert distance <= 1e-12
         for p, q in zip(once, twice):
             np.testing.assert_allclose(p, q, atol=1e-12)
 
     def test_defects_reported(self):
-        _, rep = round_almost_pvm([np.eye(2) / 2, np.eye(2) / 2])
-        assert rep.idempotency_defect > 0.1
-        assert rep.sum_defect <= 1e-14
+        rep = check_measurement([np.eye(2) / 2, np.eye(2) / 2])
+        assert rep.check("idempotency").max_residual > 0.1
+        assert rep.check("sum").max_residual <= 1e-14
 
 
 class TestBobFromAlice:
@@ -263,4 +263,4 @@ class TestBobFromAlice:
         rng = np.random.default_rng(33)
         s = random_block_strategy(rng, 2, 3, (2,))
         ts = bob_from_alice(s)
-        assert check_measurement(ts.bob).is_pvm
+        assert check_measurement(ts.bob).passed
