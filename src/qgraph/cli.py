@@ -74,8 +74,27 @@ def _load_json(path: str):
         raise SchemaError(path, f"invalid JSON: {exc}")
 
 
+def _dumps(obj, indent: str = "") -> str:
+    """Strict JSON text of a report, with sorted keys.
+
+    Objects, and arrays that hold an object, put one entry per line at a
+    two-space indent.  Every other value, numeric arrays included, is one
+    line from json's C encoder: json.dumps with an indent runs its
+    pure-Python encoder, one call per nested array.
+    """
+    inner = indent + "  "
+    if isinstance(obj, dict) and obj:
+        items = [f"{inner}{json.dumps(k)}: {_dumps(obj[k], inner)}" for k in sorted(obj)]
+    elif isinstance(obj, list) and any(isinstance(v, dict) for v in obj):
+        items = [inner + _dumps(v, inner) for v in obj]
+    else:
+        return json.dumps(obj, separators=(",", ":"), sort_keys=True, allow_nan=False)
+    opening, closing = ("{", "}") if isinstance(obj, dict) else ("[", "]")
+    return opening + "\n" + ",\n".join(items) + "\n" + indent + closing
+
+
 def _emit(report, out_path: str | None):
-    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+    text = _dumps(report)
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text + "\n")

@@ -249,9 +249,13 @@ def check_measurement(ops, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
     """
     stack = square_stack(ops)
     adjoint = stack.conj().transpose(0, 2, 1)
-    lowest = np.linalg.eigvalsh((stack + adjoint) / 2).min(axis=-1)
-    # +0.0 for a zero eigenvalue of either sign; NaN fails the comparison and reads as inf.
-    negativity = np.where(lowest >= 0.0, 0.0, -lowest)
+    # eigvalsh returns finite eigenvalues for some NaN matrices ([0, -0] for
+    # [[nan, 0], [0, 1]]), so an operator with a non-finite entry reads as inf
+    # and only finite operators reach it.
+    finite = np.isfinite(stack).all(axis=(-2, -1))
+    lowest = np.linalg.eigvalsh(np.where(finite[:, None, None], (stack + adjoint) / 2, 0.0)).min(axis=-1)
+    # +0.0 for a zero eigenvalue of either sign.
+    negativity = np.where(finite, np.where(lowest >= 0.0, 0.0, -lowest), np.inf)
     distinct = ~np.eye(len(stack), dtype=bool)
     rows = [np.linalg.norm(p @ stack, axis=(-2, -1)) for p in stack]  # one row a at a time
     return CheckReport(

@@ -7,6 +7,7 @@ import pytest
 
 from helpers import random_block_strategy, random_povm
 from qgraph import ClassicalGraph, VnAlgebra, graph_operator_system
+from qgraph import cli
 from qgraph.cli import main
 from qgraph.colorings import complete_quantum_graph
 from qgraph.serialize import (
@@ -388,3 +389,97 @@ def test_array_loaders_reject_non_numbers(tmp_path, capsys, argv, example, key, 
     doc[key] = json.loads(text)
     assert main(argv + [write(tmp_path, example, doc)]) == 2
     assert json.loads(capsys.readouterr().err)["pointer"] == "/" + key
+
+
+# Every verb that writes a report, run on the example files (each ".json" names
+# one); every case exits 0, so the example strategy and map compose.
+EMIT_CASES = [
+    ["validate", "quantum_graph.json"],
+    ["validate", "quantum_graph.json", "quantum_graph.json"],
+    ["edge-basis", "quantum_graph.json"],
+    ["dilate", "povm.json"],
+    ["round-pvm", "almost_pvm.json"],
+    ["color", "--method", "teleport", "--d", "1", "--k", "2"],
+    ["color", "--method", "shift-multiply", "--algebra", "algebra.json"],
+    ["verify-hom", "--graph", "quantum_graph.json", "--complete", "4", "--strategy", "strategy.json"],
+    ["verify-hom", "--graph", "quantum_graph.json", "--complete", "4", "--strategy", "strategy.json",
+     "--mode", "algebra"],
+    ["correlation", "--strategy", "strategy.json"],
+    ["correlation", "--from", "tensor", "--strategy", "strategy.json"],
+    ["check-sync", "correlation.json"],
+    ["identities", "correlation.json"],
+    ["compress", "correlation.json"],
+    ["embed", "families.json"],
+    ["bisync", "classical_correlation.json"],
+    ["extract-channel", "--graph", "quantum_graph.json", "--complete", "4", "--strategy", "strategy.json"],
+    ["compose", "--strategy", "strategy.json", "--map", "hom_map.json", "--graph", "quantum_graph.json"],
+    ["bounds", "quantum_graph.json"],
+    ["rigidity", "--algebra", "algebra.json", "--strategy", "strategy.json"],
+    ["classical-chromatic", "classical_graph.json"],
+]
+
+
+def _example_args(argv):
+    return [str(EXAMPLES / a) if a.endswith(".json") else a for a in argv]
+
+
+def _layout_reference(report) -> str:
+    """The report as the stdlib's indented encoder writes it, each array that
+    holds no object put back on one line with no spaces."""
+    arrays = []
+
+    def mark(v):
+        if isinstance(v, dict):
+            return {k: mark(x) for k, x in v.items()}
+        if isinstance(v, list) and any(isinstance(x, dict) for x in v):
+            return [mark(x) for x in v]
+        if isinstance(v, list):
+            arrays.append(json.dumps(v, separators=(",", ":")))
+            return f"@array{len(arrays) - 1}@"
+        return v
+
+    text = json.dumps(mark(report), indent=2, sort_keys=True)
+    return re.sub(r'"@array(\d+)@"', lambda m: arrays[int(m.group(1))], text)
+
+
+@pytest.mark.parametrize("argv", EMIT_CASES, ids=" ".join)
+def test_emitter_matches_the_indented_encoder(monkeypatch, capsys, argv):
+    emitted = []
+    emit = cli._emit
+    monkeypatch.setattr(cli, "_emit", lambda report, out: emitted.append(report) or emit(report, out))
+    assert main(_example_args(argv)) == 0
+    out = capsys.readouterr().out
+    (report,) = emitted
+    # The same JSON value as the indented encoder it replaces ...
+    assert json.loads(out) == json.loads(json.dumps(report, indent=2, sort_keys=True))
+    # ... in its layout: sorted keys and one object entry per line, with
+    # numeric arrays on a single line.
+    assert out == _layout_reference(report) + "\n"
+
+
+def test_emitter_layout_by_hand():
+    report = {"b": [[1.0, 2.5], [3, 4]], "a": [{"y": 1, "x": None}], "c": {}, "d": [], "e": "s"}
+    assert cli._dumps(report) == (
+        '{\n  "a": [\n    {\n      "x": null,\n      "y": 1\n    }\n  ],\n'
+        '  "b": [[1.0,2.5],[3,4]],\n  "c": {},\n  "d": [],\n  "e": "s"\n}'
+    )
+
+
+@pytest.mark.parametrize("source", ["trace", "tensor"])
+def test_non_finite_entry_of_a_numeric_array_exits_1_without_output(tmp_path, capsys, source):
+    # Finite input whose correlation overflows: X cannot be strict JSON.
+    sdoc = {
+        "n": 2,
+        "c": 4,
+        "ancilla": {"block_dims": [1], "trace_weights": [1.0]},
+        "projections": [matrix_to_json(1e200 * np.eye(2))] * 4,
+    }
+    spath = write(tmp_path, "big.json", sdoc)
+    out_path = tmp_path / "x.json"
+    for extra in ([], ["--out", str(out_path)]):
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["correlation", "--from", source, "--strategy", spath] + extra) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error" in json.loads(captured.err)
+    assert not out_path.exists()

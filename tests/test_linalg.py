@@ -164,6 +164,15 @@ class TestCheckMeasurement:
         check = check_measurement(ps).check(name)
         assert not check.passed and check.witness == witness
 
+    @pytest.mark.parametrize("a", [0, 1])
+    def test_nan_operator_fails_positivity(self, a):
+        # eigvalsh gives [0, -0] for [[nan, 0], [0, 1]], which would pass at 0.0.
+        ps = [matrix_unit(2, 0, 0), matrix_unit(2, 1, 1)]
+        ps[a] = ps[a].astype(complex)
+        ps[a][0, 0] = np.nan
+        check = check_measurement(ps).check("positivity")
+        assert not check.passed and check.max_residual == np.inf and check.witness == {"a": a}
+
     def test_report_has_no_truth_value(self):
         with pytest.raises(TypeError):
             assert check_measurement([np.eye(2)])
