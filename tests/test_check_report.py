@@ -72,7 +72,7 @@ from qgraph.linalg import (
     worst_residual,
 )
 from qgraph.serialize import matrix_from_json
-from qgraph.strategies import _worst_star_commutator
+from qgraph.strategies import _star_commutator_norm
 
 K = ClassicalGraph.complete
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -328,21 +328,23 @@ def reference_outcome_probability(strategy, y, tol):
 
 
 def reference_is_loc(strategy, tol):
-    """The pairwise loop of is_loc; returns (verdict, worst residual)."""
+    """The pairwise loop of is_loc before L(E), over x in E and y in E u E* for the
+    entries E; returns (its verdict, max |[x, y]|_F, sqrt(sum |[x, y]|_F^2))."""
     if strategy.ancilla.dim == 1:
-        return True, 0.0
+        return True, 0.0, 0.0
     ents = [
         strategy.entry(a, i, j)
         for a in range(strategy.c)
         for i in range(strategy.n)
         for j in range(strategy.n)
     ]
-    worst = 0.0
+    worst = squares = 0.0
     for x in ents:
         for y in ents:
-            worst = max(worst, hs_norm(x @ y - y @ x))
-            worst = max(worst, hs_norm(x @ y.conj().T - y.conj().T @ x))
-    return worst <= tol.eps, worst
+            for z in (y, y.conj().T):
+                norm = hs_norm(x @ z - z @ x)
+                worst, squares = max(worst, norm), squares + norm * norm
+    return worst <= tol.eps, worst, np.sqrt(squares)
 
 
 def reference_operational(inst, strategy, tol, basis=None):
@@ -535,15 +537,43 @@ def kernel_cases():
 KERNEL_CASES = list(kernel_cases())
 
 
+def assert_star_commutator_norm(ents, expected):
+    """L(E) within 1e-12 relative; on a commuting family both sides are rounding
+    noise, so the floor is 1e-12 of the scale sum |x|_F^2 that bounds L(E)."""
+    scale = float(np.vdot(ents, ents).real)
+    assert _star_commutator_norm(ents) == pytest.approx(expected, rel=1e-12, abs=1e-12 * scale)
+
+
 @pytest.mark.parametrize("label, s", KERNEL_CASES, ids=[c[0] for c in KERNEL_CASES])
 def test_is_loc_matches_reference_loop(label, s):
     tol = Tolerance()
-    loc, worst = reference_is_loc(s, tol)
+    loc, worst, total = reference_is_loc(s, tol)
     assert s.is_loc(tol) == loc
     assert loc == (label == "loc D=2" or s.ancilla.dim == 1)
-    if s.ancilla.dim > 1:
-        d = s.ancilla.dim
-        assert abs(_worst_star_commutator(s.entries().reshape(-1, d, d)) - worst) <= 1e-12
+    d = s.ancilla.dim
+    ents = s.entries().reshape(-1, d, d)
+    assert_star_commutator_norm(ents, total)
+    # The sum is never below the worst pair, nor above sqrt(2) N times it.
+    assert worst <= total * (1 + 1e-12) + 1e-15
+    assert total <= np.sqrt(2) * len(ents) * worst * (1 + 1e-12) + 1e-15
+
+
+@pytest.mark.parametrize("label, s", KERNEL_CASES, ids=[c[0] for c in KERNEL_CASES])
+def test_star_commutator_norm_in_one_row_chunks(monkeypatch, label, s):
+    d = s.ancilla.dim
+    ents = s.entries().reshape(-1, d, d)
+    whole = _star_commutator_norm(ents)
+    monkeypatch.setattr("qgraph.strategies._CHUNK_BYTES", 1)
+    assert_star_commutator_norm(ents, whole)
+
+
+@pytest.mark.parametrize("label, s", KERNEL_CASES, ids=[c[0] for c in KERNEL_CASES])
+def test_star_commutator_norm_is_invariant_under_unitary_mixing(label, s):
+    # L(E) depends on E only through its Gram matrix, so x_k -> sum_l U_kl x_l keeps it.
+    d = s.ancilla.dim
+    ents = s.entries().reshape(-1, d, d)
+    mix = rand_unitary(np.random.default_rng(2023), len(ents))
+    assert_star_commutator_norm(np.einsum("kl,lij->kij", mix, ents), _star_commutator_norm(ents))
 
 
 @pytest.mark.parametrize("label, s", KERNEL_CASES, ids=[c[0] for c in KERNEL_CASES])

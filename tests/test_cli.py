@@ -415,6 +415,7 @@ EMIT_CASES = [
     ["compose", "--strategy", "strategy.json", "--map", "hom_map.json", "--graph", "quantum_graph.json"],
     ["bounds", "quantum_graph.json"],
     ["rigidity", "--algebra", "algebra.json", "--strategy", "strategy.json"],
+    ["color", "--method", "abelian-loc", "--algebra", "abelian_algebra.json"],
     ["classical-chromatic", "classical_graph.json"],
 ]
 

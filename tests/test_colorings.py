@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helpers import rand_unitary
 from qgraph import (
     BlockStrategy,
     ClassicalGraph,
@@ -175,6 +176,22 @@ class TestRigidity:
         assert rigidity_check(teleport_coloring(1, 2), alg).model == "q"
         abelian = VnAlgebra(n=2, blocks=((1, 1), (1, 1)))
         assert rigidity_check(abelian_loc_coloring(abelian), abelian).model == "loc"
+
+    def test_loc_over_a_nontrivial_ancilla(self):
+        # C^3 (conjugated) coloured by its central projections, each tensored with
+        # 1_2 over the ancilla M_2: D = 2, so is_loc runs its kernel, not the D = 1 exit.
+        rng = np.random.default_rng(15)
+        alg = VnAlgebra(n=3, blocks=((1, 1),) * 3, unitary=rand_unitary(rng, 3))
+        scalar = abelian_loc_coloring(alg)
+        s = BlockStrategy(
+            n=3,
+            c=scalar.c,
+            ancilla=TracialAncilla.full_matrix_block(2),
+            projections=tuple(np.kron(p, np.eye(2)) for p in scalar.projections),
+        )
+        rep = rigidity_check(s, alg)
+        assert rep.model == "loc"
+        assert rep.passed()
 
 
 class TestChromaticBounds:

@@ -1,11 +1,15 @@
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from helpers import rand_hermitian, random_block_strategy, random_povm, random_pvm
+from helpers import rand_hermitian, rand_unitary, random_block_strategy, random_povm, random_pvm
 from qgraph import (
     BlockStrategy,
     TracialAncilla,
     Tolerance,
+    VnAlgebra,
     bob_from_alice,
     check_measurement,
     corner_compress,
@@ -13,6 +17,7 @@ from qgraph import (
     dilate_povm,
     pvm_to_unitary,
     round_almost_pvm,
+    shift_multiply_coloring,
     unitary_to_pvm,
 )
 from qgraph.linalg import matrix_unit
@@ -91,6 +96,41 @@ class TestBlockStrategy:
         p0[2, 2] = np.nan
         s = BlockStrategy(n=2, c=2, ancilla=anc, projections=(p0, np.eye(4) - p0))
         assert not s.is_loc()
+
+    def test_is_loc_fails_closed_on_nan_over_a_scalar_ancilla(self):
+        anc = TracialAncilla.trivial()
+        p0 = np.diag([1.0, 0.0]).astype(complex)
+        s = BlockStrategy(n=2, c=2, ancilla=anc, projections=(p0, np.eye(2) - p0))
+        assert s.is_loc()
+        p0[1, 1] = np.nan
+        s = BlockStrategy(n=2, c=2, ancilla=anc, projections=(p0, np.eye(2) - p0))
+        assert not s.is_loc()
+
+    def test_is_loc_fails_closed_on_inf(self):
+        # An inf entry must neither pass nor reach the SVD (no LinAlgError).
+        anc = TracialAncilla((1, 1))
+        p0 = np.diag([1.0, 0.0, 1.0, 0.0]).astype(complex)
+        p0[2, 2] = np.inf
+        s = BlockStrategy(n=2, c=2, ancilla=anc, projections=(p0, np.eye(4) - p0))
+        assert not s.is_loc()
+
+    def test_is_loc_scales_past_the_pair_scan(self):
+        # Conjugated M_2+M_3+M_4 shift-multiply colouring: N = 29 * 81 = 2349 entries
+        # of size D = 12.  A scan of every pair would take ~2e11 complex MACs.
+        rng = np.random.default_rng(14)
+        alg = VnAlgebra(n=9, blocks=((1, 2), (1, 3), (1, 4)), unitary=rand_unitary(rng, 9))
+        s = shift_multiply_coloring(alg)
+        assert (s.c * s.n * s.n, s.ancilla.dim) == (2349, 12)
+        start = time.perf_counter()
+        assert not s.is_loc()
+        assert time.perf_counter() - start < 1.0
+        tracemalloc.start()
+        try:
+            s.is_loc()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 << 20
 
 
 class TestDilatePovm:
