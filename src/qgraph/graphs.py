@@ -90,6 +90,13 @@ def validate(g: QuantumGraph, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
     return _memoized(g, "_validate_cache", tol, _compute_validation)
 
 
+def require_valid(g: QuantumGraph, tol: Tolerance = DEFAULT_TOL):
+    """Raise ValueError, naming the failed checks, when g fails validate."""
+    failed = validate(g, tol).failures()
+    if failed:
+        raise ValueError(f"quantum graph fails validation: {failed}")
+
+
 def _memoized(g: QuantumGraph, name: str, tol: Tolerance, compute):
     """compute(g, tol), stored on the (immutable) graph under name per tolerance."""
     cache = g.__dict__.setdefault(name, {})
@@ -161,9 +168,7 @@ def edge_basis(g: QuantumGraph, tol: Tolerance = DEFAULT_TOL) -> EdgeBasis:
 
 
 def _compute_edge_basis(g: QuantumGraph, tol: Tolerance) -> EdgeBasis:
-    failed = validate(g, tol).failures()
-    if failed:
-        raise ValueError(f"quantum graph fails validation: {failed}")
+    require_valid(g, tol)
 
     kblocks = g.algebra.k_blocks()
     perp = np.reshape(adjacency_subspace_basis(g), (-1, g.n, g.n))

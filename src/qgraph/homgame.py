@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import commutant
-from .graphs import SAME_VERTEX, ClassicalGraph, QuantumGraph, adjacency_subspace_basis, edge_basis
+from .graphs import ClassicalGraph, QuantumGraph, adjacency_subspace_basis, require_valid
 from .linalg import DEFAULT_TOL, Check, CheckReport, Tolerance, check_measurement, hs_norm, worst_residual
 from .strategies import BlockStrategy, TracialAncilla, times_input
 
@@ -53,29 +53,39 @@ def _nonadjacent(target: ClassicalGraph) -> np.ndarray:
     return np.array([[not target.adjacent(a, b) for b in range(c)] for a in range(c)], dtype=bool)
 
 
-def _sandwich(strategy: BlockStrategy, ys, mask: np.ndarray, weights=None) -> np.ndarray:
-    """|W P_a (Y (x) 1) P_b|_F over axes (a, b, Y) where the broadcast mask holds, else 0.
+def _sandwich(ps: np.ndarray, ys: np.ndarray, mask: np.ndarray, weights=None) -> np.ndarray:
+    """sqrt(sum_Y |W P_a (Y (x) 1) P_b|_F^2) for each pair (a, b) of the c x c mask, else 0.
 
-    W is the identity or diag(weights).  Taking one b at a time keeps every
-    array within the size of the stack of P_a (Y (x) 1).
+    For an HS-orthonormal (m, n, n) stack Y, the Hilbert-Schmidt norm of
+    Z -> W P_a (Z (x) 1) P_b on their span, whichever basis of it is given.
+    W is 1 or diag(weights).  One b at a time keeps every array within the
+    size of the stack of P_a (Y (x) 1).
     """
-    ps = np.stack(strategy.projections)
-    x = times_input(ps, np.reshape(ys, (-1, strategy.n, strategy.n)))  # axes (Y, a, row, column)
+    x = times_input(ps, ys)  # axes (Y, a, row, column)
     if weights is not None:
         x *= weights[:, None]
-    mask = np.broadcast_to(mask, (strategy.c, strategy.c, len(x)))
     out = np.zeros(mask.shape)
-    for b in range(strategy.c):
-        a, k = np.nonzero(mask[:, b])
-        out[a, b, k] = np.linalg.norm(x[k, a] @ ps[b], axis=(-2, -1))
+    for b in range(len(ps)):
+        (a,) = np.nonzero(mask[:, b])
+        out[a, b] = np.linalg.norm(np.linalg.norm(x[:, a] @ ps[b], axis=(-2, -1)), axis=0)
     return out
 
 
-def _adjacency_zeros(inst: GameInstance, strategy: BlockStrategy, tol: Tolerance, name: str) -> Check:
-    """P_a ((S n (M')perp) (x) 1) P_b = 0 for every non-adjacent pair, including a = b."""
-    nonadjacent = _nonadjacent(inst.target)[:, :, None]
-    residuals = _sandwich(strategy, adjacency_subspace_basis(inst.source), nonadjacent)
-    return Check.of(name, residuals, tol, "a", "b", "basis_index")
+def _adjacency(inst: GameInstance, ps: np.ndarray, weights=None) -> np.ndarray:
+    """The sandwich over S n (M')perp, on every non-adjacent pair, a = b included."""
+    g = inst.source
+    perp = np.reshape(adjacency_subspace_basis(g), (-1, g.n, g.n))
+    return _sandwich(ps, perp, _nonadjacent(inst.target), weights)
+
+
+def _forbidden_outcomes(inst: GameInstance, ps: np.ndarray, tol: Tolerance, weights=None) -> tuple:
+    """The sandwiches over M' (nothing for a traceless graph) on pairs a != b and over S n (M')perp
+    on non-adjacent pairs: the spans of the same-vertex and the adjacency edge-basis inputs of a
+    graph that passes validate."""
+    g = inst.source
+    require_valid(g, tol)
+    same = np.reshape([] if g.traceless else commutant(g.algebra), (-1, g.n, g.n))
+    return _sandwich(ps, same, ~np.eye(len(ps), dtype=bool), weights), _adjacency(inst, ps, weights)
 
 
 def verify_structural(
@@ -84,8 +94,9 @@ def verify_structural(
     """Winning-strategy conditions on the PVM itself.
 
     (i) the family is a PVM respecting the ancilla blocks, (ii) each P_a lies
-    in M (x) N (commutes with M' (x) 1), and (iii) P_a ((S n (M')perp) (x) 1)
-    P_b = 0 for every non-adjacent target pair, including a = b.
+    in M (x) N, by sqrt(sum_Z |[P_a, Z (x) 1]|_F^2) over an orthonormal basis
+    Z of M', and (iii) P_a ((S n (M')perp) (x) 1) P_b = 0 for every
+    non-adjacent target pair, including a = b, by the sandwich over that space.
     """
     _check_dims(inst, strategy)
     pvm = [c.max_residual for c in strategy.measurement_report(tol).checks]
@@ -94,13 +105,13 @@ def verify_structural(
     diff = times_input(ps, comm)
     # (Z (x) 1) P_a = (P_a^T (Z^T (x) 1))^T, with no copy for the transposes
     diff -= times_input(ps.swapaxes(-2, -1), comm.swapaxes(-2, -1)).swapaxes(-2, -1)
-    membership = np.linalg.norm(diff, axis=(-2, -1)).T  # axes (a, commutant_index)
+    membership = np.linalg.norm(np.linalg.norm(diff, axis=(-2, -1)), axis=0)
     return CheckReport(
         (
             Check.of("pvm", pvm, tol),
             Check.of("ancilla_blocks", strategy.ancilla_block_defect(), tol),
-            Check.of("membership", membership, tol, "a", "commutant_index"),
-            _adjacency_zeros(inst, strategy, tol, "adjacency_zeros"),
+            Check.of("membership", membership, tol, "a"),
+            Check.of("adjacency_zeros", _adjacency(inst, ps), tol, "a", "b"),
         )
     )
 
@@ -110,25 +121,21 @@ def verify_operational(
 ) -> CheckReport:
     """Winning-strategy conditions as vanishing forbidden outcome amplitudes.
 
-    The amplitude of outcome (a, b) on an edge-basis input Y is
-    |T^{1/2} P_a (Y (x) 1) P_b|_F, with T the diagonal of trace weights.
-    For a PVM it is sqrt(p(a,b)); for a POVM it vanishes exactly when p(a,b)
-    does.  Every same-vertex input must give 0 for a != b; every adjacency
-    input must give 0 for non-adjacent target pairs.  Equivalent to
+    The amplitude of outcome (a, b) on an input Y is |T^{1/2} P_a (Y (x) 1) P_b|_F, with T
+    the diagonal of trace weights: sqrt(p(a,b)) for a PVM.  Each rule reports
+    sqrt(sum_Y amplitude^2) over the edge-basis inputs Y of its tag, per pair it forbids:
+    a != b for same-vertex inputs, non-adjacent pairs for adjacency inputs.  Those inputs
+    are orthonormal bases of M' (the units W_k W_l*/sqrt(dim K_k)) and of S n (M')perp,
+    so the sums are taken over these spaces; the graph must pass validate.  Equivalent to
     verify_structural for PVM strategies with a faithful trace.
     """
     _check_dims(inst, strategy)
-    basis = edge_basis(inst.source, tol)
-    same = np.array([e.tag == SAME_VERTEX for e in basis.elements], dtype=bool)
-    distinct, nonadjacent = ~np.eye(strategy.c, dtype=bool), _nonadjacent(inst.target)
-    forbidden = np.where(same, distinct[:, :, None], nonadjacent[:, :, None])
     weights = np.sqrt(np.tile(strategy.ancilla.trace_diagonal(), strategy.n))
-    amplitudes = np.moveaxis(_sandwich(strategy, basis.matrices(), forbidden, weights), -1, 0)
-    axes = ("basis_index", "a", "b")
+    same, adjacency = _forbidden_outcomes(inst, np.stack(strategy.projections), tol, weights)
     return CheckReport(
         (
-            Check.of("same_vertex_rule", np.where(same[:, None, None], amplitudes, 0.0), tol, *axes),
-            Check.of("adjacency_rule", np.where(same[:, None, None], 0.0, amplitudes), tol, *axes),
+            Check.of("same_vertex_rule", same, tol, "a", "b"),
+            Check.of("adjacency_rule", adjacency, tol, "a", "b"),
         )
     )
 
@@ -159,7 +166,9 @@ def extract_channel(
     Projections must have spectrum within tol of {0,1}; eigenvectors above 1/2
     are kept, so the Kraus count is sum_a rank(P_a).  Also verifies the
     channel subset conditions: compressions of adjacency inputs land in
-    S_G n (D_c)perp, compressions of same-vertex inputs land in D_c.
+    S_G n (D_c)perp, compressions of same-vertex inputs land in D_c.  The
+    one entry of F_k (Y (x) 1) F_l* is <u_k, (Y (x) 1) u_l>, so the residual is
+    that of verify_operational, unweighted, for Q_a = sum_k u_{a,k} u_{a,k}*.
     """
     _check_dims(inst, strategy)
     failed = strategy.measurement_report(tol).failures()
@@ -186,7 +195,8 @@ def extract_channel(
         size * c, size * c
     )
 
-    worst = _subset_residual(inst, strategy, u, labels, tol)
+    q = np.stack([v @ v.conj().T for v in vectors])
+    worst = worst_residual(_forbidden_outcomes(inst, q, tol))[0]
     if worst > tol.eps:
         raise ValueError(f"channel subset conditions violated (residual {worst:.3e})")
     return ChannelRep(
@@ -197,26 +207,6 @@ def extract_channel(
     )
 
 
-def _subset_residual(
-    inst: GameInstance, strategy: BlockStrategy, u: np.ndarray, labels: np.ndarray, tol: Tolerance
-) -> float:
-    """Worst |<u_k, (Y_e (x) 1) u_l>| over edge-basis elements e and Kraus vectors k, l
-    whose outcome pair (labels[k], labels[l]) the tag of e forbids.
-
-    F_k (Y (x) 1) F_l* is that entry at (labels[k], labels[l]), so this is
-    the largest forbidden entry of any compressed input.
-    """
-    basis = edge_basis(inst.source, tol)
-    n, d = strategy.n, strategy.ancilla.dim
-    ys = np.reshape(basis.matrices(), (-1, n, n))
-    u = u.reshape(n, d, -1)
-    entries = np.einsum("eij,iuk,jul->ekl", ys, np.conj(u), u, optimize=True)
-    same = np.array([e.tag == SAME_VERTEX for e in basis.elements], dtype=bool)[:, None, None]
-    forbidden = np.where(same, ~np.eye(strategy.c, dtype=bool), _nonadjacent(inst.target))
-    mask = forbidden[:, labels][:, :, labels]
-    return worst_residual(np.where(mask, np.abs(entries), 0.0))[0]
-
-
 def check_game_algebra_rep(
     inst: GameInstance, strategy: BlockStrategy, tol: Tolerance = DEFAULT_TOL
 ) -> CheckReport:
@@ -225,17 +215,20 @@ def check_game_algebra_rep(
     Relation 1: the p_a are self-adjoint idempotents summing to I_n (x) 1.
     Relation 2: p_a ((S n (M')perp) (x) 1) p_b = 0 for a !~ b in the target.
     Relation 3: p_a (M' (x) 1) p_b = 0 for a != b.
+    Relations 2 and 3 report, per pair (a, b), the Hilbert-Schmidt norm of
+    Y -> p_a (Y (x) 1) p_b on the whole space, as verify_structural does.
     """
     _check_dims(inst, strategy)
     rep = strategy.measurement_report(tol)
     relation1 = [rep.check(name).max_residual for name in ("hermitian", "idempotency", "sum")]
-    distinct = ~np.eye(strategy.c, dtype=bool)[:, :, None]
-    commutant_relation = _sandwich(strategy, commutant(inst.source.algebra), distinct)
+    ps = np.stack(strategy.projections)
+    comm = np.asarray(commutant(inst.source.algebra))
+    commutant_relation = _sandwich(ps, comm, ~np.eye(strategy.c, dtype=bool))
     return CheckReport(
         (
             Check.of("idempotents_sum_to_identity", relation1, tol),
-            _adjacency_zeros(inst, strategy, tol, "adjacency_relation"),
-            Check.of("commutant_relation", commutant_relation, tol, "a", "b", "commutant_index"),
+            Check.of("adjacency_relation", _adjacency(inst, ps), tol, "a", "b"),
+            Check.of("commutant_relation", commutant_relation, tol, "a", "b"),
         )
     )
 

@@ -4,7 +4,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from qgraph import BlockStrategy, TracialAncilla
+from qgraph import (
+    BlockStrategy,
+    ClassicalGraph,
+    QuantumGraph,
+    TracialAncilla,
+    VnAlgebra,
+    graph_operator_system,
+    shift_multiply_coloring,
+)
+from qgraph.colorings import complete_quantum_graph, diagonal_strategy
 
 
 def rand_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -76,3 +85,49 @@ def random_block_strategy(
             off += d
         projections.append(big)
     return BlockStrategy(n=n, c=c, ancilla=ancilla, projections=tuple(projections))
+
+
+LADDER = {
+    "M_2": ((1, 2),),
+    "C+M_2": ((1, 1), (1, 2)),
+    "I_2xM_2": ((2, 2),),
+    "M_3": ((1, 3),),
+}
+
+
+def conjugate(u, mats):
+    return tuple(u @ m @ u.conj().T for m in mats)
+
+
+def merge_first_two(s):
+    merged = (s.projections[0] + s.projections[1],) + s.projections[2:]
+    return BlockStrategy(n=s.n, c=s.c - 1, ancilla=s.ancilla, projections=merged)
+
+
+def rotate(rng, s):
+    u = np.kron(rand_unitary(rng, s.n), np.eye(s.ancilla.dim))
+    return BlockStrategy(n=s.n, c=s.c, ancilla=s.ancilla, projections=conjugate(u, s.projections))
+
+
+def ladder_cases():
+    """The seeded ladder of game cases: (label, graph, target, strategy, wins)."""
+    rng = np.random.default_rng(2020)
+    for label, blocks in LADDER.items():
+        n = sum(m * k for m, k in blocks)
+        alg = VnAlgebra(n=n, blocks=blocks, unitary=rand_unitary(rng, n))
+        g = complete_quantum_graph(alg)
+        s = shift_multiply_coloring(alg)
+        yield f"{label} winning", g, ClassicalGraph.complete(s.c), s, True
+        yield f"{label} merged", g, ClassicalGraph.complete(s.c - 1), merge_first_two(s), False
+        # A rotation of C^n keeps P_a in M (x) M_d only when M = M_n.
+        yield f"{label} rotated", g, ClassicalGraph.complete(s.c), rotate(rng, s), blocks == ((1, n),)
+    # S_C5 in a random basis, with its proper 3-colouring.
+    v = rand_unitary(rng, 5)
+    g0 = graph_operator_system(ClassicalGraph.cycle(5))
+    alg = VnAlgebra(n=5, blocks=g0.algebra.blocks, unitary=v)
+    g = QuantumGraph(n=5, algebra=alg, s_basis=conjugate(v, g0.s_basis))
+    d = diagonal_strategy((0, 1, 0, 1, 2), 3)
+    s = BlockStrategy(n=5, c=3, ancilla=d.ancilla, projections=conjugate(v, d.projections))
+    yield "S_C5 winning", g, ClassicalGraph.complete(3), s, True
+    yield "S_C5 merged", g, ClassicalGraph.complete(2), merge_first_two(s), False
+    yield "S_C5 rotated", g, ClassicalGraph.complete(3), rotate(rng, s), False

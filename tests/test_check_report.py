@@ -10,7 +10,17 @@ import os
 import numpy as np
 import pytest
 
-from helpers import rand_hermitian, rand_unitary, random_block_strategy, random_povm, random_pvm
+from helpers import (
+    LADDER,
+    conjugate,
+    ladder_cases,
+    merge_first_two,
+    rand_hermitian,
+    rand_unitary,
+    random_block_strategy,
+    random_povm,
+    random_pvm,
+)
 from qgraph import (
     BlockStrategy,
     CheckReport,
@@ -50,7 +60,7 @@ from qgraph.algebra import (
     orthonormalize,
     project_onto_span,
 )
-from qgraph.colorings import complete_quantum_graph, diagonal_strategy
+from qgraph.colorings import complete_quantum_graph
 from qgraph.correlations import ClassicalCorrelation, Correlation, embed_classical, outcome_probability
 from qgraph.graphs import (
     ADJACENCY,
@@ -61,7 +71,7 @@ from qgraph.graphs import (
     classical_graph_from_operator_system,
     edge_basis,
 )
-from qgraph.homgame import _nonadjacent, _sandwich, _subset_residual
+from qgraph.homgame import _forbidden_outcomes, _nonadjacent, _sandwich
 from qgraph.linalg import (
     POVM_CHECKS,
     Check,
@@ -235,11 +245,38 @@ def test_hermitian_eig_refuses_nan():
 # --- reference: the per-residual loops the reducer replaced --------------------
 #
 # Each returns {name: (passed, worst, witness, table)}, where table maps the
-# sorted witness items of every visited entry to its residual.
+# sorted witness items of every visited entry to its residual.  passed and
+# worst are those of the old definition, the worst entry over one basis; the
+# relations now summed over the basis read their values from summed(table).
 
 
 def _record(table, witness, r):
     table[tuple(sorted(witness.items()))] = r
+
+
+# The input index of each relation that reports a Hilbert-Schmidt sum over a space.
+INPUT_AXES = ("basis_index", "commutant_index")
+SUMMED = {
+    "membership", "adjacency_zeros", "adjacency_relation", "commutant_relation",
+    "same_vertex_rule", "adjacency_rule",
+}
+
+
+def summed(table):
+    """The table's sums over its input index, per remaining witness (as sorted
+    items, like the table), and the number of inputs summed over."""
+    sums, inputs = {}, set()
+    for key, r in table.items():
+        rest = tuple(item for item in key if item[0] not in INPUT_AXES)
+        sums[rest] = sums.get(rest, 0.0) + r
+        inputs.update(item for item in key if item[0] in INPUT_AXES)
+    return sums, len(inputs)
+
+
+def assert_sum_bounds(worst, new, m):
+    """The largest term bounds a sum of m squares from below, and sqrt(m) times it from above."""
+    assert worst <= new * (1 + 1e-12) + 1e-15
+    assert new <= np.sqrt(m) * worst * (1 + 1e-12) + 1e-15
 
 
 def reference_validate(g, tol):
@@ -428,10 +465,18 @@ def reference_algebra(inst, strategy, tol):
 
 
 def assert_matches_reference(report, reference):
+    """Verdicts equal the reference's; a summed relation reports the root of the
+    largest sum of squares and lies within its bounds, any other the worst entry."""
     assert [c.name for c in report.checks] == list(reference)
     for check in report.checks:
         passed, worst, witness, table = reference[check.name]
         assert check.passed == passed, check.name
+        if check.name in SUMMED:
+            sums, m = summed({key: r * r for key, r in table.items()})
+            table = {key: np.sqrt(total) for key, total in sums.items()}
+            new = max(table.values(), default=0.0)
+            assert_sum_bounds(worst, new, m)
+            worst = new
         assert abs(check.max_residual - worst) <= 1e-12, check.name
         assert (check.witness is None) == (witness is None), check.name
         if check.witness is not None:
@@ -441,51 +486,6 @@ def assert_matches_reference(report, reference):
 
 
 # --- the seeded ladder ------------------------------------------------------------
-
-LADDER = {
-    "M_2": ((1, 2),),
-    "C+M_2": ((1, 1), (1, 2)),
-    "I_2xM_2": ((2, 2),),
-    "M_3": ((1, 3),),
-}
-
-
-def _conjugate(u, mats):
-    return tuple(u @ m @ u.conj().T for m in mats)
-
-
-def _merge_first_two(s):
-    merged = (s.projections[0] + s.projections[1],) + s.projections[2:]
-    return BlockStrategy(n=s.n, c=s.c - 1, ancilla=s.ancilla, projections=merged)
-
-
-def _rotate(rng, s):
-    u = np.kron(rand_unitary(rng, s.n), np.eye(s.ancilla.dim))
-    return BlockStrategy(n=s.n, c=s.c, ancilla=s.ancilla, projections=_conjugate(u, s.projections))
-
-
-def ladder_cases():
-    rng = np.random.default_rng(2020)
-    for label, blocks in LADDER.items():
-        n = sum(m * k for m, k in blocks)
-        alg = VnAlgebra(n=n, blocks=blocks, unitary=rand_unitary(rng, n))
-        g = complete_quantum_graph(alg)
-        s = shift_multiply_coloring(alg)
-        yield f"{label} winning", g, K(s.c), s, True
-        yield f"{label} merged", g, K(s.c - 1), _merge_first_two(s), False
-        # A rotation of C^n keeps P_a in M (x) M_d only when M = M_n.
-        yield f"{label} rotated", g, K(s.c), _rotate(rng, s), blocks == ((1, n),)
-    # S_C5 in a random basis, with its proper 3-colouring.
-    v = rand_unitary(rng, 5)
-    g0 = graph_operator_system(ClassicalGraph.cycle(5))
-    alg = VnAlgebra(n=5, blocks=g0.algebra.blocks, unitary=v)
-    g = QuantumGraph(n=5, algebra=alg, s_basis=_conjugate(v, g0.s_basis))
-    d = diagonal_strategy((0, 1, 0, 1, 2), 3)
-    s = BlockStrategy(n=5, c=3, ancilla=d.ancilla, projections=_conjugate(v, d.projections))
-    yield "S_C5 winning", g, K(3), s, True
-    yield "S_C5 merged", g, K(2), _merge_first_two(s), False
-    yield "S_C5 rotated", g, K(3), _rotate(rng, s), False
-
 
 CASES = list(ladder_cases())
 
@@ -513,9 +513,11 @@ def test_operational_amplitude_squared_is_the_probability_on_pvms(label, g, targ
     report = verify_operational(inst, s, tol)
     probability = reference_operational(inst, s, tol)
     for check in report.checks:
-        passed, worst, _, _ = probability[check.name]
+        passed, _, _, table = probability[check.name]
         assert check.passed == passed, check.name
-        assert abs(check.max_residual**2 - worst) <= 1e-12, check.name
+        # The squared rule is sum_Y p_Y(a, b) at the worst pair.
+        totals, _ = summed(table)
+        assert abs(check.max_residual**2 - max(totals.values(), default=0.0)) <= 1e-12, check.name
 
 
 # --- the array kernels of is_loc and outcome_probability ---------------------------
@@ -865,7 +867,7 @@ def classical_graph_cases():
         yield label, QuantumGraph(n=4, algebra=diag_alg, s_basis=tuple(basis))
     v = rand_unitary(rng, 4)
     yield "rotated", QuantumGraph(
-        n=4, algebra=VnAlgebra(n=4, blocks=diag_alg.blocks, unitary=v), s_basis=_conjugate(v, g.s_basis)
+        n=4, algebra=VnAlgebra(n=4, blocks=diag_alg.blocks, unitary=v), s_basis=conjugate(v, g.s_basis)
     )
     yield "M_2", complete_quantum_graph(VnAlgebra(n=2, blocks=((1, 2),)))
 
@@ -969,13 +971,14 @@ def test_rigidity_matches_reference_loop(label, alg, s):
 
 
 def reference_sandwich(strategy, mats, mask, weights):
-    """The (a, b, Y) loop of _sandwich: one hs_norm of W P_a (Y (x) 1) P_b each."""
+    """The (a, b, Y) loop of the old _sandwich: one hs_norm of W P_a (Y (x) 1) P_b each."""
     eye = np.eye(strategy.ancilla.dim)
     w = np.diag(weights)
-    out = np.zeros(mask.shape)
-    for a, b, k in zip(*np.nonzero(mask)):
-        lifted = np.kron(mats[k], eye)
-        out[a, b, k] = hs_norm(w @ strategy.projections[a] @ lifted @ strategy.projections[b])
+    out = np.zeros(mask.shape + (len(mats),))
+    for a, b in zip(*np.nonzero(mask)):
+        for k, y in enumerate(mats):
+            lifted = np.kron(y, eye)
+            out[a, b, k] = hs_norm(w @ strategy.projections[a] @ lifted @ strategy.projections[b])
     return out
 
 
@@ -983,15 +986,19 @@ def reference_sandwich(strategy, mats, mask, weights):
 def test_sandwich_kernel_matches_reference_loop(label, g, target, s, wins):
     rng = np.random.default_rng(2024)
     size = s.n * s.ancilla.dim
-    pairs = [_nonadjacent(target), ~np.eye(s.c, dtype=bool), rng.random((s.c, s.c)) < 0.3]
+    ps = np.stack(s.projections)
+    masks = [_nonadjacent(target), ~np.eye(s.c, dtype=bool), rng.random((s.c, s.c)) < 0.3]
     for mats in (commutant(g.algebra), adjacency_subspace_basis(g), []):
-        masks = [np.repeat(m[:, :, None], len(mats), axis=2) for m in pairs]
-        masks.append(rng.random((s.c, s.c, len(mats))) < 0.3)
+        stack = np.reshape(mats, (-1, s.n, s.n))
+        # Another orthonormal basis of the same span.
+        mixed = np.einsum("kl,lij->kij", rand_unitary(rng, len(mats)), stack) if mats else stack
         for mask in masks:
             for weights in (None, rng.random(size)):
                 ref = reference_sandwich(s, mats, mask, np.ones(size) if weights is None else weights)
-                got = _sandwich(s, mats, mask, weights)
-                assert np.abs(got - ref).max(initial=0.0) <= 1e-12
+                got = _sandwich(ps, stack, mask, weights)
+                assert np.abs(got - np.sqrt((ref**2).sum(axis=-1))).max(initial=0.0) <= 1e-12
+                assert np.abs(_sandwich(ps, mixed, mask, weights) - got).max(initial=0.0) <= 1e-12
+                assert_sum_bounds(ref.max(initial=0.0), got.max(initial=0.0), len(mats))
 
 
 # --- normal_form against the *-closure and centre solve it replaced -----------------
@@ -1150,7 +1157,7 @@ def _verdicts(alg):
     g = complete_quantum_graph(alg)
     s = shift_multiply_coloring(alg)
     out = {"validate": validate(g).passed}
-    for tag, target, strat in (("winning", K(s.c), s), ("merged", K(s.c - 1), _merge_first_two(s))):
+    for tag, target, strat in (("winning", K(s.c), s), ("merged", K(s.c - 1), merge_first_two(s))):
         inst = GameInstance(source=g, target=target)
         for fn in (verify_structural, verify_operational, check_game_algebra_rep):
             out[tag, fn.__name__] = fn(inst, strat).passed
@@ -1176,8 +1183,8 @@ def test_normal_form_matches_reference(label, gens, verdicts):
         [np.diag([1.0, 1.0, 0.0])],
         [matrix_unit(2, 0, 0)],
         [matrix_unit(3, 0, 1), np.diag([0.0, 0.0, 0.0])],
-        _conjugate(rand_unitary(np.random.default_rng(2026), 4), [np.diag([1.0, 2.0, 0.0, 0.0])]),
-        _conjugate(
+        conjugate(rand_unitary(np.random.default_rng(2026), 4), [np.diag([1.0, 2.0, 0.0, 0.0])]),
+        conjugate(
             rand_unitary(np.random.default_rng(2027), 3),
             [np.pad(matrix_unit(2, i, j), ((0, 1), (0, 1))) for i in range(2) for j in range(2)],
         ),
@@ -1245,17 +1252,17 @@ def edge_basis_cases():
         v = rand_unitary(rng, m)
         g0 = graph_operator_system(ClassicalGraph.cycle(m))
         alg = VnAlgebra(n=m, blocks=g0.algebra.blocks, unitary=v)
-        yield f"S_C{m}", QuantumGraph(n=m, algebra=alg, s_basis=_conjugate(v, g0.s_basis))
+        yield f"S_C{m}", QuantumGraph(n=m, algebra=alg, s_basis=conjugate(v, g0.s_basis))
     v = rand_unitary(rng, 3)
     offdiag = [matrix_unit(3, i, j) for i in range(3) for j in range(3) if i != j]
     alg = VnAlgebra(n=3, blocks=((1, 3),), unitary=v)
-    yield "traceless", QuantumGraph(n=3, algebra=alg, s_basis=_conjugate(v, offdiag), traceless=True)
+    yield "traceless", QuantumGraph(n=3, algebra=alg, s_basis=conjugate(v, offdiag), traceless=True)
     # Over C I_2 (x) M_2, M' = M_2 (x) 1, and S = M_2 (x) span{1, sigma_x} is a proper bimodule.
     v = rand_unitary(rng, 4)
     sigma = [np.eye(2), np.array([[0, 1], [1, 0]])]
     s = [np.kron(matrix_unit(2, i, j), x) for i in range(2) for j in range(2) for x in sigma]
     alg = VnAlgebra(n=4, blocks=((2, 2),), unitary=v)
-    yield "C I_2 (x) M_2, S = M_2 (x) span{1, X}", QuantumGraph(n=4, algebra=alg, s_basis=_conjugate(v, s))
+    yield "C I_2 (x) M_2, S = M_2 (x) span{1, X}", QuantumGraph(n=4, algebra=alg, s_basis=conjugate(v, s))
 
 
 EDGE_CASES = list(edge_basis_cases())
@@ -1291,11 +1298,10 @@ def test_operational_verdicts_match_gram_schmidt_basis(label, g, target, s, wins
     tol = Tolerance()
     inst = GameInstance(source=g, target=target)
     report = verify_operational(inst, s, tol)
-    reference = reference_operational_amplitude(inst, s, tol, reference_edge_basis(g, tol))
-    assert [(c.name, c.passed) for c in report.checks] == [(k, v[0]) for k, v in reference.items()]
-    # Same-vertex elements and their positions are unchanged, so is their residual.
-    same = report.check("same_vertex_rule").max_residual
-    assert abs(same - reference["same_vertex_rule"][1]) <= 1e-12
+    # The Gram-Schmidt inputs of each tag span the same space, so they give the same sums.
+    assert_matches_reference(
+        report, reference_operational_amplitude(inst, s, tol, reference_edge_basis(g, tol))
+    )
     assert report.passed == wins
 
 
@@ -1318,18 +1324,27 @@ def test_stacked_outcome_probability_matches_per_input_calls(label, s):
 
 
 def reference_subset_residual(inst, strategy, kraus, tol):
-    """The per-element loop of extract_channel: one kron and one einsum per input."""
+    """The per-element loop of the old extract_channel: one kron and one einsum per input.
+
+    Returns the worst forbidden entry, the largest root over (tag, a, b) of the
+    sum of the squared entries, and a bound on the number of terms in one sum."""
     stack = np.stack(kraus)
     eye_d = np.eye(strategy.ancilla.dim)
     offdiag = ~np.eye(strategy.c, dtype=bool)
     nonadjacent = _nonadjacent(inst.target)
-    residuals = []
+    residuals, sums, inputs = [], {}, {}
     for elem in edge_basis(inst.source, tol).elements:
         big = np.kron(elem.matrix, eye_d)
         table = np.einsum("mau,uv,lbv->mlab", stack, big, np.conj(stack))
         forbidden = offdiag if elem.tag == SAME_VERTEX else nonadjacent
         residuals.append(np.where(forbidden, np.abs(table).max(axis=(0, 1)), 0.0))
-    return worst_residual(residuals)[0]
+        squares = np.where(forbidden, (np.abs(table) ** 2).sum(axis=(0, 1)), 0.0)
+        sums[elem.tag] = sums.get(elem.tag, 0.0) + squares
+        inputs[elem.tag] = inputs.get(elem.tag, 0) + 1
+    new = max((np.sqrt(total).max() for total in sums.values()), default=0.0)
+    # One (a, b) sum has a term per input of its tag and per Kraus pair (k, l) of (a, b).
+    rank = max(round(np.trace(p).real) for p in strategy.projections)
+    return worst_residual(residuals)[0], new, max(inputs.values(), default=0) * rank**2
 
 
 @pytest.mark.parametrize("label, g, target, s, wins", CASES, ids=[c[0] for c in CASES])
@@ -1340,11 +1355,13 @@ def test_subset_residual_matches_reference_loop(label, g, target, s, wins):
     labels = np.repeat(np.arange(s.c), [v.shape[1] for v in vectors])
     u = np.concatenate(vectors, axis=1)
     kraus = [np.outer(np.eye(s.c)[a], u[:, k].conj()) for k, a in enumerate(labels)]
-    worst = reference_subset_residual(inst, s, kraus, tol)
-    assert abs(_subset_residual(inst, s, u, labels, tol) - worst) <= 1e-12
-    assert (worst <= tol.eps) == wins
+    worst, new, terms = reference_subset_residual(inst, s, kraus, tol)
+    q = np.stack([v @ v.conj().T for v in vectors])
+    assert abs(worst_residual(_forbidden_outcomes(inst, q, tol))[0] - new) <= 1e-12
+    assert_sum_bounds(worst, new, terms)
+    assert (worst <= tol.eps) == wins and (new <= tol.eps) == wins
     if wins:
-        assert abs(extract_channel(inst, s, tol).subset_residual - worst) <= 1e-12
+        assert abs(extract_channel(inst, s, tol).subset_residual - new) <= 1e-12
     else:
         with pytest.raises(ValueError, match="subset conditions"):
             extract_channel(inst, s, tol)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import rand_unitary, random_block_strategy
+from helpers import LADDER, ladder_cases, merge_first_two, rand_hermitian, rand_unitary, random_block_strategy, rotate
 from qgraph import (
     BlockStrategy,
     ClassicalGraph,
@@ -19,10 +21,16 @@ from qgraph import (
     verify_structural,
 )
 from qgraph.algebra import algebra_basis
+from qgraph.cli import MAX_TOL
 from qgraph.colorings import complete_quantum_graph, diagonal_strategy
-from qgraph.linalg import matrix_unit
+from qgraph.linalg import Tolerance, matrix_unit
 
 K = ClassicalGraph.complete
+MODES = {
+    "structural": verify_structural,
+    "operational": verify_operational,
+    "algebra": check_game_algebra_rep,
+}
 
 
 def nonloop_graph(n):
@@ -134,36 +142,77 @@ class TestVerifyOperational:
     "blocks", [((1, 3),), ((1, 2),), ((2, 2),), ((1, 2), (1, 3))], ids=["M_3", "M_2", "I_2xM_2", "M_2+M_3"]
 )
 class TestModesAgreeOnSmallViolations:
-    """Rotating a winning PVM by exp(i delta H), with H in M (x) B(A), keeps it
-    an exact PVM in M (x) B(A) and breaks only the adjacency relation, by an
-    amount linear in delta.  Every mode sees it on one scale."""
+    """Seeded perturbations of size delta of a winning colouring, each aimed at
+    one relation.  Rotating by exp(i delta H), with H in M (x) B(A), keeps an
+    exact PVM in M (x) B(A) and breaks only the adjacency relation, by an
+    amount linear in delta; every mode sees it on one scale."""
 
-    @staticmethod
-    def rotated_coloring(blocks, delta):
-        alg = VnAlgebra(n=sum(m * k for m, k in blocks), blocks=blocks)
-        s = shift_multiply_coloring(alg)
-        rng, d = np.random.default_rng(61), s.ancilla.dim
-        # sum_i b_i (x) R_i over a basis b_i of M, Hermitised, lies in M (x) B(A).
-        h = sum(np.kron(b, rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
-                for b in algebra_basis(alg))
-        w, v = np.linalg.eigh((h + h.conj().T) / np.linalg.norm(h + h.conj().T))
-        u = (v * np.exp(1j * delta * w)) @ v.conj().T
-        rotated = tuple(u @ p @ u.conj().T for p in s.projections)
-        strategy = BlockStrategy(n=s.n, c=s.c, ancilla=s.ancilla, projections=rotated)
-        return GameInstance(source=complete_quantum_graph(alg), target=K(s.c)), strategy
-
-    def test_every_mode_fails_on_the_adjacency_relation_at_1e_6(self, blocks):
-        inst, s = self.rotated_coloring(blocks, 1e-6)
-        reports = {
-            "structural": verify_structural(inst, s),
-            "operational": verify_operational(inst, s),
-            "algebra": check_game_algebra_rep(inst, s),
-        }
-        adjacency = {
+    # The check of each mode that characterises the relation a perturbation breaks.
+    # The operational rules read no PVM relation, and only the structural mode
+    # reads the ancilla blocks.
+    RELATIONS = {
+        "adjacency": {
             "structural": "adjacency_zeros",
             "operational": "adjacency_rule",
             "algebra": "adjacency_relation",
-        }
+        },
+        # For a PVM, P_a commutes with M' (x) 1 exactly when P_a (M' (x) 1) P_b = 0 for a != b.
+        "membership": {
+            "structural": "membership",
+            "operational": "same_vertex_rule",
+            "algebra": "commutant_relation",
+        },
+        "same_vertex": {
+            "structural": "pvm",
+            "operational": "same_vertex_rule",
+            "algebra": "commutant_relation",
+        },
+        "ancilla_blocks": {"structural": "ancilla_blocks"},
+        "idempotency": {"structural": "pvm", "algebra": "idempotents_sum_to_identity"},
+    }
+
+    @staticmethod
+    def perturbed(blocks, relation, delta):
+        alg = VnAlgebra(n=sum(m * k for m, k in blocks), blocks=blocks)
+        s = shift_multiply_coloring(alg)
+        rng, n, d = np.random.default_rng(61), s.n, s.ancilla.dim
+        ps, ancilla = list(s.projections), s.ancilla
+
+        def rotation(h):
+            w, v = np.linalg.eigh((h + h.conj().T) / np.linalg.norm(h + h.conj().T))
+            return (v * np.exp(1j * delta * w)) @ v.conj().T
+
+        # sum_i b_i (x) R_i over a basis b_i of M, Hermitised, lies in M (x) B(A).
+        h = sum(np.kron(b, rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+                for b in algebra_basis(alg))
+        if relation == "adjacency":
+            u = rotation(h)
+            ps = [u @ p @ u.conj().T for p in ps]
+        elif relation == "membership":
+            u = rotation(rand_hermitian(rng, n * d))
+            ps = [u @ p @ u.conj().T for p in ps]
+        elif relation == "same_vertex":
+            # P_0 H P_0 lies in M (x) B(A): membership and the sum hold, P_0 P_1 != 0.
+            x = ps[0] @ (h + h.conj().T) @ ps[0]
+            x *= delta / np.linalg.norm(x)
+            ps[0], ps[1] = ps[0] + x, ps[1] - x
+        elif relation == "ancilla_blocks":
+            # Two copies of the colouring on the blocks of C^2 (x) C^D, mixed by 1 (x) V.
+            ps = [np.einsum("ixjy,st->isxjty", p.reshape(n, d, n, d), np.eye(2)).reshape(2 * n * d, -1)
+                  for p in ps]
+            ancilla, r = TracialAncilla((d, d), (0.5, 0.5)), rand_hermitian(rng, 2 * d)
+            r[:d, :d] = r[d:, d:] = 0.0
+            u = np.kron(np.eye(n), rotation(r))
+            ps = [u @ p @ u.conj().T for p in ps]
+        else:
+            ps[0] = (1 + delta) * ps[0]  # breaks idempotency and the sum only
+        strategy = BlockStrategy(n=n, c=s.c, ancilla=ancilla, projections=tuple(ps))
+        return GameInstance(source=complete_quantum_graph(alg), target=K(s.c)), strategy
+
+    def test_every_mode_fails_on_the_adjacency_relation_at_1e_6(self, blocks):
+        inst, s = self.perturbed(blocks, "adjacency", 1e-6)
+        reports = {mode: fn(inst, s) for mode, fn in MODES.items()}
+        adjacency = self.RELATIONS["adjacency"]
         for mode, report in reports.items():
             assert not report.passed, mode
             assert [c.name for c in report.checks if not c.passed] == [adjacency[mode]], mode
@@ -171,10 +220,30 @@ class TestModesAgreeOnSmallViolations:
         assert reports["structural"].check("membership").passed
 
     def test_every_mode_passes_at_1e_12(self, blocks):
-        inst, s = self.rotated_coloring(blocks, 1e-12)
+        inst, s = self.perturbed(blocks, "adjacency", 1e-12)
         assert verify_structural(inst, s).passed
         assert verify_operational(inst, s).passed
         assert check_game_algebra_rep(inst, s).passed
+
+    @pytest.mark.parametrize("relation", list(RELATIONS))
+    def test_each_relation_fails_at_100_tol_and_passes_at_tol_over_100(self, blocks, relation):
+        tol = Tolerance()
+        inst, s = self.perturbed(blocks, relation, 100 * tol.eps)
+        names = self.RELATIONS[relation]
+        if relation == "membership" and blocks == ((1, s.n),):
+            # M = M_n: every operator lies in M (x) B(A), so nothing breaks membership.
+            assert verify_structural(inst, s, tol).check("membership").passed
+            names = {}
+        for mode, name in names.items():
+            check = MODES[mode](inst, s, tol).check(name)
+            assert not check.passed, (mode, name)
+            if relation == "same_vertex" and name != "pvm":
+                assert {check.witness["a"], check.witness["b"]} == {0, 1}, mode
+            elif name not in ("pvm", "ancilla_blocks", "idempotents_sum_to_identity"):
+                assert check.witness is not None, (mode, name)
+        inst, s = self.perturbed(blocks, relation, tol.eps / 100)
+        for mode, fn in MODES.items():
+            assert fn(inst, s, tol).passed, mode
 
 
 class TestExtractChannel:
@@ -377,3 +446,65 @@ class TestConjugationCovariance:
             r1 = verify_structural(GameInstance(source=source, target=K(4)), s)
             r2 = verify_structural(GameInstance(source=conj_source, target=K(4)), conj_s)
             assert r1.passed == r2.passed
+
+
+# --- residuals over spaces, not bases ---------------------------------------------
+
+CASES = list(ladder_cases())
+
+
+def on_another_frame(rng, g):
+    """g on the normal-form frame U (+)_r (I_{n_r} (x) V_r) with Haar V_r: the same M, M' and S."""
+    alg, frame = g.algebra, np.zeros((g.n, g.n), dtype=complex)
+    for off, (m, k) in zip(alg.block_offsets(), alg.blocks):
+        frame[off : off + m * k, off : off + m * k] = np.kron(np.eye(m), rand_unitary(rng, k))
+    u = frame if alg.unitary is None else alg.unitary @ frame
+    return QuantumGraph(n=g.n, algebra=VnAlgebra(n=g.n, blocks=alg.blocks, unitary=u), s_basis=g.s_basis)
+
+
+def on_another_spanning_set(rng, g):
+    """g spanned by a random invertible mix of its spanning set: the same S."""
+    m = len(g.s_basis)
+    mix = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+    return QuantumGraph(n=g.n, algebra=g.algebra, s_basis=tuple(np.einsum("kl,lij->kij", mix, g.s_basis)))
+
+
+@pytest.mark.parametrize("label, g, target, s, wins", CASES, ids=[c[0] for c in CASES])
+def test_residuals_do_not_depend_on_the_frame_or_the_spanning_set(label, g, target, s, wins):
+    # The relations quantify over the spaces M', S n (M')perp; the bases the
+    # graph derives from its frame and spanning set must not show.
+    rng = np.random.default_rng(64)
+    before = [fn(GameInstance(source=g, target=target), s) for fn in MODES.values()]
+    for rebuilt in (on_another_frame(rng, g), on_another_spanning_set(rng, g)):
+        after = [fn(GameInstance(source=rebuilt, target=target), s) for fn in MODES.values()]
+        for old, new in zip(before, after):
+            assert [(c.name, c.passed) for c in new.checks] == [(c.name, c.passed) for c in old.checks]
+            for c, d in zip(old.checks, new.checks):
+                assert abs(c.max_residual - d.max_residual) <= 1e-12, (label, c.name)
+        assert all(r.passed == wins for r in after)
+
+
+# The rotated colourings are drawn only where M != M_n.
+BROKEN = st.one_of(
+    st.tuples(st.just("merged"), st.sampled_from(sorted(LADDER))),
+    st.tuples(st.just("rotated"), st.sampled_from(sorted(k for k, b in LADDER.items() if b[0][0] > 1 or len(b) > 1))),
+)
+
+
+@settings(max_examples=20, deadline=None)
+@given(case=BROKEN, seed=st.integers(0, 2**32 - 1))
+def test_no_mode_passes_a_broken_ladder_colouring_at_max_tol(case, seed):
+    # A merged colouring gives two colours of one adjacent pair one outcome; a
+    # Haar rotation of C^n moves P_a out of M (x) B(A).
+    kind, label = case
+    blocks = LADDER[label]
+    n = sum(m * k for m, k in blocks)
+    rng = np.random.default_rng(seed)
+    alg = VnAlgebra(n=n, blocks=blocks, unitary=rand_unitary(rng, n))
+    s = shift_multiply_coloring(alg)
+    s, c = (merge_first_two(s), s.c - 1) if kind == "merged" else (rotate(rng, s), s.c)
+    inst, tol = GameInstance(source=complete_quantum_graph(alg), target=K(c)), Tolerance(MAX_TOL)
+    for mode, fn in MODES.items():
+        assert not fn(inst, s, tol).passed, mode
+    with pytest.raises(ValueError, match="subset conditions"):
+        extract_channel(inst, s, tol)
