@@ -158,7 +158,8 @@ def edge_basis(g: QuantumGraph, tol: Tolerance = DEFAULT_TOL) -> EdgeBasis:
     The K-block pairs (a, b) come in row-major order.  Each pair first gets
     its same-vertex element, the normalized matrix unit W_a W_b*/sqrt(k)
     between two copies of one irreducible representation (none across
-    central blocks or for a traceless graph).  Its adjacency elements follow:
+    central blocks); these units are an orthonormal basis of M' for every
+    graph, traceless or not.  Its adjacency elements follow:
     an orthonormal basis of E_a (S n (M')perp) E_b, the right singular
     vectors of the coordinates W_a* Z W_b over an orthonormal basis Z of
     S n (M')perp, in descending singular value.  Deterministic, and memoized
@@ -176,7 +177,7 @@ def _compute_edge_basis(g: QuantumGraph, tol: Tolerance) -> EdgeBasis:
     for a_idx, ka in enumerate(kblocks):
         for b_idx, kb in enumerate(kblocks):
             wa, wb = ka.isometry, kb.isometry
-            if not g.traceless and ka.central == kb.central:
+            if ka.central == kb.central:
                 # E_a M' E_b is one-dimensional and orthogonal to (M')perp.
                 unit = wa @ wb.conj().T / np.sqrt(ka.dim)
                 elements.append(EdgeBasisElement(unit, SAME_VERTEX, (a_idx, b_idx)))

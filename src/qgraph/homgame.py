@@ -15,7 +15,7 @@ import numpy as np
 from .algebra import commutant
 from .graphs import ClassicalGraph, QuantumGraph, adjacency_subspace_basis, require_valid
 from .linalg import DEFAULT_TOL, Check, CheckReport, Tolerance, check_measurement, hs_norm, worst_residual
-from .strategies import BlockStrategy, TracialAncilla, times_input
+from .strategies import _CHUNK_BYTES, BlockStrategy, OutcomeFactors, TracialAncilla, factor_outcomes, times_input
 
 __all__ = [
     "GameInstance",
@@ -53,39 +53,58 @@ def _nonadjacent(target: ClassicalGraph) -> np.ndarray:
     return np.array([[not target.adjacent(a, b) for b in range(c)] for a in range(c)], dtype=bool)
 
 
-def _sandwich(ps: np.ndarray, ys: np.ndarray, mask: np.ndarray, weights=None) -> np.ndarray:
+def _sandwich(ps, ys: np.ndarray, mask: np.ndarray, weights=None) -> np.ndarray:
     """sqrt(sum_Y |W P_a (Y (x) 1) P_b|_F^2) for each pair (a, b) of the c x c mask, else 0.
 
     For an HS-orthonormal (m, n, n) stack Y, the Hilbert-Schmidt norm of
     Z -> W P_a (Z (x) 1) P_b on their span, whichever basis of it is given.
-    W is 1 or diag(weights).  One b at a time keeps every array within the
-    size of the stack of P_a (Y (x) 1).
+    W is 1 or diag(weights), with positive weights.  ps is a (c, nD, nD) stack or its
+    OutcomeFactors (None for a non-finite stack, which reads inf on every masked pair).
+
+    With P_a = U_a S_a V_a*, |W P_a X P_b|_F = |C_a (S_a V_a* X U_b S_b)|_F, where
+    C_a*C_a = U_a* W^2 U_a (C_a = 1 for W = 1), as V_b* has orthonormal rows.  So
+    one (R, R) table per Y, (C S V*)(Y (x) 1)(U S), holds every pair as a block,
+    and the sum over Y of its squared entries is reduced block by block.
     """
-    x = times_input(ps, ys)  # axes (Y, a, row, column)
+    f = factor_outcomes(ps) if isinstance(ps, np.ndarray) else ps
+    if f is None:
+        return np.where(mask, np.inf, 0.0)
+    left = f.s[:, None] * f.vh
     if weights is not None:
-        x *= weights[:, None]
-    out = np.zeros(mask.shape)
-    for b in range(len(ps)):
-        (a,) = np.nonzero(mask[:, b])
-        out[a, b] = np.linalg.norm(np.linalg.norm(x[:, a] @ ps[b], axis=(-2, -1)), axis=0)
-    return out
+        # The Cholesky factor of the block diagonal of U* W^2 U holds every C_a.
+        gram = np.where(f.labels[:, None] == f.labels, (f.u.conj().T * weights**2) @ f.u, 0.0)
+        left = np.linalg.cholesky(gram).conj().T @ left
+    size, rank = f.u.shape
+    n = ys.shape[-1]
+    right = (f.u * f.s).reshape(n, size // n * rank)  # U S with its n-index first
+    squares = np.zeros((rank, rank))
+    # A chunk of k inputs Y has two complex temporaries, (k, nD, R) and (k, R, R).
+    step = max(1, _CHUNK_BYTES // (16 * rank * (size + rank) + 1))
+    for start in range(0, len(ys), step):
+        chunk = ys[start : start + step]
+        lifted = (chunk @ right).reshape(len(chunk), size, rank)  # (Y (x) 1) U S
+        table = (left @ lifted).view(np.float64).reshape(len(chunk), rank, rank, 2)
+        squares += np.einsum("kijz,kijz->ij", table, table)
+    member = (f.labels == np.arange(f.c)[:, None]).astype(np.float64)
+    return np.where(mask, np.sqrt(member @ squares @ member.T), 0.0)
 
 
-def _adjacency(inst: GameInstance, ps: np.ndarray, weights=None) -> np.ndarray:
+def _adjacency(inst: GameInstance, ps, weights=None) -> np.ndarray:
     """The sandwich over S n (M')perp, on every non-adjacent pair, a = b included."""
     g = inst.source
     perp = np.reshape(adjacency_subspace_basis(g), (-1, g.n, g.n))
     return _sandwich(ps, perp, _nonadjacent(inst.target), weights)
 
 
-def _forbidden_outcomes(inst: GameInstance, ps: np.ndarray, tol: Tolerance, weights=None) -> tuple:
-    """The sandwiches over M' (nothing for a traceless graph) on pairs a != b and over S n (M')perp
-    on non-adjacent pairs: the spans of the same-vertex and the adjacency edge-basis inputs of a
-    graph that passes validate."""
+def _forbidden_outcomes(inst: GameInstance, ps, tol: Tolerance, weights=None) -> tuple:
+    """The sandwiches over M' on pairs a != b and over S n (M')perp on non-adjacent pairs:
+    the spans of the same-vertex and the adjacency edge-basis inputs of a graph that
+    passes validate."""
     g = inst.source
     require_valid(g, tol)
-    same = np.reshape([] if g.traceless else commutant(g.algebra), (-1, g.n, g.n))
-    return _sandwich(ps, same, ~np.eye(len(ps), dtype=bool), weights), _adjacency(inst, ps, weights)
+    same = np.asarray(commutant(g.algebra))
+    offdiag = ~np.eye(inst.target.vertices, dtype=bool)
+    return _sandwich(ps, same, offdiag, weights), _adjacency(inst, ps, weights)
 
 
 def verify_structural(
@@ -111,7 +130,7 @@ def verify_structural(
             Check.of("pvm", pvm, tol),
             Check.of("ancilla_blocks", strategy.ancilla_block_defect(), tol),
             Check.of("membership", membership, tol, "a"),
-            Check.of("adjacency_zeros", _adjacency(inst, ps), tol, "a", "b"),
+            Check.of("adjacency_zeros", _adjacency(inst, strategy.factors), tol, "a", "b"),
         )
     )
 
@@ -131,7 +150,7 @@ def verify_operational(
     """
     _check_dims(inst, strategy)
     weights = np.sqrt(np.tile(strategy.ancilla.trace_diagonal(), strategy.n))
-    same, adjacency = _forbidden_outcomes(inst, np.stack(strategy.projections), tol, weights)
+    same, adjacency = _forbidden_outcomes(inst, strategy.factors, tol, weights)
     return CheckReport(
         (
             Check.of("same_vertex_rule", same, tol, "a", "b"),
@@ -195,7 +214,8 @@ def extract_channel(
         size * c, size * c
     )
 
-    q = np.stack([v @ v.conj().T for v in vectors])
+    # Q_a = sum_k u_k u_k*, factored as it was built.
+    q = OutcomeFactors(c, u, np.ones(len(labels)), u.conj().T, labels)
     worst = worst_residual(_forbidden_outcomes(inst, q, tol))[0]
     if worst > tol.eps:
         raise ValueError(f"channel subset conditions violated (residual {worst:.3e})")
@@ -221,13 +241,12 @@ def check_game_algebra_rep(
     _check_dims(inst, strategy)
     rep = strategy.measurement_report(tol)
     relation1 = [rep.check(name).max_residual for name in ("hermitian", "idempotency", "sum")]
-    ps = np.stack(strategy.projections)
     comm = np.asarray(commutant(inst.source.algebra))
-    commutant_relation = _sandwich(ps, comm, ~np.eye(strategy.c, dtype=bool))
+    commutant_relation = _sandwich(strategy.factors, comm, ~np.eye(strategy.c, dtype=bool))
     return CheckReport(
         (
             Check.of("idempotents_sum_to_identity", relation1, tol),
-            Check.of("adjacency_relation", _adjacency(inst, ps), tol, "a", "b"),
+            Check.of("adjacency_relation", _adjacency(inst, strategy.factors), tol, "a", "b"),
             Check.of("commutant_relation", commutant_relation, tol, "a", "b"),
         )
     )

@@ -46,6 +46,11 @@ class Tolerance:
 
 DEFAULT_TOL = Tolerance()
 
+# Relative floor of the thin SVDs behind the game relations: a singular value at or
+# below SINGULAR_FLOOR * max(1, sigma_max) is rounding noise of a rank-deficient
+# operator, and dropping it moves a relation by far less than any usable tolerance.
+SINGULAR_FLOOR = 1e-14
+
 
 def worst_residual(residuals, axes: tuple[str, ...] = ()) -> tuple[float, dict | None]:
     """Largest entry of a residual array and where it occurs.

@@ -9,12 +9,14 @@ that is block diagonal across the ancilla summands.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .linalg import (
     DEFAULT_TOL,
     POVM_CHECKS,
+    SINGULAR_FLOOR,
     CheckReport,
     Tolerance,
     as_matrix,
@@ -170,6 +172,45 @@ class BlockStrategy:
         d = self.ancilla.dim
         return _star_commutator_norm(self.entries().reshape(-1, d, d)) <= tol.eps
 
+    # Immutable value: the factors are computed once and shared by every game check.
+    @cached_property
+    def factors(self) -> OutcomeFactors | None:
+        """factor_outcomes of the P_a: None when an entry is not finite."""
+        return factor_outcomes(np.stack(self.projections))
+
+
+@dataclass(frozen=True)
+class OutcomeFactors:
+    """Thin SVDs P_a = U_a diag(s_a) V_a* of a (c, N, N) stack, outcome by outcome.
+
+    The kept singular triples of all outcomes sit side by side: u is (N, R), s is
+    (R,), vh is (R, N), and triple k belongs to outcome labels[k] (non-decreasing).
+    An outcome with P_a = 0 keeps none.
+    """
+
+    c: int
+    u: np.ndarray
+    s: np.ndarray
+    vh: np.ndarray
+    labels: np.ndarray
+
+
+def factor_outcomes(ops: np.ndarray) -> OutcomeFactors | None:
+    """One batched thin SVD of a (c, N, N) stack, keeping the singular values above
+    SINGULAR_FLOOR * max(1, sigma_max); None, with no SVD run, when the stack is not
+    finite.  For a PVM, R = N.
+
+    Dropping the singular values <= tau of P_a and P_b moves the Hilbert-Schmidt norm
+    of Z -> W P_a (Z (x) 1) P_b on an m-dimensional space of n x n matrices by at most
+    sqrt(m D) tau |W|_2 (|P_a|_2 + |P_b|_2) <= sqrt(n) sqrt(n D) tau |W|_2 (|P_a|_2 + |P_b|_2).
+    """
+    if not np.isfinite(ops).all():
+        return None
+    u, s, vh = np.linalg.svd(ops, full_matrices=False)
+    keep = s > SINGULAR_FLOOR * max(1.0, s.max(initial=0.0))
+    labels, _ = np.nonzero(keep)
+    return OutcomeFactors(len(ops), u.transpose(0, 2, 1)[keep].T, s[keep], vh[keep], labels)
+
 
 def times_input(ops: np.ndarray, y: np.ndarray) -> np.ndarray:
     """P (Y (x) 1) for each P of a (c, nD, nD) stack and each Y of an (..., n, n)
@@ -180,7 +221,8 @@ def times_input(ops: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out.reshape(*y.shape[:-2], c, n * d, n * d)
 
 
-# Bound on the bytes of the temporaries of one chunk of _star_commutator_norm.
+# Bound on the bytes of the temporaries of one chunk of _star_commutator_norm and
+# of homgame._sandwich.
 _CHUNK_BYTES = 4 << 20
 
 

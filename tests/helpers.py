@@ -14,6 +14,7 @@ from qgraph import (
     shift_multiply_coloring,
 )
 from qgraph.colorings import complete_quantum_graph, diagonal_strategy
+from qgraph.strategies import times_input
 
 
 def rand_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -85,6 +86,20 @@ def random_block_strategy(
             off += d
         projections.append(big)
     return BlockStrategy(n=n, c=c, ancilla=ancilla, projections=tuple(projections))
+
+
+def dense_sandwich(ps: np.ndarray, ys: np.ndarray, mask: np.ndarray, weights=None) -> np.ndarray:
+    """The dense kernel that homgame._sandwich replaced, kept as its reference:
+    sqrt(sum_Y |W P_a (Y (x) 1) P_b|_F^2) per masked pair (a, b), else 0, from the
+    (m, c, nD, nD) stack of P_a (Y (x) 1), one b at a time."""
+    x = times_input(ps, ys)  # axes (Y, a, row, column)
+    if weights is not None:
+        x *= weights[:, None]
+    out = np.zeros(mask.shape)
+    for b in range(len(ps)):
+        (a,) = np.nonzero(mask[:, b])
+        out[a, b] = np.linalg.norm(np.linalg.norm(x[:, a] @ ps[b], axis=(-2, -1)), axis=0)
+    return out
 
 
 LADDER = {

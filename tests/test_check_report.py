@@ -13,6 +13,7 @@ import pytest
 from helpers import (
     LADDER,
     conjugate,
+    dense_sandwich,
     ladder_cases,
     merge_first_two,
     rand_hermitian,
@@ -74,6 +75,7 @@ from qgraph.graphs import (
 from qgraph.homgame import _forbidden_outcomes, _nonadjacent, _sandwich
 from qgraph.linalg import (
     POVM_CHECKS,
+    SINGULAR_FLOOR,
     Check,
     canonical_shuffle,
     hermitian_eig,
@@ -82,7 +84,7 @@ from qgraph.linalg import (
     worst_residual,
 )
 from qgraph.serialize import matrix_from_json
-from qgraph.strategies import _star_commutator_norm
+from qgraph.strategies import _star_commutator_norm, factor_outcomes
 
 K = ClassicalGraph.complete
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -1001,6 +1003,108 @@ def test_sandwich_kernel_matches_reference_loop(label, g, target, s, wins):
                 assert_sum_bounds(ref.max(initial=0.0), got.max(initial=0.0), len(mats))
 
 
+# --- the factored sandwich against the dense kernel it replaced ----------------------
+
+
+def assert_factored_matches_dense(ps, g, masks, weights_list, factors=None):
+    """The factored kernel (from the given factors, or from ps) equals the dense one within
+    1e-12 over M', S n (M')perp and the empty space, for every mask and weight."""
+    for mats in (commutant(g.algebra), adjacency_subspace_basis(g), []):
+        ys = np.reshape(mats, (-1, g.n, g.n))
+        for mask in masks:
+            for weights in weights_list:
+                want = dense_sandwich(ps, ys, mask, weights)
+                got = _sandwich(ps if factors is None else factors, ys, mask, weights)
+                assert np.abs(got - want).max(initial=0.0) <= 1e-12
+
+
+def game_masks(rng, target, c):
+    return [_nonadjacent(target), ~np.eye(c, dtype=bool), rng.random((c, c)) < 0.3]
+
+
+def trace_weights(s):
+    return np.sqrt(np.tile(s.ancilla.trace_diagonal(), s.n))
+
+
+@pytest.mark.parametrize("label, g, target, s, wins", CASES, ids=[c[0] for c in CASES])
+def test_factored_sandwich_matches_dense_kernel(label, g, target, s, wins):
+    rng = np.random.default_rng(2030)
+    masks = game_masks(rng, target, s.c)
+    assert_factored_matches_dense(np.stack(s.projections), g, masks, (None, trace_weights(s)), s.factors)
+
+
+@pytest.mark.parametrize("label, g, target, s, wins", CASES, ids=[c[0] for c in CASES])
+def test_factored_sandwich_in_one_input_chunks(monkeypatch, label, g, target, s, wins):
+    rng = np.random.default_rng(2033)
+    ys = np.reshape(adjacency_subspace_basis(g), (-1, g.n, g.n))
+    mask, weights = game_masks(rng, target, s.c)[2], trace_weights(s)
+    whole = _sandwich(s.factors, ys, mask, weights)
+    monkeypatch.setattr("qgraph.homgame._CHUNK_BYTES", 1)
+    assert np.abs(_sandwich(s.factors, ys, mask, weights) - whole).max(initial=0.0) <= 1e-12
+
+
+def off_ladder_stacks(rng, s):
+    """Stacks that are not PVMs: the factored kernel holds for any finite stack."""
+    ps = np.stack(s.projections)
+    broken = ps.copy()
+    broken[0] += 1e-9 * rand_hermitian(rng, len(ps[0]))  # an idempotency break at 1e-9
+    yield broken
+    z = rng.normal(size=ps.shape) + 1j * rng.normal(size=ps.shape)
+    yield z / np.linalg.norm(z, ord=2, axis=(-2, -1), keepdims=True)  # non-Hermitian contractions
+    # An outcome with P_a = 0 keeps no singular triple: an empty block between two others.
+    yield np.concatenate([ps[:1], np.zeros_like(ps[:1]), ps[1:]])
+
+
+WINNING = [c for c in CASES if c[4]]
+
+
+@pytest.mark.parametrize("label, g, target, s, wins", WINNING, ids=[c[0] for c in WINNING])
+def test_factored_sandwich_matches_dense_kernel_off_pvms(label, g, target, s, wins):
+    rng = np.random.default_rng(2031)
+    for ps in off_ladder_stacks(rng, s):
+        weights = (None, rng.uniform(0.1, 1.0, size=ps.shape[-1]))
+        assert_factored_matches_dense(ps, g, game_masks(rng, K(len(ps)), len(ps)), weights)
+
+
+@pytest.mark.parametrize("label, g, target, s, wins", WINNING, ids=[c[0] for c in WINNING])
+def test_factored_sandwich_reads_inf_on_a_nan_stack(label, g, target, s, wins):
+    ps = np.stack(s.projections)
+    ps[-1, 0, -1] = np.nan
+    assert factor_outcomes(ps) is None
+    mask = ~np.eye(s.c, dtype=bool)
+    for mats in (commutant(g.algebra), adjacency_subspace_basis(g)):
+        got = _sandwich(ps, np.reshape(mats, (-1, g.n, g.n)), mask, trace_weights(s))
+        assert np.array_equal(got, np.where(mask, np.inf, 0.0))
+
+
+@pytest.mark.parametrize("label, g, target, s, wins", WINNING, ids=[c[0] for c in WINNING])
+def test_singular_values_under_the_floor_move_a_residual_within_the_bound(label, g, target, s, wins):
+    # Add to P_0 a new singular value just under the floor, between vectors outside its range:
+    # the factored kernel drops it, and the dense one keeps it.
+    rng = np.random.default_rng(2032)
+    ps = np.stack(s.projections)
+    size = ps.shape[-1]
+    tau = SINGULAR_FLOOR * max(1.0, np.linalg.norm(ps, ord=2, axis=(-2, -1)).max())
+    z = rng.normal(size=(2, size)) + 1j * rng.normal(size=(2, size))
+    x, y = z @ (np.eye(size) - ps[0]).T  # rows (1 - P_0) z_k
+    outer = np.outer(x / np.linalg.norm(x), y.conj() / np.linalg.norm(y))
+    rank = sum(round(np.trace(p).real) for p in s.projections)
+    above = ps.copy()
+    above[0] += 1.01 * tau * outer
+    assert len(factor_outcomes(above).s) == rank + 1
+    ps[0] += 0.99 * tau * outer
+    factors = factor_outcomes(ps)
+    assert len(factors.s) == rank
+    weights = trace_weights(s)
+    norms = np.linalg.norm(ps, ord=2, axis=(-2, -1))
+    bound = np.sqrt(s.n) * np.sqrt(size) * tau * weights.max() * (norms[:, None] + norms[None, :])
+    mask = np.ones((s.c, s.c), dtype=bool)
+    for mats in (commutant(g.algebra), adjacency_subspace_basis(g)):
+        ys = np.reshape(mats, (-1, s.n, s.n))
+        moved = np.abs(_sandwich(factors, ys, mask, weights) - dense_sandwich(ps, ys, mask, weights))
+        assert (moved <= bound).all()
+
+
 # --- normal_form against the *-closure and centre solve it replaced -----------------
 
 
@@ -1220,7 +1324,7 @@ def reference_edge_basis(g, tol):
     for a_idx, ka in enumerate(kblocks):
         for b_idx, kb in enumerate(kblocks):
             kept = []
-            if not g.traceless and ka.central == kb.central:
+            if ka.central == kb.central:
                 unit = ka.isometry @ kb.isometry.conj().T / np.sqrt(ka.dim)
                 kept.append(unit)
                 elements.append(EdgeBasisElement(unit, SAME_VERTEX, (a_idx, b_idx)))

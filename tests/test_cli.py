@@ -323,6 +323,19 @@ def test_non_finite_input_exits_2_with_pointer(tmp_path, capsys, argv, example, 
     assert err == pointer or (literal.isdigit() and pointer.startswith(err + "/"))
 
 
+def test_traceless_bell_example_fails_operational_and_has_no_channel(capsys):
+    # M = C (+) C with the traceless S = span{E_01, E_10}: the same-vertex inputs of M'
+    # catch the Bell PVM, whose P_a leave M (x) M_2.
+    files = ["--graph", str(EXAMPLES / "traceless_graph.json"), "--complete", "4",
+             "--strategy", str(EXAMPLES / "bell_strategy.json")]
+    assert main(["validate", str(EXAMPLES / "traceless_graph.json")]) == 0
+    capsys.readouterr()
+    assert main(["verify-hom", *files, "--mode", "operational"]) == 1
+    assert json.loads(capsys.readouterr().out)["operational"]["checks"][0]["max_residual"] == 0.5
+    assert main(["extract-channel", *files]) == 1
+    assert "subset conditions" in json.loads(capsys.readouterr().err)["error"]
+
+
 @pytest.mark.parametrize(
     "tol_args, env",
     [(["--tol", "inf"], None), (["--tol", "nan"], None), (["--tol", "1e300"], None), ([], "1e300")],

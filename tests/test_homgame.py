@@ -20,7 +20,7 @@ from qgraph import (
     verify_operational,
     verify_structural,
 )
-from qgraph.algebra import algebra_basis
+from qgraph.algebra import algebra_basis, commutant, project_onto_span
 from qgraph.cli import MAX_TOL
 from qgraph.colorings import complete_quantum_graph, diagonal_strategy
 from qgraph.linalg import Tolerance, matrix_unit
@@ -386,7 +386,8 @@ class TestComposeReps:
 class TestTracelessVariant:
     def test_game_machinery_unchanged(self):
         # Traceless bimodule S = span{E_ij : i != j} over M_3: the diagonal
-        # matrix-unit strategy still wins against K_3 on both checkers.
+        # matrix-unit strategy still wins against K_3 on both checkers.  The
+        # same-vertex inputs come from M' = C I for every graph: the unit I/sqrt(3).
         alg = VnAlgebra(n=3, blocks=((1, 3),))
         basis = tuple(
             matrix_unit(3, i, j) for i in range(3) for j in range(3) if i != j
@@ -395,8 +396,9 @@ class TestTracelessVariant:
         from qgraph import edge_basis
 
         eb = edge_basis(g)
-        assert {e.tag for e in eb.elements} == {"adjacency"}
-        assert len(eb.elements) == 6
+        assert [e.tag for e in eb.elements].count("same_vertex") == 1
+        assert np.abs(eb.tagged("same_vertex")[0].matrix - np.eye(3) / np.sqrt(3)).max() <= 1e-12
+        assert len(eb.tagged("adjacency")) == 6
         inst = GameInstance(source=g, target=K(3))
         s = diagonal_unit_strategy(3)
         assert verify_structural(inst, s).passed
@@ -508,3 +510,88 @@ def test_no_mode_passes_a_broken_ladder_colouring_at_max_tol(case, seed):
         assert not fn(inst, s, tol).passed, mode
     with pytest.raises(ValueError, match="subset conditions"):
         extract_channel(inst, s, tol)
+
+
+# --- same-vertex inputs from M' for every graph, and the paper's equivalence ------------
+
+
+def bell_instance():
+    """M = C (+) C on C^2 with the traceless S = span{E_01, E_10}, and the four Bell
+    projections on C^2 (x) C^2 against K_4: no P_a lies in M (x) M_2."""
+    alg = VnAlgebra(n=2, blocks=((1, 1), (1, 1)))
+    g = QuantumGraph(n=2, algebra=alg, s_basis=(matrix_unit(2, 0, 1), matrix_unit(2, 1, 0)), traceless=True)
+    bell = np.array([[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0]]) / np.sqrt(2)
+    projections = tuple(np.outer(v, v) for v in bell)
+    s = BlockStrategy(n=2, c=4, ancilla=TracialAncilla.full_matrix_block(2), projections=projections)
+    return GameInstance(source=g, target=K(4)), s
+
+
+def test_traceless_bell_strategy_fails_every_mode():
+    # A traceless graph still has the same-vertex inputs M' = diagonal matrices.
+    inst, s = bell_instance()
+    for mode, fn in MODES.items():
+        assert not fn(inst, s).passed, mode
+    assert abs(verify_operational(inst, s).check("same_vertex_rule").max_residual - 0.5) <= 1e-12
+    with pytest.raises(ValueError, match="subset conditions"):
+        extract_channel(inst, s)
+
+
+def traceless_part(alg):
+    """(M')perp, spanned by E_ij minus its projection onto M': a self-adjoint traceless bimodule."""
+    units = np.reshape([matrix_unit(alg.n, i, j) for i in range(alg.n) for j in range(alg.n)], (-1, alg.n, alg.n))
+    return QuantumGraph(n=alg.n, algebra=alg, s_basis=tuple(units - project_onto_span(units, commutant(alg))), traceless=True)
+
+
+def s_g_graph(rng, n):
+    """S_G of a random graph on n vertices, in a random frame."""
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5]
+    g0, v = graph_operator_system(ClassicalGraph(n, tuple(edges))), rand_unitary(rng, n)
+    alg = VnAlgebra(n=n, blocks=g0.algebra.blocks, unitary=v)
+    return QuantumGraph(n=n, algebra=alg, s_basis=tuple(v @ y @ v.conj().T for y in g0.s_basis))
+
+
+BLOCKS = st.lists(st.tuples(st.integers(1, 2), st.integers(1, 3)), min_size=1, max_size=2).filter(
+    lambda b: sum(m * k for m, k in b) <= 4
+)
+
+
+def entangled_pvm(rng, n):
+    """Rank-one projections onto a random basis of maximally entangled vectors of C^n (x) C^n:
+    (U (x) V) applied to the teleport basis.  P_a (X (x) 1) P_a = (tr X / n) P_a, so on a traceless
+    graph only the same-vertex inputs can see that P_a leaves M (x) M_n."""
+    s = teleport_coloring(1, n)
+    w = np.kron(rand_unitary(rng, n), rand_unitary(rng, n))
+    return BlockStrategy(n=n, c=s.c, ancilla=s.ancilla, projections=tuple(w @ p @ w.conj().T for p in s.projections))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    blocks=BLOCKS,
+    graph=st.sampled_from(["complete", "traceless", "S_G"]),
+    pvm=st.sampled_from(["shift-multiply", "random", "entangled"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_modes_and_channel_agree_on_exact_pvms(blocks, graph, pvm, seed):
+    # The paper's equivalence: structural, operational and algebra decide one relation,
+    # and the channel exists exactly when they pass.
+    rng = np.random.default_rng(seed)
+    n = sum(m * k for m, k in blocks)
+    if graph == "S_G":
+        g = s_g_graph(rng, n)
+    else:
+        alg = VnAlgebra(n=n, blocks=tuple(blocks), unitary=rand_unitary(rng, n))
+        g = complete_quantum_graph(alg) if graph == "complete" else traceless_part(alg)
+    if pvm == "shift-multiply":
+        s = shift_multiply_coloring(g.algebra)
+    elif pvm == "random":
+        s = random_block_strategy(rng, n, int(rng.integers(2, 5)), tuple(rng.integers(1, 3, size=rng.integers(1, 3))))
+    else:
+        s = entangled_pvm(rng, n)
+    inst = GameInstance(source=g, target=K(s.c))
+    verdicts = {mode: fn(inst, s).passed for mode, fn in MODES.items()}
+    assert len(set(verdicts.values())) == 1, verdicts
+    if verdicts["structural"]:
+        extract_channel(inst, s)
+    else:
+        with pytest.raises(ValueError, match="subset conditions"):
+            extract_channel(inst, s)
