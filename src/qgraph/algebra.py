@@ -21,6 +21,7 @@ __all__ = [
     "PlancherelTrace",
     "algebra_basis",
     "commutant",
+    "commutant_units",
     "project",
     "plancherel",
     "normal_form",
@@ -153,15 +154,24 @@ def _compute_algebra_basis(alg: VnAlgebra) -> list[np.ndarray]:
     return out
 
 
+def commutant_units(alg: VnAlgebra) -> list[tuple[int, int, int]]:
+    """(lead, trail, k) of each unit E_pq (x) I_k / sqrt(k) of the commutant basis, in
+    its order: in canonical coordinates the unit has 1/sqrt(k) at (lead + i, trail + i)
+    for i < k, with lead = off + p k and trail = off + q k in its central block."""
+    return [
+        (off + p * k, off + q * k, k)
+        for off, (m, k) in zip(alg.block_offsets(), alg.blocks)
+        for p in range(m)
+        for q in range(m)
+    ]
+
+
 def _compute_commutant(alg: VnAlgebra) -> list[np.ndarray]:
     out = []
-    for off, (m, k) in zip(alg.block_offsets(), alg.blocks):
-        for p in range(m):
-            for q in range(m):
-                b = np.zeros((alg.n, alg.n), dtype=np.complex128)
-                for i in range(k):
-                    b[off + p * k + i, off + q * k + i] = 1.0
-                out.append(alg.embed(b / np.sqrt(k)))
+    for lead, trail, k in commutant_units(alg):
+        b = np.zeros((alg.n, alg.n), dtype=np.complex128)
+        b[lead + np.arange(k), trail + np.arange(k)] = 1.0
+        out.append(alg.embed(b / np.sqrt(k)))
     return out
 
 

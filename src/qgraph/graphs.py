@@ -16,10 +16,11 @@ import numpy as np
 from .algebra import (
     VnAlgebra,
     commutant,
-    orthonormalize,
+    commutant_units,
     project_onto_span,
 )
 from .linalg import DEFAULT_TOL, Check, CheckReport, Tolerance, as_matrix, hs_norm, matrix_unit
+from .strategies import _CHUNK_BYTES
 
 __all__ = [
     "QuantumGraph",
@@ -73,18 +74,41 @@ class QuantumGraph:
 
     # Immutable value: derived bases are computed once and memoized.
     @cached_property
+    def _split(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """One SVD of the flattened spanning family: HS-orthonormal rows spanning
+        span(S) and span(S)perp, and the largest singular value.  As in
+        orthonormalize, directions with singular values at or below 1e-8 times the
+        largest are left out of span(S), so they belong to the complement."""
+        nn = self.n * self.n
+        stack = np.reshape(np.asarray(self.s_basis, dtype=np.complex128), (len(self.s_basis), nn))
+        if not len(stack):
+            return stack, np.eye(nn, dtype=np.complex128), 0.0
+        _, s, vh = np.linalg.svd(stack, full_matrices=len(stack) < nn)
+        rank = int(np.count_nonzero(s > 1e-8 * s[0]))
+        return vh[:rank], vh[rank:], float(s[0])
+
+    @cached_property
     def _span(self) -> tuple[np.ndarray, ...]:
-        return tuple(orthonormalize(list(self.s_basis)))
+        return tuple(self._split[0].reshape(-1, self.n, self.n))
 
     @cached_property
     def _adjacency_basis(self) -> tuple[np.ndarray, ...]:
-        basis = np.asarray(self.s_basis)
-        return tuple(orthonormalize(basis - project_onto_span(basis, commutant(self.algebra))))
+        basis = np.reshape(np.asarray(self.s_basis, dtype=np.complex128), (-1, self.n, self.n))
+        residual = basis - project_onto_span(basis, commutant(self.algebra))
+        _, s, vh = np.linalg.svd(residual.reshape(len(basis), self.n * self.n), full_matrices=False)
+        # Ranked against the spanning family, not the residual: when S lies in M',
+        # the residual is rounding noise, and must not be normalized into a basis.
+        return tuple(vh[s > 1e-8 * self._split[2]].reshape(-1, self.n, self.n))
 
 
 def validate(g: QuantumGraph, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
     """Check the quantum graph invariants, reporting worst residual per check.
 
+    With Q an orthonormal basis of span(S)perp, the distance of a matrix Z from
+    span(S) is |Q vec(Z)|.  self_adjoint reads it for each Y* of the spanning
+    set, operator_system for the identity, and bimodule for each a Y b over
+    the commutant units a, b of M'; traceless reads |tr Y|.  When span(S)perp
+    = 0, as for S = M_n, those three read exactly 0 with no witness.
     Memoized per graph and tolerance, so edge_basis reuses the report.
     """
     return _memoized(g, "_validate_cache", tol, _compute_validation)
@@ -106,26 +130,68 @@ def _memoized(g: QuantumGraph, name: str, tol: Tolerance, compute):
 
 
 def _compute_validation(g: QuantumGraph, tol: Tolerance) -> CheckReport:
-    span = g.span_basis()
+    n = g.n
+    perp = g._split[1]
 
-    def span_defects(stack):
-        return np.linalg.norm(stack - project_onto_span(stack, span), axis=(-2, -1))
+    def distances(stack):
+        """|Q vec(Z)| for each Z of an (..., n, n) stack: its distance from span(S)."""
+        return np.linalg.norm(np.reshape(stack, (*stack.shape[:-2], n * n)) @ perp.conj().T, axis=-1)
 
-    basis = np.reshape(np.asarray(g.s_basis, dtype=np.complex128), (len(g.s_basis), g.n, g.n))
+    basis = np.reshape(np.asarray(g.s_basis, dtype=np.complex128), (len(g.s_basis), n, n))
     checks = [
-        Check.of("self_adjoint", span_defects(basis.conj().transpose(0, 2, 1)), tol, "basis_index")
+        Check.of("self_adjoint", distances(basis.conj().transpose(0, 2, 1)), tol, "basis_index")
     ]
     if g.traceless:
         traces = [abs(np.trace(y)) for y in g.s_basis]
         checks.append(Check.of("traceless", traces, tol, "basis_index"))
     else:
-        checks.append(Check.of("operator_system", span_defects(np.eye(g.n)), tol))
-
-    # One (comm_right, basis_index) stack of a Y b per left commutant element a.
-    comm = np.asarray(commutant(g.algebra))
-    bimodule = np.array([span_defects((a @ basis)[None] @ comm[:, None]) for a in comm])
+        checks.append(Check.of("operator_system", distances(np.eye(n)), tol))
+    bimodule = _bimodule_distances(g.algebra, basis, perp.reshape(-1, n, n))
     checks.append(Check.of("bimodule", bimodule, tol, "comm_left", "comm_right", "basis_index"))
     return CheckReport(tuple(checks))
+
+
+def _bimodule_distances(alg: VnAlgebra, ys: np.ndarray, perp: np.ndarray) -> np.ndarray:
+    """|Q vec(a Y b)| for the commutant units a, b (in commutant order) and each Y of
+    a (k, n, n) stack, as (m, m, k), for an orthonormal (x, n, n) stack Q.
+
+    In the canonical frame a unit with lead rows lead + i and trail rows trail + i
+    (see commutant_units) maps Y to a Y b, which holds Y[trail_a, lead_b] /
+    sqrt(k_a k_b) at [lead_a, trail_b] and is 0 elsewhere.
+    So the coefficients <Q_x, a Y b> are G_ab g_ab(Y) for two gathers, the
+    (x, K^2) block G_ab of conj(Q) and the K^2 entries g_ab(Y) of Y, each index
+    list padded to the largest k with a zero row.  With G_ab = W R (thin QR),
+    |G_ab g| = |R g|, so one batched product with R replaces the one with G_ab.
+    The Hilbert-Schmidt inner product is the same in either frame.
+    """
+    n = alg.n
+    lead_start, trail_start, dims = np.array(commutant_units(alg)).T
+    width = int(dims.max())
+    pad = np.arange(width)
+    inside = pad < dims[:, None]
+    lead = np.where(inside, lead_start[:, None] + pad, n)
+    trail = np.where(inside, trail_start[:, None] + pad, n)
+
+    def canonical(stack):
+        """U* X U for each X, axes (row, column, index), with a zero row and column n."""
+        out = np.zeros((n + 1, n + 1, len(stack)), dtype=np.complex128)
+        out[:n, :n] = np.moveaxis(alg.to_canonical(stack), 0, -1)
+        return out
+
+    q, y = canonical(perp).conj(), canonical(ys)
+    m, x, k, square = len(dims), len(perp), len(ys), width * width
+    out = np.empty((m, m, k))
+    # A chunk of rows a holds the (a, m, K^2, x) and (a, m, K^2, k) gathers and the
+    # (a, m, K^2, k) product.
+    step = max(1, _CHUNK_BYTES // (16 * m * square * (x + 2 * k + square) + 1))
+    for start in range(0, m, step):
+        rows = slice(start, start + step)
+        shape = (len(lead[rows]), m, square)
+        gq = q[lead[rows, None, :, None], trail[None, :, None, :]].reshape(*shape, x)
+        gy = y[trail[rows, None, :, None], lead[None, :, None, :]].reshape(*shape, k)
+        r = np.linalg.qr(gq.swapaxes(-2, -1), mode="r")
+        out[rows] = np.linalg.norm(r @ gy, axis=-2)
+    return out / np.sqrt(dims[:, None, None] * dims[None, :, None])
 
 
 @dataclass(frozen=True)
@@ -283,6 +349,15 @@ class ClassicalGraph:
     def _edge_set(self) -> frozenset:
         return frozenset(self.edges)
 
+    @cached_property
+    def _nonadjacent(self) -> np.ndarray:
+        """Read-only boolean mask of the non-adjacent pairs, true on the diagonal."""
+        mask = np.ones((self.vertices, self.vertices), dtype=bool)
+        x, y = np.reshape(np.array(self.edges, dtype=np.intp), (-1, 2)).T
+        mask[x, y] = mask[y, x] = False
+        mask.flags.writeable = False
+        return mask
+
     def neighbors(self, x: int) -> list[int]:
         out = []
         for a, b in self.edges:
@@ -313,10 +388,9 @@ def classical_graph_from_operator_system(
     if g.algebra.unitary is not None:
         return None
     n = g.n
-    span = g.span_basis()
-    # Row i * n + j is the matrix unit E_ij.
-    units = np.eye(n * n, dtype=np.complex128).reshape(n * n, n, n)
-    r = np.linalg.norm(units - project_onto_span(units, span), axis=(-2, -1)).reshape(n, n)
+    span, perp, _ = g._split
+    # The distance of E_ij from span(S) is |Q vec(E_ij)|, the norm of column i * n + j of Q.
+    r = np.linalg.norm(perp, axis=0).reshape(n, n)
     if not np.all(np.diagonal(r) <= tol.eps):
         return None
     rows, cols = np.triu_indices(n, 1)

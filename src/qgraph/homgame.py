@@ -48,9 +48,9 @@ def _check_dims(inst: GameInstance, strategy: BlockStrategy):
 
 
 def _nonadjacent(target: ClassicalGraph) -> np.ndarray:
-    """Boolean c x c mask of non-adjacent pairs; true on the diagonal (targets are loop-free)."""
-    c = target.vertices
-    return np.array([[not target.adjacent(a, b) for b in range(c)] for a in range(c)], dtype=bool)
+    """Boolean c x c mask of non-adjacent pairs; true on the diagonal (targets are loop-free).
+    Memoized on the target, and read-only."""
+    return target._nonadjacent
 
 
 def _sandwich(ps, ys: np.ndarray, mask: np.ndarray, weights=None) -> np.ndarray:
@@ -89,6 +89,23 @@ def _sandwich(ps, ys: np.ndarray, mask: np.ndarray, weights=None) -> np.ndarray:
     return np.where(mask, np.sqrt(member @ squares @ member.T), 0.0)
 
 
+def _membership(ps: np.ndarray, comm: np.ndarray) -> np.ndarray:
+    """sqrt(sum_Z |[P_a, Z (x) 1]|_F^2) for each P_a of a (c, nD, nD) stack, over an
+    (m, n, n) stack of Z, accumulated over chunks of Z."""
+    c, size = len(ps), ps.shape[-1]
+    squares = np.zeros(c)
+    # A chunk of k inputs Z holds about three (k, c, nD, nD) complex arrays.
+    step = max(1, _CHUNK_BYTES // (48 * c * size * size + 1))
+    for start in range(0, len(comm), step):
+        chunk = comm[start : start + step]
+        diff = times_input(ps, chunk)
+        # (Z (x) 1) P_a = (P_a^T (Z^T (x) 1))^T, with no copy for the transposes
+        diff -= times_input(ps.swapaxes(-2, -1), chunk.swapaxes(-2, -1)).swapaxes(-2, -1)
+        parts = np.ascontiguousarray(diff).view(np.float64)
+        squares += np.einsum("kaij,kaij->a", parts, parts)
+    return np.sqrt(squares)
+
+
 def _adjacency(inst: GameInstance, ps, weights=None) -> np.ndarray:
     """The sandwich over S n (M')perp, on every non-adjacent pair, a = b included."""
     g = inst.source
@@ -119,12 +136,7 @@ def verify_structural(
     """
     _check_dims(inst, strategy)
     pvm = [c.max_residual for c in strategy.measurement_report(tol).checks]
-    comm = np.asarray(commutant(inst.source.algebra))
-    ps = np.stack(strategy.projections)
-    diff = times_input(ps, comm)
-    # (Z (x) 1) P_a = (P_a^T (Z^T (x) 1))^T, with no copy for the transposes
-    diff -= times_input(ps.swapaxes(-2, -1), comm.swapaxes(-2, -1)).swapaxes(-2, -1)
-    membership = np.linalg.norm(np.linalg.norm(diff, axis=(-2, -1)), axis=0)
+    membership = _membership(np.stack(strategy.projections), np.asarray(commutant(inst.source.algebra)))
     return CheckReport(
         (
             Check.of("pvm", pvm, tol),

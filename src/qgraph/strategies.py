@@ -158,7 +158,11 @@ class BlockStrategy:
         return stack.reshape(self.c, self.n, d, self.n, d).transpose(0, 1, 3, 2, 4)
 
     def measurement_report(self, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
-        return check_measurement(self.projections, tol)
+        """check_measurement of the P_a, memoized per tolerance like factors."""
+        cache = self.__dict__.setdefault("_measurement_cache", {})
+        if tol.eps not in cache:
+            cache[tol.eps] = check_measurement(self.projections, tol)
+        return cache[tol.eps]
 
     def ancilla_block_defect(self) -> float:
         """Worst violation of the ancilla's block-diagonal structure by any P_a."""
@@ -221,8 +225,8 @@ def times_input(ops: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out.reshape(*y.shape[:-2], c, n * d, n * d)
 
 
-# Bound on the bytes of the temporaries of one chunk of _star_commutator_norm and
-# of homgame._sandwich.
+# Bound on the bytes of the temporaries of one chunk of _star_commutator_norm, of
+# homgame._sandwich and homgame._membership, and of graphs._bimodule_distances.
 _CHUNK_BYTES = 4 << 20
 
 

@@ -102,6 +102,14 @@ def dense_sandwich(ps: np.ndarray, ys: np.ndarray, mask: np.ndarray, weights=Non
     return out
 
 
+def dense_membership(ps: np.ndarray, comm: np.ndarray) -> np.ndarray:
+    """The expression that homgame._membership replaced, kept as its reference:
+    sqrt(sum_Z |[P_a, Z (x) 1]|_F^2) per a, from two full (m, c, nD, nD) stacks."""
+    diff = times_input(ps, comm)
+    diff -= times_input(ps.swapaxes(-2, -1), comm.swapaxes(-2, -1)).swapaxes(-2, -1)
+    return np.linalg.norm(np.linalg.norm(diff, axis=(-2, -1)), axis=0)
+
+
 LADDER = {
     "M_2": ((1, 2),),
     "C+M_2": ((1, 1), (1, 2)),

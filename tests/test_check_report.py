@@ -13,6 +13,7 @@ import pytest
 from helpers import (
     LADDER,
     conjugate,
+    dense_membership,
     dense_sandwich,
     ladder_cases,
     merge_first_two,
@@ -72,7 +73,7 @@ from qgraph.graphs import (
     classical_graph_from_operator_system,
     edge_basis,
 )
-from qgraph.homgame import _forbidden_outcomes, _nonadjacent, _sandwich
+from qgraph.homgame import _forbidden_outcomes, _membership, _nonadjacent, _sandwich
 from qgraph.linalg import (
     POVM_CHECKS,
     SINGULAR_FLOOR,
@@ -505,6 +506,144 @@ def test_verifiers_match_reference_loops(label, g, target, s, wins):
         check_game_algebra_rep(inst, s, tol), reference_algebra(inst, s, tol)
     )
     assert verify_structural(inst, s, tol).passed == wins
+
+
+# --- validate against the projection loop ------------------------------------------
+
+# The benchmark's algebra ladder: the test ladder and four larger rungs.
+VALIDATE_LADDER = {
+    **LADDER,
+    "M_2+M_3": ((1, 2), (1, 3)),
+    "I_2xM_3": ((2, 3),),
+    "M_4": ((1, 4),),
+    "(I_2xM_2)^2": ((2, 2), (2, 2)),
+}
+
+
+def random_matrices(rng, n, k):
+    return tuple(rng.normal(size=(k, n, n)) + 1j * rng.normal(size=(k, n, n)))
+
+
+def summed_cycle_graph(rng, m):
+    """S_{C_m} spanned by E_ii and E_ij + E_ji, in a random frame: an operator system
+    but no bimodule, as E_ii (E_ij + E_ji) E_jj = E_ij sits at distance 1/sqrt(2)."""
+    v = rand_unitary(rng, m)
+    basis = [matrix_unit(m, i, i) for i in range(m)]
+    basis += [matrix_unit(m, i, j) + matrix_unit(m, j, i) for i, j in ClassicalGraph.cycle(m).edges]
+    alg = VnAlgebra(n=m, blocks=((1, 1),) * m, unitary=v)
+    return QuantumGraph(n=m, algebra=alg, s_basis=conjugate(v, basis))
+
+
+def validate_cases():
+    rng = np.random.default_rng(1717)
+    # Multiplicity blocks (n_r > 1) of unequal k in a random frame, where a gather
+    # index that swaps the two sides of a unit shows.
+    alg = VnAlgebra(n=7, blocks=((2, 2), (3, 1)), unitary=rand_unitary(rng, 7))
+    comm = tuple(commutant(alg))
+    yield "(I_2xM_2)+(I_3xC), M' + H", QuantumGraph(7, alg, comm + (rand_hermitian(rng, 7),))
+    yield "(I_2xM_2)+(I_3xC), random", QuantumGraph(7, alg, (np.eye(7),) + random_matrices(rng, 7, 3))
+    # A bimodule over M' = M_2 (x) 1 with multiplicity, and a 1e-7 break of it.
+    alg = VnAlgebra(n=4, blocks=((2, 2),), unitary=rand_unitary(rng, 4))
+    u = alg.unitary
+    sx = np.array([[0, 1], [1, 0]], dtype=complex)
+    bimodule = [u @ np.kron(matrix_unit(2, i, j), f) @ u.conj().T for i in range(2) for j in range(2)
+                for f in (np.eye(2), sx)]
+    yield "I_2xM_2, bimodule", QuantumGraph(4, alg, tuple(bimodule))
+    bimodule[3] = bimodule[3] + 1e-7 * rand_hermitian(rng, 4)
+    yield "I_2xM_2, broken bimodule", QuantumGraph(4, alg, tuple(bimodule))
+    for label, blocks in VALIDATE_LADDER.items():
+        n = sum(m * k for m, k in blocks)
+        alg = VnAlgebra(n=n, blocks=blocks, unitary=rand_unitary(rng, n))
+        yield f"{label}, random", QuantumGraph(n, alg, (np.eye(n),) + random_matrices(rng, n, 3))
+    # Redundant spanning sets: k > dim S, and k > n^2.
+    g = summed_cycle_graph(rng, 5)
+    v = g.algebra.unitary
+    cycle = conjugate(v, graph_operator_system(ClassicalGraph.cycle(5)).s_basis)
+    yield "S_C5, redundant", QuantumGraph(5, g.algebra, cycle + (cycle[5] + cycle[6], 2 * cycle[0]))
+    g = complete_quantum_graph(VnAlgebra(n=2, blocks=((1, 2),), unitary=rand_unitary(rng, 2)))
+    yield "M_2 complete, redundant", QuantumGraph(2, g.algebra, g.s_basis + random_matrices(rng, 2, 2))
+    yield "empty", QuantumGraph(n=3, algebra=VnAlgebra(n=3, blocks=((1, 1),) * 3), s_basis=())
+    yield "traceless", QuantumGraph(
+        n=2,
+        algebra=VnAlgebra(n=2, blocks=((1, 1), (1, 1))),
+        s_basis=(matrix_unit(2, 0, 1), matrix_unit(2, 1, 0)),
+        traceless=True,
+    )
+    yield "S_C8 summed", summed_cycle_graph(rng, 8)
+
+
+VALIDATE_CASES = list(validate_cases())
+
+
+def assert_validate_matches_reference(g, tol=Tolerance()):
+    """Verdicts equal and residuals within 1e-12 of the projection loop's; witnesses
+    are compared only where the reference's worst residual is above 1e-12, and a tie
+    compares the residual at the witness."""
+    reference = reference_validate(g, tol)
+    if g.traceless:
+        table = {(("basis_index", i),): abs(np.trace(y)) for i, y in enumerate(g.s_basis)}
+        worst, witness = worst_residual(list(table.values()), ("basis_index",))
+        del reference["operator_system"]
+        reference = {
+            "self_adjoint": reference["self_adjoint"],
+            "traceless": (worst <= tol.eps, worst, witness, table),
+            "bimodule": reference["bimodule"],
+        }
+    report = validate(g, tol)
+    assert [c.name for c in report.checks] == list(reference)
+    for check in report.checks:
+        passed, worst, witness, table = reference[check.name]
+        assert check.passed == passed, check.name
+        assert abs(check.max_residual - worst) <= 1e-12, check.name
+        if worst > 1e-12:
+            assert (check.witness is None) == (witness is None), check.name
+            if check.witness is not None:
+                at_witness = table[tuple(sorted(check.witness.items()))]
+                assert abs(at_witness - worst) <= 1e-12, check.name
+    return report
+
+
+@pytest.mark.parametrize("label, g", VALIDATE_CASES, ids=[c[0] for c in VALIDATE_CASES])
+def test_validate_matches_projection_loop(label, g):
+    assert_validate_matches_reference(g)
+
+
+@pytest.mark.parametrize("label, g", VALIDATE_CASES, ids=[c[0] for c in VALIDATE_CASES])
+def test_validate_in_one_row_chunks(monkeypatch, label, g):
+    monkeypatch.setattr("qgraph.graphs._CHUNK_BYTES", 1)
+    assert_validate_matches_reference(g)
+
+
+def test_validate_cases_cover_both_verdicts():
+    verdicts = {label: validate(g).check("bimodule").passed for label, g in VALIDATE_CASES}
+    assert verdicts["I_2xM_2, bimodule"] and not verdicts["I_2xM_2, broken bimodule"]
+    assert not verdicts["(I_2xM_2)+(I_3xC), M' + H"]
+    broken = validate(dict(VALIDATE_CASES)["I_2xM_2, broken bimodule"]).check("bimodule")
+    assert 1e-9 < broken.max_residual < 1e-6
+
+
+def test_summed_cycle_bimodule_residual_is_one_over_root_two():
+    check = validate(dict(VALIDATE_CASES)["S_C8 summed"]).check("bimodule")
+    assert abs(check.max_residual - 1 / np.sqrt(2)) <= 1e-12 and not check.passed
+
+
+@pytest.mark.parametrize("blocks", list(VALIDATE_LADDER.values()), ids=list(VALIDATE_LADDER))
+def test_validate_reads_exactly_zero_when_s_is_all_of_m_n(blocks):
+    # span(S)perp = 0, so every distance from span(S) is an empty sum.
+    n = sum(m * k for m, k in blocks)
+    alg = VnAlgebra(n=n, blocks=blocks, unitary=rand_unitary(np.random.default_rng(n), n))
+    report = validate(complete_quantum_graph(alg))
+    for check in report.checks:
+        assert check.max_residual == 0.0 and check.witness is None, check.name
+
+
+@pytest.mark.parametrize("label, g, target, s, wins", CASES, ids=[c[0] for c in CASES])
+def test_membership_matches_dense_stacks(monkeypatch, label, g, target, s, wins):
+    ps, comm = np.stack(s.projections), np.asarray(commutant(g.algebra))
+    expected = dense_membership(ps, comm)
+    assert np.abs(_membership(ps, comm) - expected).max() <= 1e-12
+    monkeypatch.setattr("qgraph.homgame._CHUNK_BYTES", 1)
+    assert np.abs(_membership(ps, comm) - expected).max() <= 1e-12
 
 
 @pytest.mark.parametrize("label, g, target, s, wins", CASES, ids=[c[0] for c in CASES])

@@ -336,6 +336,19 @@ def test_traceless_bell_example_fails_operational_and_has_no_channel(capsys):
     assert "subset conditions" in json.loads(capsys.readouterr().err)["error"]
 
 
+def test_rotated_scalar_example_wins_against_k1(capsys):
+    # M = C I_2 in a rotated frame and S = M_2 = M': S n (M')perp = 0, so P_0 = 1 wins.
+    files = ["--graph", str(EXAMPLES / "rotated_scalar_graph.json"), "--complete", "1",
+             "--strategy", str(EXAMPLES / "one_colour_strategy.json")]
+    assert main(["validate", str(EXAMPLES / "rotated_scalar_graph.json")]) == 0
+    for mode in ("both", "algebra"):
+        assert main(["verify-hom", *files, "--mode", mode]) == 0, mode
+    capsys.readouterr()
+    assert main(["edge-basis", str(EXAMPLES / "rotated_scalar_graph.json")]) == 0
+    tags = [e["tag"] for e in json.loads(capsys.readouterr().out)["elements"]]
+    assert tags == ["same_vertex"] * 4
+
+
 @pytest.mark.parametrize(
     "tol_args, env",
     [(["--tol", "inf"], None), (["--tol", "nan"], None), (["--tol", "1e300"], None), ([], "1e300")],

@@ -3,7 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import LADDER, ladder_cases, merge_first_two, rand_hermitian, rand_unitary, random_block_strategy, rotate
+from helpers import (
+    LADDER,
+    conjugate,
+    ladder_cases,
+    merge_first_two,
+    rand_hermitian,
+    rand_unitary,
+    random_block_strategy,
+    rotate,
+)
 from qgraph import (
     BlockStrategy,
     ClassicalGraph,
@@ -23,6 +32,8 @@ from qgraph import (
 from qgraph.algebra import algebra_basis, commutant, project_onto_span
 from qgraph.cli import MAX_TOL
 from qgraph.colorings import complete_quantum_graph, diagonal_strategy
+from qgraph.graphs import adjacency_subspace_basis
+from qgraph.homgame import _nonadjacent
 from qgraph.linalg import Tolerance, matrix_unit
 
 K = ClassicalGraph.complete
@@ -403,6 +414,74 @@ class TestTracelessVariant:
         s = diagonal_unit_strategy(3)
         assert verify_structural(inst, s).passed
         assert verify_operational(inst, s).passed
+
+
+class TestGraphsInsideTheCommutant:
+    """When S lies in M', S n (M')perp = 0 in every frame, and no adjacency input
+    may be made up from the rounding noise of S minus its projection onto M'."""
+
+    def test_complete_graph_over_rotated_scalars(self):
+        alg = VnAlgebra(n=2, blocks=((2, 1),), unitary=rand_unitary(np.random.default_rng(11), 2))
+        g = complete_quantum_graph(alg)
+        assert adjacency_subspace_basis(g) == []
+        one = BlockStrategy(n=2, c=1, ancilla=TracialAncilla.trivial(), projections=(np.eye(2),))
+        inst = GameInstance(source=g, target=K(1))
+        for mode, verify in MODES.items():
+            assert verify(inst, one).passed, mode
+        assert extract_channel(inst, one).subset_residual <= 1e-12
+
+    def test_edgeless_graph_in_a_random_frame(self):
+        v = rand_unitary(np.random.default_rng(12), 3)
+        g0 = graph_operator_system(ClassicalGraph.empty(3))
+        alg = VnAlgebra(n=3, blocks=g0.algebra.blocks, unitary=v)
+        g = QuantumGraph(n=3, algebra=alg, s_basis=conjugate(v, g0.s_basis))
+        assert adjacency_subspace_basis(g) == []
+        d = diagonal_strategy((0, 1, 2), 3)
+        s = BlockStrategy(n=3, c=3, ancilla=d.ancilla, projections=conjugate(v, d.projections))
+        inst = GameInstance(source=g, target=K(3))
+        for mode, verify in MODES.items():
+            assert verify(inst, s).passed, mode
+
+
+def reference_nonadjacent(target):
+    """The c^2 loop over ClassicalGraph.adjacent that the memoized mask replaced."""
+    c = target.vertices
+    return np.array([[not target.adjacent(a, b) for b in range(c)] for a in range(c)], dtype=bool).reshape(c, c)
+
+
+@pytest.mark.parametrize(
+    "target",
+    [K(1), K(4), ClassicalGraph.cycle(5), ClassicalGraph.cycle(6), ClassicalGraph.empty(3), ClassicalGraph.empty(0)],
+    ids=["K_1", "K_4", "C_5", "C_6", "edgeless", "empty"],
+)
+def test_nonadjacency_mask_matches_the_adjacent_loop(target):
+    mask = _nonadjacent(target)
+    assert mask.shape == (target.vertices,) * 2 and mask.dtype == bool
+    np.testing.assert_array_equal(mask, reference_nonadjacent(target))
+    assert _nonadjacent(target) is mask and not mask.flags.writeable
+
+
+def test_each_job_builds_its_mask_and_measurement_report_once(monkeypatch):
+    from qgraph import strategies
+
+    calls = []
+    check = strategies.check_measurement
+    monkeypatch.setattr(strategies, "check_measurement", lambda ops, tol: calls.append(tol) or check(ops, tol))
+
+    def no_adjacent(self, x, y):
+        raise AssertionError("the game checks read the memoized mask")
+
+    monkeypatch.setattr(ClassicalGraph, "adjacent", no_adjacent)
+    alg = VnAlgebra(n=2, blocks=((1, 2),))
+    s = shift_multiply_coloring(alg)
+    inst = GameInstance(source=complete_quantum_graph(alg), target=K(s.c))
+    for verify in MODES.values():
+        assert verify(inst, s).passed
+    extract_channel(inst, s)
+    assert len(calls) == 1
+    assert s.measurement_report() is s.measurement_report(Tolerance())
+    s.measurement_report(Tolerance(1e-6))
+    assert len(calls) == 2
 
 
 class TestConjugatedAlgebraOperational:
