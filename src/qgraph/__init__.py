@@ -30,16 +30,13 @@ from .graphs import (
     ClassicalGraph,
     EdgeBasis,
     QuantumGraph,
-    bell_state,
     chromatic_number,
     classical_oracle,
-    devectorize,
     edge_basis,
     graph_operator_system,
     homomorphism_exists,
     proper_coloring,
     validate,
-    vectorize,
 )
 from .homgame import (
     ChannelRep,

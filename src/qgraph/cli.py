@@ -186,6 +186,8 @@ def _cmd_color(args) -> int:
     if args.method == "teleport":
         if args.d is None or args.k is None:
             raise SchemaError("--d/--k", "teleport coloring needs --d and --k")
+        if args.d < 1 or args.k < 1:
+            raise SchemaError("--d/--k", f"need d, k >= 1, got ({args.d}, {args.k})")
         strat = teleport_coloring(args.d, args.k)
     else:
         if args.algebra is None:

@@ -7,6 +7,11 @@ Two constructions cover every non-degenerate M inside M_n:
 * shift_multiply_coloring: for general block M, dim(M) projections indexed
   by (block s, phase a, shift b) with ancilla M_d, d = lcm of the block dims.
 
+Both are built from the k^2 generalized Bell projections |phi_ab><phi_ab| on
+C^k (x) C^k, phi_ab = k^(-1/2) sum_i omega^(ai) e_i (x) e_(i+b), of
+_bell_projections: shift-multiply places them in each block with the system
+leg first, teleport with the two legs swapped.
+
 Both are minimal (c = dim M), so rigidity pins their partial traces:
 (psi_M (x) id)(P_a) = 1/dim(M), equivalently every R_a is the identity.
 """
@@ -20,6 +25,7 @@ import numpy as np
 
 from .algebra import VnAlgebra
 from .graphs import (
+    DEFAULT_VERTEX_CAP,
     ClassicalGraph,
     QuantumGraph,
     chromatic_number,
@@ -51,9 +57,26 @@ def complete_quantum_graph(alg: VnAlgebra) -> QuantumGraph:
     return QuantumGraph(n=n, algebra=alg, s_basis=basis)
 
 
+def _bell_projections(k: int) -> np.ndarray:
+    """The k^2 generalized Bell projections |phi_ab><phi_ab| on C^k (x) C^k,
+    phi_ab = k^(-1/2) sum_i omega^(ai) e_i (x) e_(i+b) with indices mod k.
+
+    Shape (k^2, k, k, k, k): colors (a, b) in lexicographic order, then the
+    axes (system i, ancilla u, system j, ancilla v).
+    """
+    phases = np.array([unit_root_power(k, m) / k for m in range(k)])
+    a, b, i, j = np.ix_(*(range(k),) * 4)
+    out = np.zeros((k, k, k, k, k, k), dtype=np.complex128)
+    out[a, b, i, (i + b) % k, j, (j + b) % k] = phases[(a * (i - j)) % k]
+    return out.reshape(k * k, k, k, k, k)
+
+
 def teleport_coloring(d: int, k: int) -> BlockStrategy:
     """The k^2-coloring of (M_n, C I_d (x) M_k, M_n), n = dk, via Bell bases.
 
+    P_(a,b) is the Bell projection |phi_ab><phi_ab| with its legs swapped (the
+    M_k of the system carries e_(i+b), that of the ancilla e_i), next to I_d
+    on the system and on the ancilla:
     P_(a,b) = (1/k) sum_{p,q} omega^{a(p-q)} I_d (x) E_{b+p,b+q} (x) I_d (x) E_{pq}
     with indices mod k; colors ordered lexicographically in (a, b).  Ancilla
     is the single block M_n with its normalized trace.
@@ -62,19 +85,12 @@ def teleport_coloring(d: int, k: int) -> BlockStrategy:
         raise ValueError(f"need d, k >= 1, got ({d}, {k})")
     n = d * k
     eye_d = np.eye(d, dtype=np.complex128)
-    projections = []
-    for a in range(k):
-        for b in range(k):
-            bell = np.zeros((k, k, k, k), dtype=np.complex128)  # [i, u, j, v]
-            for p in range(k):
-                for q in range(k):
-                    bell[(b + p) % k, p, (b + q) % k, q] = unit_root_power(k, a * (p - q)) / k
-            p_ab = np.einsum("xX,iujv,yY->xiyuXjYv", eye_d, bell, eye_d).reshape(
-                n * n, n * n
-            )
-            projections.append(p_ab)
+    swapped = _bell_projections(k).transpose(0, 2, 1, 4, 3)
+    stack = np.einsum("xX,ciujv,yY->cxiyuXjYv", eye_d, swapped, eye_d)
     ancilla = TracialAncilla.full_matrix_block(n)
-    return BlockStrategy(n=n, c=k * k, ancilla=ancilla, projections=tuple(projections))
+    return BlockStrategy(
+        n=n, c=k * k, ancilla=ancilla, projections=tuple(stack.reshape(k * k, n * n, n * n))
+    )
 
 
 def shift_multiply_coloring(alg: VnAlgebra) -> BlockStrategy:
@@ -83,30 +99,23 @@ def shift_multiply_coloring(alg: VnAlgebra) -> BlockStrategy:
     For each color (s, a, b) with 0 <= a, b <= k_s - 1 the projection is
     (+)_r I_{n_r} (x) P^(r,s)_(a,b) with entries
     P^(r,s)_(a,b),(i,j) = (delta_rs / k_r) omega_{k_r}^{(i-j)a} I_{d_r} (x) E_{i+b,j+b}
-    in M_d, d = lcm(k_1..k_m), d_r = d/k_r.  Ancilla is M_d with tr_d.
+    in M_d, d = lcm(k_1..k_m), d_r = d/k_r.  That is, block s carries the Bell
+    projections I_{n_s} (x) |phi_ab><phi_ab| (x) I_{d_s} of M_{k_s} (x) M_{k_s},
+    system leg first.  Ancilla is M_d with tr_d.
     """
     d = math.lcm(*(k for _, k in alg.blocks))
     n = alg.n
-    offsets = alg.block_offsets()
-    projections = []
-    for s, (m_s, k_s) in enumerate(alg.blocks):
-        d_s = d // k_s
-        eye_ds = np.eye(d_s, dtype=np.complex128)
-        for a in range(k_s):
-            for b in range(k_s):
-                big = np.zeros((n * d, n * d), dtype=np.complex128)
-                for p in range(m_s):
-                    for i in range(k_s):
-                        for j in range(k_s):
-                            row = offsets[s] + p * k_s + i
-                            col = offsets[s] + p * k_s + j
-                            ent = (unit_root_power(k_s, (i - j) * a) / k_s) * np.kron(
-                                eye_ds, matrix_unit(k_s, (i + b) % k_s, (j + b) % k_s)
-                            )
-                            big[row * d : (row + 1) * d, col * d : (col + 1) * d] = ent
-                projections.append(big)
+    stack = np.zeros((alg.dim_algebra, n, d, n, d), dtype=np.complex128)
+    first = 0  # first color of the current block
+    for off, (m_s, k_s) in zip(alg.block_offsets(), alg.blocks):
+        c_s, size = k_s * k_s, m_s * k_s
+        bell = _bell_projections(k_s)
+        block = np.einsum("pq,ciujv,yY->cpiyuqjYv", np.eye(m_s), bell, np.eye(d // k_s))
+        rows = slice(off, off + size)
+        stack[first : first + c_s, rows, :, rows, :] = block.reshape(c_s, size, d, size, d)
+        first += c_s
     ancilla = TracialAncilla.full_matrix_block(d)
-    projections = tuple(alg.embed(np.stack(projections)))
+    projections = tuple(alg.embed(stack.reshape(alg.dim_algebra, n * d, n * d)))
     return BlockStrategy(n=n, c=alg.dim_algebra, ancilla=ancilla, projections=projections)
 
 
@@ -132,16 +141,9 @@ def diagonal_strategy(coloring, c: int) -> BlockStrategy:
     ancilla, so the strategy is loc.
     """
     n = len(coloring)
-    projections = []
-    for a in range(c):
-        p = np.zeros((n, n), dtype=np.complex128)
-        for x, col in enumerate(coloring):
-            if col == a:
-                p[x, x] = 1.0
-        projections.append(p)
-    return BlockStrategy(
-        n=n, c=c, ancilla=TracialAncilla.trivial(), projections=tuple(projections)
-    )
+    mask = np.arange(c)[:, None, None] == np.asarray(coloring)[None, :, None]
+    projections = tuple(mask * np.eye(n, dtype=np.complex128))
+    return BlockStrategy(n=n, c=c, ancilla=TracialAncilla.trivial(), projections=projections)
 
 
 @dataclass(frozen=True)
@@ -261,8 +263,9 @@ def chromatic_bounds(g: QuantumGraph, tol: Tolerance = DEFAULT_TOL) -> BoundsRep
     coloring of the complete graph over the same algebra and monotonicity
     (S is contained in M_n).  A single-block algebra also gets the k^2
     teleportation witness; abelian algebras get a loc witness; classical
-    graph systems S_H (at most 8 vertices) get the exact loc number from the
-    brute-force oracle.  Every emitted witness is re-verified against g.
+    graph systems S_H (at most DEFAULT_VERTEX_CAP vertices) get the exact loc
+    number from the brute-force oracle.  Every emitted witness is re-verified
+    against g.
 
     Nonexistence facts are emitted as notes, never as computed results:
     numerics cannot certify that no strategy exists.
@@ -292,7 +295,7 @@ def chromatic_bounds(g: QuantumGraph, tol: Tolerance = DEFAULT_TOL) -> BoundsRep
         )
 
     classical = classical_graph_from_operator_system(g, tol)
-    if classical is not None and classical.vertices <= 8:
+    if classical is not None and classical.vertices <= DEFAULT_VERTEX_CAP:
         chi = chromatic_number(classical)
         strat = diagonal_strategy(proper_coloring(classical, chi), chi)
         candidates.append(("loc", "classical_oracle", True, strat))

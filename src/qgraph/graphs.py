@@ -19,7 +19,7 @@ from .algebra import (
     commutant_units,
     project_onto_span,
 )
-from .linalg import DEFAULT_TOL, Check, CheckReport, Tolerance, as_matrix, hs_norm, matrix_unit
+from .linalg import DEFAULT_TOL, Check, CheckReport, Tolerance, as_matrix, matrix_unit
 from .strategies import _CHUNK_BYTES
 
 __all__ = [
@@ -30,9 +30,6 @@ __all__ = [
     "validate",
     "edge_basis",
     "adjacency_subspace_basis",
-    "vectorize",
-    "devectorize",
-    "bell_state",
     "graph_operator_system",
     "classical_graph_from_operator_system",
     "proper_coloring",
@@ -52,6 +49,9 @@ class QuantumGraph:
 
     traceless=True selects the variant where S is a self-adjoint traceless
     bimodule instead of an operator system; the game machinery is unchanged.
+    Traceless means tr Y_i = 0 for each spanning element Y_i, that is S is
+    orthogonal to the identity.  That is Weaver's irreflexive S perp M' only
+    when M' = C 1; for a larger commutant it is the weaker condition.
     """
 
     n: int
@@ -255,59 +255,6 @@ def _compute_edge_basis(g: QuantumGraph, tol: Tolerance) -> EdgeBasis:
                 y = wa @ v.reshape(ka.dim, kb.dim) @ wb.conj().T
                 elements.append(EdgeBasisElement(y, ADJACENCY, (a_idx, b_idx)))
     return EdgeBasis(tuple(elements), tuple(k.dim for k in kblocks))
-
-
-def vectorize(y, basis: np.ndarray | None = None) -> np.ndarray:
-    """Matrix -> vector under v_i (x) v_j  <->  v_i v_j*.
-
-    With the standard basis this is the row-major flattening; a general
-    orthonormal basis is handled by conjugation.  Inner-product preserving
-    between the unnormalized HS and standard inner products.
-    """
-    y = as_matrix(y)
-    n = y.shape[0]
-    if y.shape != (n, n):
-        raise ValueError(f"expected square matrix, got {y.shape}")
-    if basis is None:
-        return y.reshape(n * n).copy()
-    v = _checked_basis(basis, n)
-    coeff = v.conj().T @ y @ v
-    return (np.kron(v, v) @ coeff.reshape(n * n)).reshape(n * n)
-
-
-def devectorize(vec, basis: np.ndarray | None = None) -> np.ndarray:
-    """Inverse of vectorize."""
-    vec = np.asarray(vec, dtype=np.complex128).reshape(-1)
-    n = round(np.sqrt(vec.size))
-    if n * n != vec.size:
-        raise ValueError(f"vector of length {vec.size} is not n^2")
-    if basis is None:
-        return vec.reshape(n, n).copy()
-    v = _checked_basis(basis, n)
-    coeff = (np.kron(v, v).conj().T @ vec).reshape(n, n)
-    return v @ coeff @ v.conj().T
-
-
-def _checked_basis(basis, n: int) -> np.ndarray:
-    v = as_matrix(basis)
-    if v.shape != (n, n):
-        raise ValueError(f"basis must be {n} column vectors of length {n}")
-    if not hs_norm(v.conj().T @ v - np.eye(n)) <= 1e-8:
-        raise ValueError("basis columns are not orthonormal")
-    return v
-
-
-def bell_state(subset, n: int) -> np.ndarray:
-    """Maximally entangled state (1/sqrt|S|) sum_{j in S} e_j (x) e_j in C^n (x) C^n."""
-    idx = sorted(set(int(j) for j in subset))
-    if not idx:
-        raise ValueError("subset must be nonempty")
-    if idx[0] < 0 or idx[-1] >= n:
-        raise ValueError(f"subset {idx} out of range for n={n}")
-    v = np.zeros(n * n, dtype=np.complex128)
-    for j in idx:
-        v[j * n + j] = 1.0
-    return v / np.sqrt(len(idx))
 
 
 @dataclass(frozen=True)

@@ -142,10 +142,6 @@ class BlockStrategy:
                 raise ValueError(f"operator of shape {p.shape}, expected {(size, size)}")
         object.__setattr__(self, "projections", mats)
 
-    @property
-    def ancilla_dim(self) -> int:
-        return self.ancilla.dim
-
     def entry(self, a: int, i: int, j: int) -> np.ndarray:
         """The D x D entry P_{a,ij}."""
         d = self.ancilla.dim

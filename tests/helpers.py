@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from qgraph import (
@@ -14,6 +16,7 @@ from qgraph import (
     shift_multiply_coloring,
 )
 from qgraph.colorings import complete_quantum_graph, diagonal_strategy
+from qgraph.linalg import matrix_unit, unit_root_power
 from qgraph.strategies import times_input
 
 
@@ -108,6 +111,64 @@ def dense_membership(ps: np.ndarray, comm: np.ndarray) -> np.ndarray:
     diff = times_input(ps, comm)
     diff -= times_input(ps.swapaxes(-2, -1), comm.swapaxes(-2, -1)).swapaxes(-2, -1)
     return np.linalg.norm(np.linalg.norm(diff, axis=(-2, -1)), axis=0)
+
+
+def reference_teleport_projections(d: int, k: int) -> np.ndarray:
+    """The entry loop that colorings.teleport_coloring replaced, kept as its
+    reference: the (k^2, n^2, n^2) stack of P_(a,b), one Bell tensor per color."""
+    n = d * k
+    eye_d = np.eye(d, dtype=np.complex128)
+    projections = []
+    for a in range(k):
+        for b in range(k):
+            bell = np.zeros((k, k, k, k), dtype=np.complex128)  # [i, u, j, v]
+            for p in range(k):
+                for q in range(k):
+                    bell[(b + p) % k, p, (b + q) % k, q] = unit_root_power(k, a * (p - q)) / k
+            p_ab = np.einsum("xX,iujv,yY->xiyuXjYv", eye_d, bell, eye_d).reshape(
+                n * n, n * n
+            )
+            projections.append(p_ab)
+    return np.stack(projections)
+
+
+def reference_shift_multiply_projections(alg: VnAlgebra) -> np.ndarray:
+    """The entry loop that colorings.shift_multiply_coloring replaced, kept as
+    its reference: the (dim M, n d, n d) stack, one D x D entry at a time."""
+    d = math.lcm(*(k for _, k in alg.blocks))
+    n = alg.n
+    offsets = alg.block_offsets()
+    projections = []
+    for s, (m_s, k_s) in enumerate(alg.blocks):
+        d_s = d // k_s
+        eye_ds = np.eye(d_s, dtype=np.complex128)
+        for a in range(k_s):
+            for b in range(k_s):
+                big = np.zeros((n * d, n * d), dtype=np.complex128)
+                for p in range(m_s):
+                    for i in range(k_s):
+                        for j in range(k_s):
+                            row = offsets[s] + p * k_s + i
+                            col = offsets[s] + p * k_s + j
+                            ent = (unit_root_power(k_s, (i - j) * a) / k_s) * np.kron(
+                                eye_ds, matrix_unit(k_s, (i + b) % k_s, (j + b) % k_s)
+                            )
+                            big[row * d : (row + 1) * d, col * d : (col + 1) * d] = ent
+                projections.append(big)
+    return alg.embed(np.stack(projections))
+
+
+def reference_diagonal_projections(coloring, c: int) -> tuple[np.ndarray, ...]:
+    """The loop that colorings.diagonal_strategy replaced, kept as its reference."""
+    n = len(coloring)
+    projections = []
+    for a in range(c):
+        p = np.zeros((n, n), dtype=np.complex128)
+        for x, col in enumerate(coloring):
+            if col == a:
+                p[x, x] = 1.0
+        projections.append(p)
+    return tuple(projections)
 
 
 LADDER = {

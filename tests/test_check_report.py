@@ -4,6 +4,7 @@ per-residual loops it replaced, of normal_form against the *-closure and
 centre solve it replaced, and of edge_basis against its Gram-Schmidt loop."""
 
 import dataclasses
+import importlib.util
 import json
 import os
 
@@ -22,6 +23,9 @@ from helpers import (
     random_block_strategy,
     random_povm,
     random_pvm,
+    reference_diagonal_projections,
+    reference_shift_multiply_projections,
+    reference_teleport_projections,
 )
 from qgraph import (
     BlockStrategy,
@@ -62,7 +66,7 @@ from qgraph.algebra import (
     orthonormalize,
     project_onto_span,
 )
-from qgraph.colorings import complete_quantum_graph
+from qgraph.colorings import complete_quantum_graph, diagonal_strategy
 from qgraph.correlations import ClassicalCorrelation, Correlation, embed_classical, outcome_probability
 from qgraph.graphs import (
     ADJACENCY,
@@ -1687,3 +1691,58 @@ def test_tensor_entries_match_reference_loop(label, ts):
     chi = ts.chi.reshape(da, db)
     x = np.einsum("aijuv,bklxy,vy,ux->abijkl", p_ref, q_ref, chi, np.conj(chi), optimize=True)
     assert np.abs(correlation_from_tensor(ts).tensor - x).max() <= 1e-12
+
+
+# --- the colouring constructions ----------------------------------------------
+
+
+def _benchmark_ladder():
+    """The block lists of the benchmark's algebra ladder (perfbench/inputs.py)."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "inputs.py")
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return [blocks for _, blocks in inputs.LADDER]
+
+
+COLORING_BLOCKS = _benchmark_ladder() + [((1, 1),) * 3, ((3, 1), (1, 5))]
+
+
+def assert_same_bits(new, old):
+    assert np.array_equal(new, old)
+    for part in (np.real, np.imag):
+        assert np.array_equal(np.signbit(part(new)), np.signbit(part(old)))
+
+
+@pytest.mark.parametrize("rotated", [False, True], ids=["canonical", "haar"])
+@pytest.mark.parametrize("blocks", COLORING_BLOCKS, ids=str)
+def test_shift_multiply_matches_reference_loop(blocks, rotated):
+    n = sum(m * k for m, k in blocks)
+    unitary = rand_unitary(np.random.default_rng(2040 + n), n) if rotated else None
+    alg = VnAlgebra(n=n, blocks=blocks, unitary=unitary)
+    new = np.stack(shift_multiply_coloring(alg).projections)
+    old = reference_shift_multiply_projections(alg)
+    if rotated:
+        assert_same_bits(new, old)
+    else:
+        # The entry loop wrote -0.0 where kron multiplied a phase by 0.0.
+        assert np.array_equal(new, old)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_teleport_matches_reference_loop(d, k):
+    assert_same_bits(np.stack(teleport_coloring(d, k).projections), reference_teleport_projections(d, k))
+
+
+@pytest.mark.parametrize(
+    "coloring, c",
+    [((), 0), (tuple(np.random.default_rng(2041).integers(0, 4, size=7).tolist()), 4)],
+    ids=["empty", "seeded"],
+)
+def test_diagonal_strategy_matches_reference_loop(coloring, c):
+    s = diagonal_strategy(coloring, c)
+    ref = reference_diagonal_projections(coloring, c)
+    assert len(s.projections) == len(ref) == c
+    for new, old in zip(s.projections, ref):
+        assert_same_bits(new, old)

@@ -91,6 +91,14 @@ def test_malformed_input_exit_2(tmp_path, capsys):
     assert "algebra" in err  # JSON pointer to the missing field
 
 
+@pytest.mark.parametrize("d, k", [("0", "2"), ("2", "-1")])
+def test_teleport_with_non_positive_size_exits_2(capsys, d, k):
+    assert main(["color", "--method", "teleport", "--d", d, "--k", k]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["pointer"] == "--d/--k"
+
+
 def test_dilate_command(tmp_path, capsys):
     rng = np.random.default_rng(90)
     povm = random_povm(rng, 4, 2)

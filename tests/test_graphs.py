@@ -3,23 +3,19 @@ import itertools
 import numpy as np
 import pytest
 
-from helpers import rand_unitary
 from qgraph import (
     ClassicalGraph,
     QuantumGraph,
     Tolerance,
     VnAlgebra,
-    bell_state,
     chromatic_number,
     classical_oracle,
-    devectorize,
     edge_basis,
     graph_operator_system,
     homomorphism_exists,
     hs_inner,
     proper_coloring,
     validate,
-    vectorize,
 )
 from qgraph.algebra import commutant, orthonormalize, project_onto_span
 from qgraph.graphs import SAME_VERTEX, classical_graph_from_operator_system
@@ -193,65 +189,6 @@ class TestEdgeBasis:
         g = QuantumGraph(n=2, algebra=alg, s_basis=(matrix_unit(2, 0, 1),))
         with pytest.raises(ValueError):
             edge_basis(g)
-
-
-class TestVectorize:
-    def test_matrix_unit(self):
-        v = vectorize(matrix_unit(2, 0, 1))
-        expected = np.zeros(4); expected[1] = 1
-        np.testing.assert_allclose(v, expected)
-
-    def test_identity_gives_bell(self):
-        n = 3
-        np.testing.assert_allclose(
-            vectorize(np.eye(n) / np.sqrt(n)), bell_state(range(n), n), atol=1e-12
-        )
-
-    def test_isometry(self):
-        rng = np.random.default_rng(12)
-        for _ in range(5):
-            a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-            b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-            assert np.vdot(vectorize(b), vectorize(a)) == pytest.approx(hs_inner(a, b))
-
-    def test_roundtrip(self):
-        rng = np.random.default_rng(13)
-        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        np.testing.assert_allclose(devectorize(vectorize(a)), a)
-
-    def test_general_basis(self):
-        rng = np.random.default_rng(14)
-        u = rand_unitary(rng, 3)
-        a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        vec = vectorize(a, basis=u)
-        np.testing.assert_allclose(devectorize(vec, basis=u), a, atol=1e-12)
-        b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        assert np.vdot(vectorize(b, basis=u), vectorize(a, basis=u)) == pytest.approx(
-            hs_inner(a, b)
-        )
-
-    def test_non_orthonormal_rejected(self):
-        with pytest.raises(ValueError):
-            vectorize(np.eye(2), basis=np.ones((2, 2)))
-
-
-class TestBellState:
-    def test_full(self):
-        v = bell_state(range(2), 2)
-        np.testing.assert_allclose(v, np.array([1, 0, 0, 1]) / np.sqrt(2))
-
-    def test_singleton(self):
-        v = bell_state([1], 3)
-        expected = np.zeros(9); expected[4] = 1
-        np.testing.assert_allclose(v, expected)
-
-    def test_unit_norm(self):
-        for s in ([0], [0, 2], range(4)):
-            assert np.linalg.norm(bell_state(s, 4)) == pytest.approx(1.0)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            bell_state([], 3)
 
 
 class TestGraphOperatorSystem:
