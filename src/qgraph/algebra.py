@@ -97,12 +97,10 @@ class VnAlgebra:
 
     def central_projections(self) -> list[np.ndarray]:
         """The minimal central projections E_r, in ambient coordinates."""
-        out = []
-        for off, (m, k) in zip(self.block_offsets(), self.blocks):
-            e = np.zeros((self.n, self.n), dtype=np.complex128)
-            e[off : off + m * k, off : off + m * k] = np.eye(m * k)
-            out.append(self.embed(e))
-        return out
+        block = np.repeat(np.arange(len(self.blocks)), [m * k for m, k in self.blocks])
+        e = np.zeros((len(self.blocks), self.n, self.n), dtype=np.complex128)
+        e[block, np.arange(self.n), np.arange(self.n)] = 1.0
+        return list(self.embed(e))
 
     def k_blocks(self) -> list["KBlock"]:
         """Irreducible subspaces K_alpha of the M-action, standard-basis split.
@@ -142,16 +140,15 @@ class KBlock:
         return self.isometry @ self.isometry.conj().T
 
 
-def _compute_algebra_basis(alg: VnAlgebra) -> list[np.ndarray]:
-    out = []
+def _compute_algebra_basis(alg: VnAlgebra) -> np.ndarray:
+    """The (dim M, n, n) stack of I_m (x) E_uv / sqrt(m), (u, v) row-major in each block."""
+    out = np.zeros((alg.dim_algebra, alg.n, alg.n), dtype=np.complex128)
+    start = 0
     for off, (m, k) in zip(alg.block_offsets(), alg.blocks):
-        for u in range(k):
-            for v in range(k):
-                b = np.zeros((alg.n, alg.n), dtype=np.complex128)
-                for p in range(m):
-                    b[off + p * k + u, off + p * k + v] = 1.0
-                out.append(alg.embed(b / np.sqrt(m)))
-    return out
+        u, v, p = np.meshgrid(np.arange(k), np.arange(k), np.arange(m), indexing="ij")
+        out[start + u * k + v, off + p * k + u, off + p * k + v] = 1.0 / np.sqrt(m)
+        start += k * k
+    return alg.embed(out)
 
 
 def commutant_units(alg: VnAlgebra) -> list[tuple[int, int, int]]:
@@ -166,13 +163,12 @@ def commutant_units(alg: VnAlgebra) -> list[tuple[int, int, int]]:
     ]
 
 
-def _compute_commutant(alg: VnAlgebra) -> list[np.ndarray]:
-    out = []
-    for lead, trail, k in commutant_units(alg):
-        b = np.zeros((alg.n, alg.n), dtype=np.complex128)
-        b[lead + np.arange(k), trail + np.arange(k)] = 1.0
-        out.append(alg.embed(b / np.sqrt(k)))
-    return out
+def _compute_commutant(alg: VnAlgebra) -> np.ndarray:
+    """The (dim M', n, n) stack of the units of commutant_units, in their order."""
+    out = np.zeros((alg.dim_commutant, alg.n, alg.n), dtype=np.complex128)
+    for unit, (lead, trail, k) in enumerate(commutant_units(alg)):
+        out[unit, lead + np.arange(k), trail + np.arange(k)] = 1.0 / np.sqrt(k)
+    return alg.embed(out)
 
 
 def algebra_basis(alg: VnAlgebra) -> list[np.ndarray]:

@@ -209,6 +209,10 @@ def _cmd_color(args) -> int:
 
 
 def _game_instance(args) -> GameInstance:
+    if args.target is not None and args.complete is not None:
+        raise SchemaError("--target", "give --target FILE or --complete C, not both")
+    if args.complete is not None and args.complete < 0:
+        raise SchemaError("--complete", f"vertex count must be nonnegative, got {args.complete}")
     source = graph_from_json(_load_json(args.graph))
     if args.target is not None:
         target = classical_graph_from_json(_load_json(args.target))

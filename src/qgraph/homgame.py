@@ -15,7 +15,7 @@ import numpy as np
 from .algebra import commutant
 from .graphs import ClassicalGraph, QuantumGraph, adjacency_subspace_basis, require_valid
 from .linalg import DEFAULT_TOL, Check, CheckReport, Tolerance, check_measurement, hs_norm, worst_residual
-from .strategies import _CHUNK_BYTES, BlockStrategy, OutcomeFactors, TracialAncilla, factor_outcomes, times_input
+from .strategies import _CHUNK_BYTES, BlockStrategy, OutcomeFactors, TracialAncilla, factor_outcomes
 
 __all__ = [
     "GameInstance",
@@ -45,12 +45,6 @@ def _check_dims(inst: GameInstance, strategy: BlockStrategy):
         raise ValueError(
             f"strategy has {strategy.c} outputs, target has {inst.target.vertices} vertices"
         )
-
-
-def _nonadjacent(target: ClassicalGraph) -> np.ndarray:
-    """Boolean c x c mask of non-adjacent pairs; true on the diagonal (targets are loop-free).
-    Memoized on the target, and read-only."""
-    return target._nonadjacent
 
 
 def _sandwich(ps, ys: np.ndarray, mask: np.ndarray, weights=None) -> np.ndarray:
@@ -89,39 +83,16 @@ def _sandwich(ps, ys: np.ndarray, mask: np.ndarray, weights=None) -> np.ndarray:
     return np.where(mask, np.sqrt(member @ squares @ member.T), 0.0)
 
 
-def _membership(ps: np.ndarray, comm: np.ndarray) -> np.ndarray:
-    """sqrt(sum_Z |[P_a, Z (x) 1]|_F^2) for each P_a of a (c, nD, nD) stack, over an
-    (m, n, n) stack of Z, accumulated over chunks of Z."""
-    c, size = len(ps), ps.shape[-1]
-    squares = np.zeros(c)
-    # A chunk of k inputs Z holds about three (k, c, nD, nD) complex arrays.
-    step = max(1, _CHUNK_BYTES // (48 * c * size * size + 1))
-    for start in range(0, len(comm), step):
-        chunk = comm[start : start + step]
-        diff = times_input(ps, chunk)
-        # (Z (x) 1) P_a = (P_a^T (Z^T (x) 1))^T, with no copy for the transposes
-        diff -= times_input(ps.swapaxes(-2, -1), chunk.swapaxes(-2, -1)).swapaxes(-2, -1)
-        parts = np.ascontiguousarray(diff).view(np.float64)
-        squares += np.einsum("kaij,kaij->a", parts, parts)
-    return np.sqrt(squares)
-
-
-def _adjacency(inst: GameInstance, ps, weights=None) -> np.ndarray:
-    """The sandwich over S n (M')perp, on every non-adjacent pair, a = b included."""
+def _forbidden_outcomes(inst: GameInstance, factors, weights=None) -> tuple:
+    """(same, adjacency): the sandwiches of factors (as _sandwich takes them) over M' on
+    pairs a != b and over S n (M')perp on non-adjacent pairs, the spans of the same-vertex
+    and the adjacency edge-basis inputs of a graph that passes validate."""
     g = inst.source
-    perp = np.reshape(adjacency_subspace_basis(g), (-1, g.n, g.n))
-    return _sandwich(ps, perp, _nonadjacent(inst.target), weights)
-
-
-def _forbidden_outcomes(inst: GameInstance, ps, tol: Tolerance, weights=None) -> tuple:
-    """The sandwiches over M' on pairs a != b and over S n (M')perp on non-adjacent pairs:
-    the spans of the same-vertex and the adjacency edge-basis inputs of a graph that
-    passes validate."""
-    g = inst.source
-    require_valid(g, tol)
     same = np.asarray(commutant(g.algebra))
+    perp = np.reshape(adjacency_subspace_basis(g), (-1, g.n, g.n))
     offdiag = ~np.eye(inst.target.vertices, dtype=bool)
-    return _sandwich(ps, same, offdiag, weights), _adjacency(inst, ps, weights)
+    adjacency = _sandwich(factors, perp, inst.target._nonadjacent, weights)
+    return _sandwich(factors, same, offdiag, weights), adjacency
 
 
 def verify_structural(
@@ -130,19 +101,23 @@ def verify_structural(
     """Winning-strategy conditions on the PVM itself.
 
     (i) the family is a PVM respecting the ancilla blocks, (ii) each P_a lies
-    in M (x) N, by sqrt(sum_Z |[P_a, Z (x) 1]|_F^2) over an orthonormal basis
-    Z of M', and (iii) P_a ((S n (M')perp) (x) 1) P_b = 0 for every
-    non-adjacent target pair, including a = b, by the sandwich over that space.
+    in M (x) N, by sqrt(sum_{b != a} (S_ab^2 + S_ba^2)) with S_ab the sandwich
+    sqrt(sum_Z |P_a (Z (x) 1) P_b|_F^2) over an orthonormal basis Z of M' (on a
+    PVM, sqrt(sum_Z |[P_a, Z (x) 1]|_F^2), as 1 - P_a = sum_{b != a} P_b), and
+    (iii) P_a ((S n (M')perp) (x) 1) P_b = 0 for every non-adjacent target pair,
+    including a = b, by the sandwich over that space.
     """
     _check_dims(inst, strategy)
     pvm = [c.max_residual for c in strategy.measurement_report(tol).checks]
-    membership = _membership(np.stack(strategy.projections), np.asarray(commutant(inst.source.algebra)))
+    same, adjacency = _forbidden_outcomes(inst, strategy.factors)
+    squares = same**2
+    membership = np.sqrt(squares.sum(axis=1) + squares.sum(axis=0))
     return CheckReport(
         (
             Check.of("pvm", pvm, tol),
             Check.of("ancilla_blocks", strategy.ancilla_block_defect(), tol),
             Check.of("membership", membership, tol, "a"),
-            Check.of("adjacency_zeros", _adjacency(inst, strategy.factors), tol, "a", "b"),
+            Check.of("adjacency_zeros", adjacency, tol, "a", "b"),
         )
     )
 
@@ -162,7 +137,8 @@ def verify_operational(
     """
     _check_dims(inst, strategy)
     weights = np.sqrt(np.tile(strategy.ancilla.trace_diagonal(), strategy.n))
-    same, adjacency = _forbidden_outcomes(inst, strategy.factors, tol, weights)
+    require_valid(inst.source, tol)
+    same, adjacency = _forbidden_outcomes(inst, strategy.factors, weights)
     return CheckReport(
         (
             Check.of("same_vertex_rule", same, tol, "a", "b"),
@@ -228,7 +204,8 @@ def extract_channel(
 
     # Q_a = sum_k u_k u_k*, factored as it was built.
     q = OutcomeFactors(c, u, np.ones(len(labels)), u.conj().T, labels)
-    worst = worst_residual(_forbidden_outcomes(inst, q, tol))[0]
+    require_valid(inst.source, tol)
+    worst = worst_residual(_forbidden_outcomes(inst, q))[0]
     if worst > tol.eps:
         raise ValueError(f"channel subset conditions violated (residual {worst:.3e})")
     return ChannelRep(
@@ -253,12 +230,11 @@ def check_game_algebra_rep(
     _check_dims(inst, strategy)
     rep = strategy.measurement_report(tol)
     relation1 = [rep.check(name).max_residual for name in ("hermitian", "idempotency", "sum")]
-    comm = np.asarray(commutant(inst.source.algebra))
-    commutant_relation = _sandwich(strategy.factors, comm, ~np.eye(strategy.c, dtype=bool))
+    commutant_relation, adjacency = _forbidden_outcomes(inst, strategy.factors)
     return CheckReport(
         (
             Check.of("idempotents_sum_to_identity", relation1, tol),
-            Check.of("adjacency_relation", _adjacency(inst, strategy.factors), tol, "a", "b"),
+            Check.of("adjacency_relation", adjacency, tol, "a", "b"),
             Check.of("commutant_relation", commutant_relation, tol, "a", "b"),
         )
     )

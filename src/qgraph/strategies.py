@@ -222,7 +222,7 @@ def times_input(ops: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 # Bound on the bytes of the temporaries of one chunk of _star_commutator_norm, of
-# homgame._sandwich and homgame._membership, and of graphs._bimodule_distances.
+# homgame._sandwich, and of graphs._bimodule_distances.
 _CHUNK_BYTES = 4 << 20
 
 

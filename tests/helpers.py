@@ -15,6 +15,7 @@ from qgraph import (
     graph_operator_system,
     shift_multiply_coloring,
 )
+from qgraph.algebra import commutant_units
 from qgraph.colorings import complete_quantum_graph, diagonal_strategy
 from qgraph.linalg import matrix_unit, unit_root_power
 from qgraph.strategies import times_input
@@ -106,8 +107,9 @@ def dense_sandwich(ps: np.ndarray, ys: np.ndarray, mask: np.ndarray, weights=Non
 
 
 def dense_membership(ps: np.ndarray, comm: np.ndarray) -> np.ndarray:
-    """The expression that homgame._membership replaced, kept as its reference:
-    sqrt(sum_Z |[P_a, Z (x) 1]|_F^2) per a, from two full (m, c, nD, nD) stacks."""
+    """The commutator form of verify_structural's membership, kept as its reference:
+    sqrt(sum_Z |[P_a, Z (x) 1]|_F^2) per a, from two full (m, c, nD, nD) stacks.
+    It equals the per-a sum over the M' sandwich table on a PVM only."""
     diff = times_input(ps, comm)
     diff -= times_input(ps.swapaxes(-2, -1), comm.swapaxes(-2, -1)).swapaxes(-2, -1)
     return np.linalg.norm(np.linalg.norm(diff, axis=(-2, -1)), axis=0)
@@ -169,6 +171,40 @@ def reference_diagonal_projections(coloring, c: int) -> tuple[np.ndarray, ...]:
                 p[x, x] = 1.0
         projections.append(p)
     return tuple(projections)
+
+
+def reference_algebra_basis(alg: VnAlgebra) -> list[np.ndarray]:
+    """The per-element loop that algebra._compute_algebra_basis replaced, kept as its
+    reference: one I_m (x) E_uv / sqrt(m) and one embed at a time."""
+    out = []
+    for off, (m, k) in zip(alg.block_offsets(), alg.blocks):
+        for u in range(k):
+            for v in range(k):
+                b = np.zeros((alg.n, alg.n), dtype=np.complex128)
+                for p in range(m):
+                    b[off + p * k + u, off + p * k + v] = 1.0
+                out.append(alg.embed(b / np.sqrt(m)))
+    return out
+
+
+def reference_commutant(alg: VnAlgebra) -> list[np.ndarray]:
+    """The per-element loop that algebra._compute_commutant replaced, kept as its reference."""
+    out = []
+    for lead, trail, k in commutant_units(alg):
+        b = np.zeros((alg.n, alg.n), dtype=np.complex128)
+        b[lead + np.arange(k), trail + np.arange(k)] = 1.0
+        out.append(alg.embed(b / np.sqrt(k)))
+    return out
+
+
+def reference_central_projections(alg: VnAlgebra) -> list[np.ndarray]:
+    """The per-block loop that VnAlgebra.central_projections replaced, kept as its reference."""
+    out = []
+    for off, (m, k) in zip(alg.block_offsets(), alg.blocks):
+        e = np.zeros((alg.n, alg.n), dtype=np.complex128)
+        e[off : off + m * k, off : off + m * k] = np.eye(m * k)
+        out.append(alg.embed(e))
+    return out
 
 
 LADDER = {

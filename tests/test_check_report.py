@@ -23,6 +23,9 @@ from helpers import (
     random_block_strategy,
     random_povm,
     random_pvm,
+    reference_algebra_basis,
+    reference_central_projections,
+    reference_commutant,
     reference_diagonal_projections,
     reference_shift_multiply_projections,
     reference_teleport_projections,
@@ -77,7 +80,7 @@ from qgraph.graphs import (
     classical_graph_from_operator_system,
     edge_basis,
 )
-from qgraph.homgame import _forbidden_outcomes, _membership, _nonadjacent, _sandwich
+from qgraph.homgame import _forbidden_outcomes, _sandwich
 from qgraph.linalg import (
     POVM_CHECKS,
     SINGULAR_FLOOR,
@@ -643,11 +646,17 @@ def test_validate_reads_exactly_zero_when_s_is_all_of_m_n(blocks):
 
 @pytest.mark.parametrize("label, g, target, s, wins", CASES, ids=[c[0] for c in CASES])
 def test_membership_matches_dense_stacks(monkeypatch, label, g, target, s, wins):
-    ps, comm = np.stack(s.projections), np.asarray(commutant(g.algebra))
-    expected = dense_membership(ps, comm)
-    assert np.abs(_membership(ps, comm) - expected).max() <= 1e-12
-    monkeypatch.setattr("qgraph.homgame._CHUNK_BYTES", 1)
-    assert np.abs(_membership(ps, comm) - expected).max() <= 1e-12
+    # On a PVM the M' table's per-a sum is the commutator norm: 1 - P_a = sum_{b != a} P_b.
+    inst = GameInstance(source=g, target=target)
+    expected = dense_membership(np.stack(s.projections), np.asarray(commutant(g.algebra)))
+    worst = expected.max(initial=0.0)
+    for chunk in (None, 1):
+        if chunk is not None:
+            monkeypatch.setattr("qgraph.homgame._CHUNK_BYTES", chunk)
+        check = verify_structural(inst, s).check("membership")
+        assert abs(check.max_residual - worst) <= 1e-12
+        if worst > 1e-12:
+            assert abs(expected[check.witness["a"]] - worst) <= 1e-12
 
 
 @pytest.mark.parametrize("label, g, target, s, wins", CASES, ids=[c[0] for c in CASES])
@@ -1132,7 +1141,7 @@ def test_sandwich_kernel_matches_reference_loop(label, g, target, s, wins):
     rng = np.random.default_rng(2024)
     size = s.n * s.ancilla.dim
     ps = np.stack(s.projections)
-    masks = [_nonadjacent(target), ~np.eye(s.c, dtype=bool), rng.random((s.c, s.c)) < 0.3]
+    masks = [target._nonadjacent, ~np.eye(s.c, dtype=bool), rng.random((s.c, s.c)) < 0.3]
     for mats in (commutant(g.algebra), adjacency_subspace_basis(g), []):
         stack = np.reshape(mats, (-1, s.n, s.n))
         # Another orthonormal basis of the same span.
@@ -1162,7 +1171,7 @@ def assert_factored_matches_dense(ps, g, masks, weights_list, factors=None):
 
 
 def game_masks(rng, target, c):
-    return [_nonadjacent(target), ~np.eye(c, dtype=bool), rng.random((c, c)) < 0.3]
+    return [target._nonadjacent, ~np.eye(c, dtype=bool), rng.random((c, c)) < 0.3]
 
 
 def trace_weights(s):
@@ -1207,6 +1216,22 @@ def test_factored_sandwich_matches_dense_kernel_off_pvms(label, g, target, s, wi
     for ps in off_ladder_stacks(rng, s):
         weights = (None, rng.uniform(0.1, 1.0, size=ps.shape[-1]))
         assert_factored_matches_dense(ps, g, game_masks(rng, K(len(ps)), len(ps)), weights)
+
+
+@pytest.mark.parametrize("label, g, target, s, wins", WINNING, ids=[c[0] for c in WINNING])
+def test_membership_off_pvms_sums_rows_and_columns_of_the_dense_table(label, g, target, s, wins):
+    # Off a PVM, membership is the per-a sum over the M' table, not the commutator norm;
+    # a non-Hermitian stack makes the table asymmetric.
+    rng = np.random.default_rng(2034)
+    comm = np.asarray(commutant(g.algebra))
+    for ps in off_ladder_stacks(rng, s):
+        c = len(ps)
+        strategy = BlockStrategy(n=s.n, c=c, ancilla=s.ancilla, projections=tuple(ps))
+        squares = dense_sandwich(ps, comm, ~np.eye(c, dtype=bool)) ** 2
+        want = np.sqrt(squares.sum(axis=0) + squares.sum(axis=1))
+        check = verify_structural(GameInstance(source=g, target=K(c)), strategy).check("membership")
+        assert abs(check.max_residual - want.max()) <= 1e-12
+        assert abs(want[check.witness["a"]] - want.max()) <= 1e-12
 
 
 @pytest.mark.parametrize("label, g, target, s, wins", WINNING, ids=[c[0] for c in WINNING])
@@ -1578,7 +1603,7 @@ def reference_subset_residual(inst, strategy, kraus, tol):
     stack = np.stack(kraus)
     eye_d = np.eye(strategy.ancilla.dim)
     offdiag = ~np.eye(strategy.c, dtype=bool)
-    nonadjacent = _nonadjacent(inst.target)
+    nonadjacent = inst.target._nonadjacent
     residuals, sums, inputs = [], {}, {}
     for elem in edge_basis(inst.source, tol).elements:
         big = np.kron(elem.matrix, eye_d)
@@ -1604,7 +1629,7 @@ def test_subset_residual_matches_reference_loop(label, g, target, s, wins):
     kraus = [np.outer(np.eye(s.c)[a], u[:, k].conj()) for k, a in enumerate(labels)]
     worst, new, terms = reference_subset_residual(inst, s, kraus, tol)
     q = np.stack([v @ v.conj().T for v in vectors])
-    assert abs(worst_residual(_forbidden_outcomes(inst, q, tol))[0] - new) <= 1e-12
+    assert abs(worst_residual(_forbidden_outcomes(inst, q))[0] - new) <= 1e-12
     assert_sum_bounds(worst, new, terms)
     assert (worst <= tol.eps) == wins and (new <= tol.eps) == wins
     if wins:
@@ -1727,6 +1752,21 @@ def test_shift_multiply_matches_reference_loop(blocks, rotated):
     else:
         # The entry loop wrote -0.0 where kron multiplied a phase by 0.0.
         assert np.array_equal(new, old)
+
+
+@pytest.mark.parametrize("rotated", [False, True], ids=["canonical", "haar"])
+@pytest.mark.parametrize("blocks", COLORING_BLOCKS, ids=str)
+def test_algebra_bases_match_reference_loops(blocks, rotated):
+    n = sum(m * k for m, k in blocks)
+    unitary = rand_unitary(np.random.default_rng(2042 + n), n) if rotated else None
+    alg = VnAlgebra(n=n, blocks=blocks, unitary=unitary)
+    for new, old in (
+        (algebra_basis(alg), reference_algebra_basis(alg)),
+        (commutant(alg), reference_commutant(alg)),
+        (alg.central_projections(), reference_central_projections(alg)),
+    ):
+        assert len(new) == len(old)
+        assert_same_bits(np.stack(new), np.stack(old))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])

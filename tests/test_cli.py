@@ -91,6 +91,19 @@ def test_malformed_input_exit_2(tmp_path, capsys):
     assert "algebra" in err  # JSON pointer to the missing field
 
 
+@pytest.mark.parametrize("verb", ["verify-hom", "extract-channel"])
+@pytest.mark.parametrize("flags, pointer", [(["--complete", "-1"], "--complete"),
+                                            (["--target", "TARGET", "--complete", "4"], "--target")])
+def test_malformed_target_flags_exit_2_with_pointer(tmp_path, m2_graph_file, capsys, verb, flags, pointer):
+    target = write(tmp_path, "k4.json", classical_graph_to_json(ClassicalGraph.complete(4)))
+    strategy = write(tmp_path, "strategy.json", {})
+    flags = [target if f == "TARGET" else f for f in flags]
+    assert main([verb, "--graph", m2_graph_file, *flags, "--strategy", strategy]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["pointer"] == pointer
+
+
 @pytest.mark.parametrize("d, k", [("0", "2"), ("2", "-1")])
 def test_teleport_with_non_positive_size_exits_2(capsys, d, k):
     assert main(["color", "--method", "teleport", "--d", d, "--k", k]) == 2

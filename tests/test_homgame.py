@@ -33,7 +33,6 @@ from qgraph.algebra import algebra_basis, commutant, project_onto_span
 from qgraph.cli import MAX_TOL
 from qgraph.colorings import complete_quantum_graph, diagonal_strategy
 from qgraph.graphs import adjacency_subspace_basis
-from qgraph.homgame import _nonadjacent
 from qgraph.linalg import Tolerance, matrix_unit
 
 K = ClassicalGraph.complete
@@ -252,9 +251,13 @@ class TestModesAgreeOnSmallViolations:
                 assert {check.witness["a"], check.witness["b"]} == {0, 1}, mode
             elif name not in ("pvm", "ancilla_blocks", "idempotents_sum_to_identity"):
                 assert check.witness is not None, (mode, name)
+        if relation == "same_vertex":
+            # Membership reads the sandwich over M' on pairs a != b, and 1 lies in M'.
+            assert not verify_structural(inst, s, tol).check("membership").passed
         inst, s = self.perturbed(blocks, relation, tol.eps / 100)
         for mode, fn in MODES.items():
             assert fn(inst, s, tol).passed, mode
+        assert verify_structural(inst, s, tol).check("membership").passed
 
 
 class TestExtractChannel:
@@ -455,10 +458,10 @@ def reference_nonadjacent(target):
     ids=["K_1", "K_4", "C_5", "C_6", "edgeless", "empty"],
 )
 def test_nonadjacency_mask_matches_the_adjacent_loop(target):
-    mask = _nonadjacent(target)
+    mask = target._nonadjacent
     assert mask.shape == (target.vertices,) * 2 and mask.dtype == bool
     np.testing.assert_array_equal(mask, reference_nonadjacent(target))
-    assert _nonadjacent(target) is mask and not mask.flags.writeable
+    assert target._nonadjacent is mask and not mask.flags.writeable
 
 
 def test_each_job_builds_its_mask_and_measurement_report_once(monkeypatch):
@@ -482,6 +485,24 @@ def test_each_job_builds_its_mask_and_measurement_report_once(monkeypatch):
     assert s.measurement_report() is s.measurement_report(Tolerance())
     s.measurement_report(Tolerance(1e-6))
     assert len(calls) == 2
+
+
+def test_each_mode_reads_one_forbidden_outcome_table(monkeypatch):
+    from qgraph import homgame
+
+    calls = []
+    for name in ("_forbidden_outcomes", "require_valid"):
+        original = getattr(homgame, name)
+        monkeypatch.setattr(homgame, name, lambda *args, _f=original, _n=name: calls.append(_n) or _f(*args))
+    alg = VnAlgebra(n=3, blocks=((1, 1), (1, 2)))
+    s = shift_multiply_coloring(alg)
+    inst = GameInstance(source=complete_quantum_graph(alg), target=K(s.c))
+    validated = {"structural": False, "operational": True, "algebra": False, "channel": True}
+    for mode, verify in {**MODES, "channel": extract_channel}.items():
+        calls.clear()
+        verify(inst, s)
+        assert calls.count("_forbidden_outcomes") == 1, mode
+        assert calls.count("require_valid") == validated[mode], mode
 
 
 class TestConjugatedAlgebraOperational:
