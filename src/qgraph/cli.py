@@ -37,7 +37,7 @@ from .correlations import (
 )
 from .graphs import ClassicalGraph, chromatic_number, edge_basis, validate
 from .homgame import GameInstance, check_game_algebra_rep, compose_reps, extract_channel, verify_operational, verify_structural
-from .linalg import Check, CheckReport, Tolerance, check_measurement
+from .linalg import ROUNDING_SLACK, Check, CheckReport, Tolerance, check_measurement
 from .serialize import (
     SchemaError,
     algebra_from_json,
@@ -60,7 +60,7 @@ from .strategies import bob_from_alice, corner_compress, dilate_block_povm, roun
 PASS, FAIL, MALFORMED = 0, 1, 2
 
 # The largest tolerance accepted from --tol or QGRAPH_TOL.  Internal checks
-# widen the tolerance by up to 100x, which keeps them at or below 0.1.
+# widen the tolerance by up to linalg.ROUNDING_SLACK, which keeps them at or below 0.1.
 MAX_TOL = 1e-3
 
 
@@ -155,7 +155,7 @@ def _cmd_dilate(args) -> int:
     corner = [np.linalg.norm(corner_compress(p, n, c, h) - q) for p, q in zip(dilated, ops)]
     rep = CheckReport(
         check_measurement(dilated, tol).checks
-        + (Check.of("corner", corner, Tolerance(tol.eps * 100), "a"),)
+        + (Check.of("corner", corner, Tolerance(tol.eps * ROUNDING_SLACK), "a"),)
     )
     report = {
         "n": n,

@@ -10,8 +10,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, Check, CheckReport, Tolerance, as_matrix, worst_residual
-from .strategies import BlockStrategy, TensorStrategy, TracialAncilla, times_input
+from .linalg import (
+    DEFAULT_TOL,
+    ROUNDING_SLACK,
+    Check,
+    CheckReport,
+    Tolerance,
+    as_matrix,
+    worst_residual,
+)
+from .strategies import BlockStrategy, TensorStrategy, TracialAncilla
 
 __all__ = [
     "Correlation",
@@ -43,9 +51,10 @@ class Correlation:
         object.__setattr__(self, "tensor", t)
 
     def normalization_residual(self) -> float:
-        """|sum_{a,b,i,j} X^{(a,b)}_{(i,j),(i,j)} - n|, zero for any qc-correlation."""
+        """|sum_{a,b,i,j} X^{(a,b)}_{(i,j),(i,j)} - n|, zero for any qc-correlation;
+        inf when an entry is NaN."""
         total = np.einsum("abijij->", self.tensor)
-        return abs(complex(total) - self.n)
+        return worst_residual(abs(complex(total) - self.n))[0]
 
 
 @dataclass(frozen=True)
@@ -64,30 +73,44 @@ class ClassicalCorrelation:
         object.__setattr__(self, "p", arr)
 
     def normalization_residual(self) -> float:
+        """max_{x,y} |sum_{a,b} p(a,b|x,y) - 1|; inf when an entry is NaN."""
         sums = self.p.sum(axis=(0, 1))
-        return float(np.abs(sums - 1.0).max())
+        return worst_residual(np.abs(sums - 1.0))[0]
 
 
 def correlation_from_trace(strategy: BlockStrategy) -> Correlation:
-    """X^{(a,b)}_{(i,j),(k,l)} = tau(P_{a,ij} P_{b,kl}*) with the ancilla trace."""
-    ents = strategy.entries()  # (c, n, n, D, D)
-    t = strategy.ancilla.trace_diagonal()
-    x = np.einsum("u,aijuv,bkluv->abijkl", t, ents, np.conj(ents), optimize=True)
-    return Correlation(n=strategy.n, c=strategy.c, tensor=x)
+    """X^{(a,b)}_{(i,j),(k,l)} = tau(P_{a,ij} P_{b,kl}*) with the ancilla trace.
+
+    One GEMM: with the entries as the rows of a (c n^2, D^2) matrix E and the
+    weight t_u on column (u, v), X = (E diag(t_u)) E* reshaped to
+    (c, n, n, c, n, n) and transposed to [a, b, i, j, k, l].
+    """
+    n, c, d = strategy.n, strategy.c, strategy.ancilla.dim
+    e = strategy.entries().reshape(c * n * n, d * d)
+    w = np.repeat(strategy.ancilla.trace_diagonal(), d)
+    x = (e * w) @ e.conj().T
+    # The tensor is a transposed view: a C-contiguous copy made the checks that read it no faster.
+    return Correlation(n=n, c=c, tensor=x.reshape(c, n, n, c, n, n).transpose(0, 3, 1, 2, 4, 5))
 
 
 def correlation_from_tensor(strategy: TensorStrategy) -> Correlation:
-    """X^{(a,b)}_{(i,j),(k,l)} = <(P_{a,ij} (x) Q_{b,kl}) chi, chi>."""
+    """X^{(a,b)}_{(i,j),(k,l)} = <(P_{a,ij} (x) Q_{b,kl}) chi, chi>.
+
+    With chi as a D_A x D_B matrix, X = sum_{xy} (chi* P_{a,ij} chi)_{xy} (Q_{b,kl})_{xy}.
+    The products chi* P_{a,ij} chi of all entries are two GEMMs on Alice's
+    stack, one per side, and X is one GEMM of their (c n^2, D_B^2) matrix
+    against Bob's entry matrix.
+    """
     n, c = strategy.n, strategy.c
     da, db = strategy.dims
-    # P_{a,ij} is a D_A x D_A cell of C^n (x) H_A; Q_{b,kl} is the stride-n cell of H_B (x) C^n.
-    p_ent = np.stack(strategy.alice).reshape(c, n, da, n, da).transpose(0, 1, 3, 2, 4)
-    q_ent = np.stack(strategy.bob).reshape(c, db, n, db, n).transpose(0, 2, 4, 1, 3)
     chi = strategy.chi.reshape(da, db)
-    x = np.einsum(
-        "aijuv,bklxy,vy,ux->abijkl", p_ent, q_ent, chi, np.conj(chi), optimize=True
-    )
-    return Correlation(n=n, c=c, tensor=x)
+    # P_{a,ij} is a D_A x D_A cell of C^n (x) H_A; Q_{b,kl} is the stride-n cell of H_B (x) C^n.
+    right = (np.stack(strategy.alice).reshape(-1, da) @ chi).reshape(c, n, da, n * db)  # [a, i, u, (j, y)]
+    m = chi.conj().T @ right.transpose(2, 0, 1, 3).reshape(da, -1)  # [x, (a, i, j, y)]
+    m = m.reshape(db, c * n * n, db).transpose(1, 0, 2).reshape(c * n * n, db * db)
+    q_ent = np.stack(strategy.bob).reshape(c, db, n, db, n).transpose(0, 2, 4, 1, 3)
+    x = m @ q_ent.reshape(c * n * n, db * db).T
+    return Correlation(n=n, c=c, tensor=x.reshape(c, n, n, c, n, n).transpose(0, 3, 1, 2, 4, 5))
 
 
 def outcome_probability(
@@ -102,23 +125,30 @@ def outcome_probability(
 
     By cyclicity p(a,b) = tr(G_a P_b) with G_a = X_a* T X_a, where
     X_a = P_a (Y (x) 1) and T is the diagonal of trace weights.  This uses
-    P_a* = P_a but no idempotency, so it holds for POVMs too.
+    P_a* = P_a but no idempotency, so it holds for POVMs too.  X is one GEMM,
+    the (c N D, n) matrix of P over its column index j against the (n, m n)
+    matrix of the inputs, and one copy into the layout (..., a, row, column);
+    tr(G_a P_b) is one GEMM over the flattened N^2 index.
     """
     y = np.asarray(y, dtype=np.complex128)
     n = strategy.n
     if y.ndim not in (2, 3) or y.shape[-2:] != (n, n):
         raise ValueError(f"input shape {y.shape}, expected {(n, n)} or (m, {n}, {n})")
     norms = np.linalg.norm(y, axis=(-2, -1)).ravel()
-    unnormalized = ~(np.abs(norms - 1.0) <= tol.eps * 100)
+    unnormalized = ~(np.abs(norms - 1.0) <= tol.eps * ROUNDING_SLACK)
     if unnormalized.any():
         raise ValueError(f"input state is not normalized: |Y|_F = {norms[unnormalized][0]}")
     ps = np.stack(strategy.projections)
-    x = times_input(ps, y)  # axes (..., a, row, column)
+    c, size = ps.shape[:2]
+    d, ys = size // n, y.reshape(-1, n, n)
+    rows = ps.reshape(c, n, d, n, d).transpose(0, 1, 2, 4, 3).reshape(-1, n)  # [(a, i, u, v), j]
+    x = rows @ ys.transpose(1, 0, 2).reshape(n, -1)  # P_a (Y (x) 1) as [(a, i, u, v), (m, k)]
+    x = x.reshape(c, n, d, d, len(ys), n).transpose(4, 0, 1, 2, 5, 3).reshape(*y.shape[:-2], c, size, size)
     x *= np.sqrt(np.tile(strategy.ancilla.trace_diagonal(), n))[:, None]
     g = x.conj().swapaxes(-2, -1) @ x
-    p = np.einsum("...aij,bji->...ab", g, ps, optimize=True)
+    p = (g.reshape(-1, size * size) @ ps.swapaxes(-2, -1).reshape(c, size * size).T).reshape(*g.shape[:-2], c)
     imag = worst_residual(np.abs(p.imag))[0]
-    if not imag <= tol.eps * 100:
+    if not imag <= tol.eps * ROUNDING_SLACK:
         raise ValueError(f"outcome probabilities have imaginary residual {imag:.3e}")
     return p.real
 
@@ -192,6 +222,8 @@ def embed_classical(
     if n == 0:
         raise ValueError("need at least one input family")
     c = len(families[0])
+    if c == 0:
+        raise ValueError("need at least one output per input family")
     mats = [[as_matrix(e) for e in fam] for fam in families]
     h = mats[0][0].shape[0]
     for fam in mats:
@@ -219,7 +251,7 @@ def compress_to_classical(
     """p(a,b|x,y) = X^{(a,b)}_{(x,x),(y,y)}; entries must be real within tolerance."""
     diag = np.einsum("abxxyy->abxy", x.tensor)
     imag = float(np.abs(diag.imag).max())
-    if not imag <= tol.eps * 100:
+    if not imag <= tol.eps * ROUNDING_SLACK:
         raise ValueError(f"compressed correlation has imaginary residual {imag:.3e}")
     return ClassicalCorrelation(n=x.n, c=x.c, p=diag.real)
 

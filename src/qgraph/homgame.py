@@ -14,7 +14,16 @@ import numpy as np
 
 from .algebra import commutant
 from .graphs import ClassicalGraph, QuantumGraph, adjacency_subspace_basis, require_valid
-from .linalg import DEFAULT_TOL, Check, CheckReport, Tolerance, check_measurement, hs_norm, worst_residual
+from .linalg import (
+    DEFAULT_TOL,
+    ROUNDING_SLACK,
+    Check,
+    CheckReport,
+    Tolerance,
+    check_measurement,
+    hs_norm,
+    worst_residual,
+)
 from .strategies import _CHUNK_BYTES, BlockStrategy, OutcomeFactors, TracialAncilla, factor_outcomes
 
 __all__ = [
@@ -188,7 +197,7 @@ def extract_channel(
     for a, p in enumerate(strategy.projections):
         w, v = np.linalg.eigh((p + p.conj().T) / 2)
         drift = float(np.minimum(np.abs(w), np.abs(w - 1.0)).max())
-        if not drift <= max(tol.eps * 100, 1e-8):
+        if not drift <= max(tol.eps * ROUNDING_SLACK, 1e-8):
             raise ValueError(f"P_{a} spectrum drifts from {{0,1}} by {drift:.3e}")
         vectors.append(v[:, w > 0.5])
     labels = np.repeat(np.arange(c), [v.shape[1] for v in vectors])

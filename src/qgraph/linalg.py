@@ -51,6 +51,11 @@ DEFAULT_TOL = Tolerance()
 # operator, and dropping it moves a relation by far less than any usable tolerance.
 SINGULAR_FLOOR = 1e-14
 
+# Factor by which a check on a derived quantity (an input's norm, an imaginary part
+# left by rounding, a spectrum or corner of a computed operator) widens tol.eps: such
+# a quantity sums rounding over many more terms than the residual that tol.eps bounds.
+ROUNDING_SLACK = 100
+
 
 def worst_residual(residuals, axes: tuple[str, ...] = ()) -> tuple[float, dict | None]:
     """Largest entry of a residual array and where it occurs.

@@ -16,6 +16,7 @@ import numpy as np
 from .linalg import (
     DEFAULT_TOL,
     POVM_CHECKS,
+    ROUNDING_SLACK,
     SINGULAR_FLOOR,
     CheckReport,
     Tolerance,
@@ -212,15 +213,6 @@ def factor_outcomes(ops: np.ndarray) -> OutcomeFactors | None:
     return OutcomeFactors(len(ops), u.transpose(0, 2, 1)[keep].T, s[keep], vh[keep], labels)
 
 
-def times_input(ops: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """P (Y (x) 1) for each P of a (c, nD, nD) stack and each Y of an (..., n, n)
-    stack, as (..., c, nD, nD).  Y meets the n-index of P, seen as (c, n, D, n, D),
-    so Y (x) 1 is never formed."""
-    c, n, d = len(ops), y.shape[-1], ops.shape[-1] // y.shape[-1]
-    out = np.einsum("aiujv,...jk->...aiukv", ops.reshape(c, n, d, n, d), y, optimize=True)
-    return out.reshape(*y.shape[:-2], c, n * d, n * d)
-
-
 # Bound on the bytes of the temporaries of one chunk of _star_commutator_norm, of
 # homgame._sandwich, and of graphs._bimodule_distances.
 _CHUNK_BYTES = 4 << 20
@@ -270,11 +262,15 @@ class TensorStrategy:
 
     def __post_init__(self):
         da, db = self.dims
+        if not (da >= 1 and db >= 1):
+            raise ValueError(f"dims of H_A and H_B must be positive, got {tuple(self.dims)}")
         alice = tuple(as_matrix(p) for p in self.alice)
         bob = tuple(as_matrix(q) for q in self.bob)
         chi = np.asarray(self.chi, dtype=np.complex128).reshape(-1)
         if len(alice) != len(bob):
             raise ValueError(f"Alice has {len(alice)} operators, Bob has {len(bob)}")
+        if not alice:
+            raise ValueError("a tensor strategy needs at least one operator per party")
         n = self.n
         for p in alice:
             if p.shape != (n * da, n * da):
@@ -400,7 +396,7 @@ def unitary_to_pvm(u, c: int, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
     for _ in range(c):
         powers.append(powers[-1] @ u)
     order_defect = hs_norm(powers[c] - np.eye(size))
-    if not order_defect <= tol.eps * 100:
+    if not order_defect <= tol.eps * ROUNDING_SLACK:
         raise ValueError(f"U^{c} differs from the identity (defect {order_defect:.3e})")
     out = []
     for a in range(1, c + 1):
@@ -411,7 +407,7 @@ def unitary_to_pvm(u, c: int, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
     # For a unitary of order c the inversion is an exact PVM; a failure here
     # means the spectrum leaves the c-th roots of unity.  This avoids any
     # non-Hermitian eigensolver.
-    failed = check_measurement(out, Tolerance(max(tol.eps * 100, 1e-8))).failures()
+    failed = check_measurement(out, Tolerance(max(tol.eps * ROUNDING_SLACK, 1e-8))).failures()
     if failed:
         raise ValueError(f"spectrum is not contained in the c-th roots of unity: {failed}")
     return out
@@ -444,19 +440,14 @@ def bob_from_alice(strategy: BlockStrategy) -> TensorStrategy:
     """Canonical tensor-product realization of a trace-path strategy.
 
     H_A = H_B = C^D; the shared state is the trace vector
-    chi = (+)_s sqrt(w_s/d_s) sum_p e_{s,p} (x) e_{s,p}, and Bob's operators
-    are the entrywise complex conjugates of Alice's, shuffled onto
-    H_B (x) C^n.  The tensor correlation then reproduces the trace
-    correlation, and (I (x) Q_{a,ij}) chi = (P_{a,ij}* (x) I) chi.
+    chi = vec(diag(sqrt(t))) = (+)_s sqrt(w_s/d_s) sum_p e_{s,p} (x) e_{s,p}, and
+    Bob's operators are the entrywise complex conjugates of Alice's, shuffled
+    onto H_B (x) C^n: one conj and one transpose of the (c, n, D, n, D) stack.
+    The tensor correlation then reproduces the trace correlation, and
+    (I (x) Q_{a,ij}) chi = (P_{a,ij}* (x) I) chi.
     """
-    d = strategy.ancilla.dim
-    n = strategy.n
-    chi = np.zeros(d * d, dtype=np.complex128)
-    t = strategy.ancilla.trace_diagonal()
-    for u in range(d):
-        chi[u * d + u] = np.sqrt(t[u])
-    alice = strategy.projections
-    bob = tuple(
-        canonical_shuffle(np.conj(p), outer=n, inner=d) for p in strategy.projections
-    )
-    return TensorStrategy(dims=(d, d), alice=tuple(alice), bob=bob, chi=chi)
+    n, c, d = strategy.n, strategy.c, strategy.ancilla.dim
+    chi = np.diag(np.sqrt(strategy.ancilla.trace_diagonal())).reshape(-1)
+    bob = np.conj(np.stack(strategy.projections)).reshape(c, n, d, n, d)
+    bob = bob.transpose(0, 2, 1, 4, 3).reshape(c, d * n, d * n)
+    return TensorStrategy(dims=(d, d), alice=strategy.projections, bob=tuple(bob), chi=chi)

@@ -9,7 +9,9 @@ import numpy as np
 from qgraph import (
     BlockStrategy,
     ClassicalGraph,
+    Correlation,
     QuantumGraph,
+    TensorStrategy,
     TracialAncilla,
     VnAlgebra,
     graph_operator_system,
@@ -17,8 +19,7 @@ from qgraph import (
 )
 from qgraph.algebra import commutant_units
 from qgraph.colorings import complete_quantum_graph, diagonal_strategy
-from qgraph.linalg import matrix_unit, unit_root_power
-from qgraph.strategies import times_input
+from qgraph.linalg import canonical_shuffle, matrix_unit, unit_root_power
 
 
 def rand_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -90,6 +91,51 @@ def random_block_strategy(
             off += d
         projections.append(big)
     return BlockStrategy(n=n, c=c, ancilla=ancilla, projections=tuple(projections))
+
+
+def times_input(ops: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """P (Y (x) 1) for each P of a (c, nD, nD) stack and each Y of an (..., n, n)
+    stack, as (..., c, nD, nD).  Y meets the n-index of P, seen as (c, n, D, n, D),
+    so Y (x) 1 is never formed."""
+    c, n, d = len(ops), y.shape[-1], ops.shape[-1] // y.shape[-1]
+    out = np.einsum("aiujv,...jk->...aiukv", ops.reshape(c, n, d, n, d), y, optimize=True)
+    return out.reshape(*y.shape[:-2], c, n * d, n * d)
+
+
+def reference_correlation_from_trace(strategy: BlockStrategy) -> Correlation:
+    """The einsum that correlations.correlation_from_trace replaced, kept as its reference."""
+    ents = strategy.entries()  # (c, n, n, D, D)
+    t = strategy.ancilla.trace_diagonal()
+    x = np.einsum("u,aijuv,bkluv->abijkl", t, ents, np.conj(ents), optimize=True)
+    return Correlation(n=strategy.n, c=strategy.c, tensor=x)
+
+
+def reference_correlation_from_tensor(strategy: TensorStrategy) -> Correlation:
+    """The einsum that correlations.correlation_from_tensor replaced, kept as its reference."""
+    n, c = strategy.n, strategy.c
+    da, db = strategy.dims
+    p_ent = np.stack(strategy.alice).reshape(c, n, da, n, da).transpose(0, 1, 3, 2, 4)
+    q_ent = np.stack(strategy.bob).reshape(c, db, n, db, n).transpose(0, 2, 4, 1, 3)
+    chi = strategy.chi.reshape(da, db)
+    x = np.einsum(
+        "aijuv,bklxy,vy,ux->abijkl", p_ent, q_ent, chi, np.conj(chi), optimize=True
+    )
+    return Correlation(n=n, c=c, tensor=x)
+
+
+def reference_bob_from_alice(strategy: BlockStrategy) -> TensorStrategy:
+    """The loop that strategies.bob_from_alice replaced, kept as its reference: chi
+    one amplitude at a time and one canonical_shuffle per projection."""
+    d = strategy.ancilla.dim
+    n = strategy.n
+    chi = np.zeros(d * d, dtype=np.complex128)
+    t = strategy.ancilla.trace_diagonal()
+    for u in range(d):
+        chi[u * d + u] = np.sqrt(t[u])
+    bob = tuple(
+        canonical_shuffle(np.conj(p), outer=n, inner=d) for p in strategy.projections
+    )
+    return TensorStrategy(dims=(d, d), alice=strategy.projections, bob=bob, chi=chi)
 
 
 def dense_sandwich(ps: np.ndarray, ys: np.ndarray, mask: np.ndarray, weights=None) -> np.ndarray:

@@ -24,8 +24,11 @@ from helpers import (
     random_povm,
     random_pvm,
     reference_algebra_basis,
+    reference_bob_from_alice,
     reference_central_projections,
     reference_commutant,
+    reference_correlation_from_tensor,
+    reference_correlation_from_trace,
     reference_diagonal_projections,
     reference_shift_multiply_projections,
     reference_teleport_projections,
@@ -221,6 +224,19 @@ def test_identity_residual_is_inf_for_nan_in_its_entries(field, index):
     assert synchronous_identities(x).passed()
     rep = synchronous_identities(with_nan(x, index))
     assert getattr(rep, field) == np.inf and not rep.passed()
+
+
+def test_normalization_residual_is_inf_for_nan():
+    x = m2_correlation()
+    assert x.normalization_residual() <= 1e-12
+    assert with_nan(x, (0, 0, 0, 0, 0, 0)).normalization_residual() == np.inf
+
+
+def test_classical_normalization_residual_is_inf_for_nan():
+    p = np.full((2, 2, 2, 2), 0.25)
+    assert ClassicalCorrelation(n=2, c=2, p=p).normalization_residual() == 0.0
+    p[1, 0, 0, 1] = np.nan
+    assert ClassicalCorrelation(n=2, c=2, p=p).normalization_residual() == np.inf
 
 
 def test_check_synchronous_reports_inf_cross_residual_for_nan():
@@ -674,7 +690,7 @@ def test_operational_amplitude_squared_is_the_probability_on_pvms(label, g, targ
         assert abs(check.max_residual**2 - max(totals.values(), default=0.0)) <= 1e-12, check.name
 
 
-# --- the array kernels of is_loc and outcome_probability ---------------------------
+# --- the array kernels of is_loc, outcome_probability and the trace correlation -----
 
 
 def kernel_cases():
@@ -688,6 +704,14 @@ def kernel_cases():
     yield "loc D=2", random_block_strategy(rng, 3, 2, (1, 1))
     # A POVM, not a PVM: the kernel does not use idempotency.
     yield "POVM", embed_classical([random_povm(rng, 2, 3) for _ in range(3)])
+    # Entries that neither commute nor lie in M_2 + M_1, whose trace weights differ
+    # (1/4, 1/4, 1/2): tau(x y) != tau(y x) on them, so trace weights on the column
+    # index read differently.
+    s = random_block_strategy(rng, 3, 3, (2, 1), (0.5, 0.5))
+    mix = np.kron(np.eye(3), rand_unitary(rng, 3))
+    yield "block-mixing D=3", BlockStrategy(
+        n=3, c=3, ancilla=s.ancilla, projections=conjugate(mix, s.projections)
+    )
 
 
 KERNEL_CASES = list(kernel_cases())
@@ -741,6 +765,21 @@ def test_outcome_probability_matches_reference_loop(label, s):
         y /= np.linalg.norm(y)
         ref = reference_outcome_probability(s, y, tol)
         assert np.abs(outcome_probability(s, y, tol) - ref).max() <= 1e-12
+
+
+@pytest.mark.parametrize("label, s", KERNEL_CASES, ids=[c[0] for c in KERNEL_CASES])
+def test_correlation_from_trace_matches_reference_einsum(label, s):
+    ref = reference_correlation_from_trace(s).tensor
+    assert np.abs(correlation_from_trace(s).tensor - ref).max() <= 1e-12
+
+
+@pytest.mark.parametrize("label, s", KERNEL_CASES, ids=[c[0] for c in KERNEL_CASES])
+def test_bob_from_alice_matches_reference_loop(label, s):
+    ts, ref = bob_from_alice(s), reference_bob_from_alice(s)
+    assert ts.dims == ref.dims
+    assert np.array_equal(ts.chi, ref.chi)
+    assert np.array_equal(np.stack(ts.alice), np.stack(ref.alice))
+    assert np.array_equal(np.stack(ts.bob), np.stack(ref.bob))
 
 
 # --- references for the relation kernels and the reductions they replaced -----------
@@ -1065,7 +1104,8 @@ def test_sync_and_identities_match_reference_loops(label, x):
 
 def classical_correlation_cases():
     for label, x in CORRELATION_CASES:
-        if not label.endswith("+1e-3"):
+        # tau is no trace on the block-mixing entries, so their compression is not real.
+        if not label.endswith("+1e-3") and not label.startswith("block-mixing"):
             yield label, compress_to_classical(x)
     rng = np.random.default_rng(2029)
     for n, c in ((2, 2), (3, 2), (2, 4)):
@@ -1679,7 +1719,8 @@ def test_compose_reps_matches_reference_loop(label, c, f, split):
 
 
 def reference_tensor_entries(ts):
-    """The triple copy loop of correlation_from_tensor over alice_entry and bob_entry."""
+    """The triple copy loop over alice_entry and bob_entry, the reference for the
+    entry views of reference_correlation_from_tensor."""
     n, c = ts.n, ts.c
     da, db = ts.dims
     p_ent = np.empty((c, n, n, da, da), dtype=np.complex128)
@@ -1701,6 +1742,12 @@ def tensor_strategy_cases():
     bob = [canonical_shuffle(q, outer=n, inner=db) for q in random_pvm(rng, n * db, 2)]
     chi = rng.normal(size=da * db) + 1j * rng.normal(size=da * db)
     yield "random da=2 db=3", TensorStrategy((da, db), tuple(alice), tuple(bob), chi / np.linalg.norm(chi))
+    # A square chi that is not symmetric: chi and chi^T give different correlations.
+    n, d = 2, 2
+    alice = random_pvm(rng, n * d, 3)
+    bob = [canonical_shuffle(q, outer=n, inner=d) for q in random_pvm(rng, n * d, 3)]
+    chi = rng.normal(size=d * d) + 1j * rng.normal(size=d * d)
+    yield "random da=db=2", TensorStrategy((d, d), tuple(alice), tuple(bob), chi / np.linalg.norm(chi))
 
 
 TENSOR_CASES = list(tensor_strategy_cases())
@@ -1713,9 +1760,12 @@ def test_tensor_entries_match_reference_loop(label, ts):
     p_ref, q_ref = reference_tensor_entries(ts)
     assert np.array_equal(np.stack(ts.alice).reshape(c, n, da, n, da).transpose(0, 1, 3, 2, 4), p_ref)
     assert np.array_equal(np.stack(ts.bob).reshape(c, db, n, db, n).transpose(0, 2, 4, 1, 3), q_ref)
-    chi = ts.chi.reshape(da, db)
-    x = np.einsum("aijuv,bklxy,vy,ux->abijkl", p_ref, q_ref, chi, np.conj(chi), optimize=True)
-    assert np.abs(correlation_from_tensor(ts).tensor - x).max() <= 1e-12
+
+
+@pytest.mark.parametrize("label, ts", TENSOR_CASES, ids=[c[0] for c in TENSOR_CASES])
+def test_correlation_from_tensor_matches_reference_einsum(label, ts):
+    ref = reference_correlation_from_tensor(ts).tensor
+    assert np.abs(correlation_from_tensor(ts).tensor - ref).max() <= 1e-12
 
 
 # --- the colouring constructions ----------------------------------------------

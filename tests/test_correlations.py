@@ -112,6 +112,16 @@ class TestCorrelationFromTensor:
         with pytest.raises(ValueError, match="Alice has 2 operators, Bob has 1"):
             TensorStrategy(dims=(1, 1), alice=alice, bob=alice[:1], chi=np.array([1.0]))
 
+    def test_empty_families_rejected(self):
+        with pytest.raises(ValueError, match="at least one operator"):
+            TensorStrategy(dims=(1, 1), alice=(), bob=(), chi=[1.0])
+
+    @pytest.mark.parametrize("dims", [(0, 1), (1, 0), (-1, 1)])
+    def test_non_positive_dims_rejected(self, dims):
+        alice = (np.eye(2, dtype=complex),)
+        with pytest.raises(ValueError, match="dims of H_A and H_B must be positive"):
+            TensorStrategy(dims=dims, alice=alice, bob=alice, chi=[1.0])
+
     def test_scalar_spaces(self):
         # H_A = H_B = C: entries are products of scalars.
         alice = (np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex))
@@ -275,6 +285,10 @@ class TestEmbedCompress:
                             * np.conj(families[yy][b])
                         ).real
                         assert p.p[a, b, xx, yy] == pytest.approx(expected, abs=1e-10)
+
+    def test_family_without_outputs_rejected(self):
+        with pytest.raises(ValueError, match="at least one output"):
+            embed_classical([[]])
 
     def test_compressed_normalization(self):
         rng = np.random.default_rng(52)
