@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, Tolerance, as_matrix, hermitian_eig, hs_norm, worst_residual
+from .linalg import DEFAULT_TOL, SPAN_RANK_FLOOR, Tolerance, as_matrix, hermitian_eig, hs_norm, worst_residual
 
 __all__ = [
     "VnAlgebra",
@@ -210,7 +210,7 @@ def project_onto_span(x: np.ndarray, orthonormal: list[np.ndarray]) -> np.ndarra
     return ((z @ b.conj().T) @ b).reshape(x.shape)
 
 
-def orthonormalize(mats, drop_tol: float = 1e-8) -> list[np.ndarray]:
+def orthonormalize(mats, drop_tol: float = SPAN_RANK_FLOOR) -> list[np.ndarray]:
     """Orthonormal basis (HS inner product) of the span of a matrix family.
 
     Uses an SVD of the stacked, flattened family; singular directions below

@@ -7,6 +7,11 @@ violations report a JSON pointer to the offending field).
 The default tolerance is 1e-9; the QGRAPH_TOL environment variable overrides
 it and the --tol flag overrides both.  A tolerance above MAX_TOL is malformed
 input: it would let a far-from-valid strategy pass.
+
+Every verb is a function (args, tol) -> (report, ok) that writes nothing.
+main alone resolves the tolerance, so a malformed one exits 2 for every verb,
+even one that reads no tolerance; it then emits the report and maps ok to the
+exit code, the same way for every verb.
 """
 
 from __future__ import annotations
@@ -118,18 +123,15 @@ def _tolerance(args) -> Tolerance:
     return tol
 
 
-def _cmd_validate(args) -> int:
-    tol = _tolerance(args)
+def _cmd_validate(args, tol):
     reports = [
         {"input": path, **validate(graph_from_json(_load_json(path)), tol).to_dict()}
         for path in args.inputs
     ]
-    _emit(reports if len(reports) > 1 else reports[0], args.out)
-    return PASS if all(r["pass"] for r in reports) else FAIL
+    return reports if len(reports) > 1 else reports[0], all(r["pass"] for r in reports)
 
 
-def _cmd_edge_basis(args) -> int:
-    tol = _tolerance(args)
+def _cmd_edge_basis(args, tol):
     g = graph_from_json(_load_json(args.input))
     basis = edge_basis(g, tol)
     report = {
@@ -143,12 +145,10 @@ def _cmd_edge_basis(args) -> int:
             for e in basis.elements
         ],
     }
-    _emit(report, args.out)
-    return PASS
+    return report, True
 
 
-def _cmd_dilate(args) -> int:
-    tol = _tolerance(args)
+def _cmd_dilate(args, tol):
     ops, n, h = povm_from_json(_load_json(args.input))
     c = len(ops)
     dilated = dilate_block_povm(ops, n=n, h=h, tol=tol)
@@ -164,12 +164,10 @@ def _cmd_dilate(args) -> int:
         "projections": [matrix_to_json(p) for p in dilated],
         **rep.to_dict(),
     }
-    _emit(report, args.out)
-    return PASS if rep.passed else FAIL
+    return report, rep.passed
 
 
-def _cmd_round_pvm(args) -> int:
-    tol = _tolerance(args)
+def _cmd_round_pvm(args, tol):
     ops = ops_from_json(_load_json(args.input))
     rounded, distance = round_almost_pvm(ops)
     report = {
@@ -177,12 +175,10 @@ def _cmd_round_pvm(args) -> int:
         "input": check_measurement(ops, tol).to_dict(),
         "max_distance_2norm": distance,
     }
-    _emit(report, args.out)
-    return PASS
+    return report, True
 
 
-def _cmd_color(args) -> int:
-    tol = _tolerance(args)
+def _cmd_color(args, tol):
     if args.method == "teleport":
         if args.d is None or args.k is None:
             raise SchemaError("--d/--k", "teleport coloring needs --d and --k")
@@ -204,8 +200,7 @@ def _cmd_color(args) -> int:
         "strategy": strategy_to_json(strat),
         **rep.to_dict(),
     }
-    _emit(report, args.out)
-    return PASS if rep.passed else FAIL
+    return report, rep.passed
 
 
 def _game_instance(args) -> GameInstance:
@@ -223,8 +218,7 @@ def _game_instance(args) -> GameInstance:
     return GameInstance(source=source, target=target)
 
 
-def _cmd_verify_hom(args) -> int:
-    tol = _tolerance(args)
+def _cmd_verify_hom(args, tol):
     inst = _game_instance(args)
     strat = strategy_from_json(_load_json(args.strategy))
     verifiers = {
@@ -235,22 +229,19 @@ def _cmd_verify_hom(args) -> int:
     modes = ("structural", "operational") if args.mode == "both" else (args.mode,)
     report = {mode: verifiers[mode](inst, strat, tol).to_dict() for mode in modes}
     ok = all(r["pass"] for r in report.values())
-    _emit({**report, "pass": ok}, args.out)
-    return PASS if ok else FAIL
+    return {**report, "pass": ok}, ok
 
 
-def _cmd_correlation(args) -> int:
+def _cmd_correlation(args, tol):
     strat = strategy_from_json(_load_json(args.strategy))
-    if getattr(args, "source", "trace") == "tensor":
+    if args.source == "tensor":
         x = correlation_from_tensor(bob_from_alice(strat))
     else:
         x = correlation_from_trace(strat)
-    _emit(correlation_to_json(x), args.out)
-    return PASS
+    return correlation_to_json(x), True
 
 
-def _cmd_check_sync(args) -> int:
-    tol = _tolerance(args)
+def _cmd_check_sync(args, tol):
     x = correlation_from_json(_load_json(args.input))
     rep = check_synchronous(x, tol)
     report = {
@@ -259,12 +250,10 @@ def _cmd_check_sync(args) -> int:
         "cross_residual": rep.cross_residual,
         "normalization_residual": x.normalization_residual(),
     }
-    _emit(report, args.out)
-    return PASS if rep.synchronous else FAIL
+    return report, rep.synchronous
 
 
-def _cmd_identities(args) -> int:
-    tol = _tolerance(args)
+def _cmd_identities(args, tol):
     x = correlation_from_json(_load_json(args.input))
     rep = synchronous_identities(x, tol)
     report = {
@@ -274,35 +263,28 @@ def _cmd_identities(args) -> int:
         "offdiag_row_residual": rep.offdiag_row_residual,
         "diag_sum_residual": rep.diag_sum_residual,
     }
-    _emit(report, args.out)
-    return PASS if rep.passed(tol) else FAIL
+    return report, rep.passed(tol)
 
 
-def _cmd_compress(args) -> int:
-    tol = _tolerance(args)
+def _cmd_compress(args, tol):
     x = correlation_from_json(_load_json(args.input))
     p = compress_to_classical(x, tol)
-    _emit(classical_correlation_to_json(p), args.out)
-    return PASS
+    return classical_correlation_to_json(p), True
 
 
-def _cmd_embed(args) -> int:
+def _cmd_embed(args, tol):
     families, ancilla = families_from_json(_load_json(args.input))
     strat = embed_classical(families, ancilla)
-    _emit(strategy_to_json(strat), args.out)
-    return PASS
+    return strategy_to_json(strat), True
 
 
-def _cmd_bisync(args) -> int:
-    tol = _tolerance(args)
+def _cmd_bisync(args, tol):
     p = classical_correlation_from_json(_load_json(args.input))
     rep = check_bisynchronous(p, tol)
-    _emit(rep.to_dict(), args.out)
-    return PASS if rep.passed else FAIL
+    return rep.to_dict(), rep.passed
 
 
-def _cmd_extract_channel(args) -> int:
-    tol = _tolerance(args)
+def _cmd_extract_channel(args, tol):
     inst = _game_instance(args)
     strat = strategy_from_json(_load_json(args.strategy))
     rep = extract_channel(inst, strat, tol)
@@ -313,12 +295,10 @@ def _cmd_extract_channel(args) -> int:
         "completeness_residual": rep.completeness_residual,
         "subset_residual": rep.subset_residual,
     }
-    _emit(report, args.out)
-    return PASS
+    return report, True
 
 
-def _cmd_compose(args) -> int:
-    tol = _tolerance(args)
+def _cmd_compose(args, tol):
     strat = strategy_from_json(_load_json(args.strategy))
     f, ancilla = hom_rep_from_json(_load_json(args.map))
     composed = compose_reps(strat, f, ancilla, tol)
@@ -332,12 +312,10 @@ def _cmd_compose(args) -> int:
         r = verify_structural(inst, composed, tol)
         report["verification"] = r.to_dict()
         ok = r.passed
-    _emit(report, args.out)
-    return PASS if ok else FAIL
+    return report, ok
 
 
-def _cmd_bounds(args) -> int:
-    tol = _tolerance(args)
+def _cmd_bounds(args, tol):
     g = graph_from_json(_load_json(args.input))
     rep = chromatic_bounds(g, tol)
     report = {
@@ -355,12 +333,10 @@ def _cmd_bounds(args) -> int:
         ],
         "notes": list(rep.notes),
     }
-    _emit(report, args.out)
-    return PASS if rep.passed else FAIL
+    return report, rep.passed
 
 
-def _cmd_rigidity(args) -> int:
-    tol = _tolerance(args)
+def _cmd_rigidity(args, tol):
     alg = algebra_from_json(_load_json(args.algebra))
     strat = strategy_from_json(_load_json(args.strategy))
     rep = rigidity_check(strat, alg, tol)
@@ -375,14 +351,12 @@ def _cmd_rigidity(args) -> int:
         "trace_covariance_residual": rep.trace_covariance_residual,
         "rigidity": [matrix_to_json(m) for m in rep.rigidity],
     }
-    _emit(report, args.out)
-    return PASS if rep.passed(tol) else FAIL
+    return report, rep.passed(tol)
 
 
-def _cmd_classical_chromatic(args) -> int:
+def _cmd_classical_chromatic(args, tol):
     g = classical_graph_from_json(_load_json(args.input))
-    _emit({"chromatic_number": chromatic_number(g)}, args.out)
-    return PASS
+    return {"chromatic_number": chromatic_number(g)}, True
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -393,125 +367,84 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"qgraph {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def verb(name, func, help):
+        p = sub.add_parser(name, help=help)
         p.add_argument(
             "--tol", type=float, default=None, help=f"absolute tolerance (Frobenius scale), at most {MAX_TOL}"
         )
         p.add_argument("--out", default=None, help="write the JSON report here instead of stdout")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("validate", help="check quantum graph invariants")
-    p.add_argument("inputs", nargs="+", help="quantum graph JSON file(s)")
-    common(p)
-    p.set_defaults(func=_cmd_validate)
+    def game(p):
+        p.add_argument("--graph", required=True, help="source quantum graph JSON")
+        p.add_argument("--target", default=None, help="target classical graph JSON")
+        p.add_argument("--complete", type=int, default=None, help="use the complete target K_c")
+        p.add_argument("--strategy", required=True, help="BlockStrategy JSON")
+        return p
 
-    p = sub.add_parser("edge-basis", help="quantum edge basis of a quantum graph")
-    p.add_argument("input")
-    common(p)
-    p.set_defaults(func=_cmd_edge_basis)
+    verb("validate", _cmd_validate, "check quantum graph invariants").add_argument(
+        "inputs", nargs="+", help="quantum graph JSON file(s)"
+    )
+    verb("edge-basis", _cmd_edge_basis, "quantum edge basis of a quantum graph").add_argument("input")
+    verb("dilate", _cmd_dilate, "dilate a block POVM to a block PVM").add_argument(
+        "input", help='JSON {"n", "h", "ops"}'
+    )
+    verb("round-pvm", _cmd_round_pvm, "round almost-projections to an exact PVM").add_argument(
+        "input", help='JSON {"ops"}'
+    )
 
-    p = sub.add_parser("dilate", help="dilate a block POVM to a block PVM")
-    p.add_argument("input", help='JSON {"n", "h", "ops"}')
-    common(p)
-    p.set_defaults(func=_cmd_dilate)
-
-    p = sub.add_parser("round-pvm", help="round almost-projections to an exact PVM")
-    p.add_argument("input", help='JSON {"ops"}')
-    common(p)
-    p.set_defaults(func=_cmd_round_pvm)
-
-    p = sub.add_parser("color", help="construct an explicit coloring strategy")
+    p = verb("color", _cmd_color, "construct an explicit coloring strategy")
     p.add_argument("--method", choices=["teleport", "shift-multiply", "abelian-loc"], required=True)
     p.add_argument("--d", type=int, default=None)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--algebra", default=None, help="VnAlgebra JSON file")
-    common(p)
-    p.set_defaults(func=_cmd_color)
 
-    p = sub.add_parser("verify-hom", help="verify a homomorphism-game strategy")
-    p.add_argument("--graph", required=True, help="source quantum graph JSON")
-    p.add_argument("--target", default=None, help="target classical graph JSON")
-    p.add_argument("--complete", type=int, default=None, help="use the complete target K_c")
-    p.add_argument("--strategy", required=True, help="BlockStrategy JSON")
+    p = game(verb("verify-hom", _cmd_verify_hom, "verify a homomorphism-game strategy"))
     p.add_argument("--mode", choices=["structural", "operational", "both", "algebra"], default="both")
-    common(p)
-    p.set_defaults(func=_cmd_verify_hom)
 
-    p = sub.add_parser("correlation", help="correlation of a strategy")
+    p = verb("correlation", _cmd_correlation, "correlation of a strategy")
     p.add_argument("--from", dest="source", choices=["trace", "tensor"], default="trace")
     p.add_argument("--strategy", required=True)
-    common(p)
-    p.set_defaults(func=_cmd_correlation)
 
-    p = sub.add_parser("check-sync", help="synchronicity of a correlation")
-    p.add_argument("input")
-    common(p)
-    p.set_defaults(func=_cmd_check_sync)
+    verb("check-sync", _cmd_check_sync, "synchronicity of a correlation").add_argument("input")
+    verb("identities", _cmd_identities, "synchronous-correlation identity suite").add_argument("input")
+    verb("compress", _cmd_compress, "compress a correlation to classical inputs").add_argument("input")
+    verb("embed", _cmd_embed, "embed classical POVM families as a block strategy").add_argument(
+        "input", help='JSON {"n", "c", "h", "families"}'
+    )
+    verb("bisync", _cmd_bisync, "bisynchronicity of a classical correlation").add_argument("input")
+    game(verb("extract-channel", _cmd_extract_channel, "Kraus/Choi channel of a winning strategy"))
 
-    p = sub.add_parser("identities", help="synchronous-correlation identity suite")
-    p.add_argument("input")
-    common(p)
-    p.set_defaults(func=_cmd_identities)
-
-    p = sub.add_parser("compress", help="compress a correlation to classical inputs")
-    p.add_argument("input")
-    common(p)
-    p.set_defaults(func=_cmd_compress)
-
-    p = sub.add_parser("embed", help="embed classical POVM families as a block strategy")
-    p.add_argument("input", help='JSON {"n", "c", "h", "families"}')
-    common(p)
-    p.set_defaults(func=_cmd_embed)
-
-    p = sub.add_parser("bisync", help="bisynchronicity of a classical correlation")
-    p.add_argument("input")
-    common(p)
-    p.set_defaults(func=_cmd_bisync)
-
-    p = sub.add_parser("extract-channel", help="Kraus/Choi channel of a winning strategy")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--target", default=None)
-    p.add_argument("--complete", type=int, default=None)
-    p.add_argument("--strategy", required=True)
-    common(p)
-    p.set_defaults(func=_cmd_extract_channel)
-
-    p = sub.add_parser("compose", help="compose a strategy with a Hom(K_c, K_r) representation")
+    p = verb("compose", _cmd_compose, "compose a strategy with a Hom(K_c, K_r) representation")
     p.add_argument("--strategy", required=True)
     p.add_argument("--map", required=True, help='JSON {"c", "r", "ancilla", "f"}')
     p.add_argument("--graph", default=None, help="re-verify against this source graph")
-    common(p)
-    p.set_defaults(func=_cmd_compose)
 
-    p = sub.add_parser("bounds", help="certified chromatic bounds with witnesses")
-    p.add_argument("input", help="quantum graph JSON")
-    common(p)
-    p.set_defaults(func=_cmd_bounds)
-
-    p = sub.add_parser("rigidity", help="trace rigidity of a complete-graph coloring")
+    verb("bounds", _cmd_bounds, "certified chromatic bounds with witnesses").add_argument(
+        "input", help="quantum graph JSON"
+    )
+    p = verb("rigidity", _cmd_rigidity, "trace rigidity of a complete-graph coloring")
     p.add_argument("--algebra", required=True)
     p.add_argument("--strategy", required=True)
-    common(p)
-    p.set_defaults(func=_cmd_rigidity)
-
-    p = sub.add_parser("classical-chromatic", help="brute-force chromatic number")
-    p.add_argument("input", help="classical graph JSON")
-    common(p)
-    p.set_defaults(func=_cmd_classical_chromatic)
-
+    verb("classical-chromatic", _cmd_classical_chromatic, "brute-force chromatic number").add_argument(
+        "input", help="classical graph JSON"
+    )
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        report, ok = args.func(args, _tolerance(args))
+        _emit(report, args.out)
     except SchemaError as exc:
         print(json.dumps({"error": str(exc), "pointer": exc.pointer}), file=sys.stderr)
         return MALFORMED
     except ValueError as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return FAIL
+    return PASS if ok else FAIL
 
 
 if __name__ == "__main__":

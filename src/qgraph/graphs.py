@@ -19,8 +19,17 @@ from .algebra import (
     commutant_units,
     project_onto_span,
 )
-from .linalg import DEFAULT_TOL, Check, CheckReport, Tolerance, as_matrix, matrix_unit
-from .strategies import _CHUNK_BYTES
+from .linalg import (
+    _CHUNK_BYTES,
+    DEFAULT_TOL,
+    SPAN_RANK_FLOOR,
+    Check,
+    CheckReport,
+    Tolerance,
+    _memoized,
+    as_matrix,
+    matrix_unit,
+)
 
 __all__ = [
     "QuantumGraph",
@@ -77,14 +86,14 @@ class QuantumGraph:
     def _split(self) -> tuple[np.ndarray, np.ndarray, float]:
         """One SVD of the flattened spanning family: HS-orthonormal rows spanning
         span(S) and span(S)perp, and the largest singular value.  As in
-        orthonormalize, directions with singular values at or below 1e-8 times the
-        largest are left out of span(S), so they belong to the complement."""
+        orthonormalize, directions at or below SPAN_RANK_FLOOR are left out of
+        span(S), so they belong to the complement."""
         nn = self.n * self.n
         stack = np.reshape(np.asarray(self.s_basis, dtype=np.complex128), (len(self.s_basis), nn))
         if not len(stack):
             return stack, np.eye(nn, dtype=np.complex128), 0.0
         _, s, vh = np.linalg.svd(stack, full_matrices=len(stack) < nn)
-        rank = int(np.count_nonzero(s > 1e-8 * s[0]))
+        rank = int(np.count_nonzero(s > SPAN_RANK_FLOOR * s[0]))
         return vh[:rank], vh[rank:], float(s[0])
 
     @cached_property
@@ -98,7 +107,7 @@ class QuantumGraph:
         _, s, vh = np.linalg.svd(residual.reshape(len(basis), self.n * self.n), full_matrices=False)
         # Ranked against the spanning family, not the residual: when S lies in M',
         # the residual is rounding noise, and must not be normalized into a basis.
-        return tuple(vh[s > 1e-8 * self._split[2]].reshape(-1, self.n, self.n))
+        return tuple(vh[s > SPAN_RANK_FLOOR * self._split[2]].reshape(-1, self.n, self.n))
 
 
 def validate(g: QuantumGraph, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
@@ -119,14 +128,6 @@ def require_valid(g: QuantumGraph, tol: Tolerance = DEFAULT_TOL):
     failed = validate(g, tol).failures()
     if failed:
         raise ValueError(f"quantum graph fails validation: {failed}")
-
-
-def _memoized(g: QuantumGraph, name: str, tol: Tolerance, compute):
-    """compute(g, tol), stored on the (immutable) graph under name per tolerance."""
-    cache = g.__dict__.setdefault(name, {})
-    if tol.eps not in cache:
-        cache[tol.eps] = compute(g, tol)
-    return cache[tol.eps]
 
 
 def _compute_validation(g: QuantumGraph, tol: Tolerance) -> CheckReport:

@@ -15,6 +15,7 @@ import numpy as np
 from .algebra import commutant
 from .graphs import ClassicalGraph, QuantumGraph, adjacency_subspace_basis, require_valid
 from .linalg import (
+    _CHUNK_BYTES,
     DEFAULT_TOL,
     ROUNDING_SLACK,
     Check,
@@ -24,7 +25,7 @@ from .linalg import (
     hs_norm,
     worst_residual,
 )
-from .strategies import _CHUNK_BYTES, BlockStrategy, OutcomeFactors, TracialAncilla, factor_outcomes
+from .strategies import BlockStrategy, OutcomeFactors, TracialAncilla, factor_outcomes
 
 __all__ = [
     "GameInstance",

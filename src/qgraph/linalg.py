@@ -56,6 +56,24 @@ SINGULAR_FLOOR = 1e-14
 # a quantity sums rounding over many more terms than the residual that tol.eps bounds.
 ROUNDING_SLACK = 100
 
+# Relative rank floor of the spans of matrix families (orthonormalize, and span(S)
+# and S n (M')perp of a quantum graph): a singular value at or below SPAN_RANK_FLOOR
+# times the largest of the spanning family is a dependent direction blurred by rounding
+# in the given matrices, not a direction of the span.
+SPAN_RANK_FLOOR = 1e-8
+
+# Bound on the bytes of the temporaries of one chunk of strategies._star_commutator_norm,
+# homgame._sandwich and graphs._bimodule_distances.
+_CHUNK_BYTES = 4 << 20
+
+
+def _memoized(obj, name: str, tol: Tolerance, compute):
+    """compute(obj, tol), stored on the immutable obj under name, per tolerance."""
+    cache = obj.__dict__.setdefault(name, {})
+    if tol.eps not in cache:
+        cache[tol.eps] = compute(obj, tol)
+    return cache[tol.eps]
+
 
 def worst_residual(residuals, axes: tuple[str, ...] = ()) -> tuple[float, dict | None]:
     """Largest entry of a residual array and where it occurs.

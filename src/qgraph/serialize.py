@@ -131,6 +131,19 @@ def matrix_from_json(obj, path: str, shape: tuple[int, int] | None = None) -> np
     return _finite(out, path)
 
 
+def _array(raw, path: str, count: int | None = None, of: str = "matrices") -> list:
+    """raw as a JSON array: non-empty, and of count entries when count is given."""
+    if not isinstance(raw, list) or not raw or count not in (None, len(raw)):
+        expected = "a non-empty array" if count is None else f"an array of {count}"
+        raise SchemaError(path, f"expected {expected} {of}")
+    return raw
+
+
+def _matrices(raw, path: str, shape: tuple[int, int], count: int | None = None) -> list[np.ndarray]:
+    """A JSON array of matrices of one shape, entry i read at the pointer path/i."""
+    return [matrix_from_json(m, f"{path}/{i}", shape) for i, m in enumerate(_array(raw, path, count))]
+
+
 def algebra_to_json(alg: VnAlgebra) -> dict:
     return {
         "n": alg.n,
@@ -169,12 +182,7 @@ def graph_to_json(g: QuantumGraph) -> dict:
 def graph_from_json(obj, path: str = "") -> QuantumGraph:
     n = _as_int(_require(obj, "n", path), f"{path}/n", minimum=1)
     alg = algebra_from_json(_require(obj, "algebra", path), f"{path}/algebra")
-    basis_raw = _require(obj, "s_basis", path)
-    if not isinstance(basis_raw, list) or not basis_raw:
-        raise SchemaError(f"{path}/s_basis", "expected a non-empty array of matrices")
-    basis = tuple(
-        matrix_from_json(m, f"{path}/s_basis/{i}", (n, n)) for i, m in enumerate(basis_raw)
-    )
+    basis = tuple(_matrices(_require(obj, "s_basis", path), f"{path}/s_basis", (n, n)))
     traceless = obj.get("traceless", False)
     if not isinstance(traceless, bool):
         raise SchemaError(f"{path}/traceless", f"expected a boolean, got {traceless!r}")
@@ -247,14 +255,8 @@ def strategy_from_json(obj, path: str = "") -> BlockStrategy:
     n = _as_int(_require(obj, "n", path), f"{path}/n", minimum=1)
     c = _as_int(_require(obj, "c", path), f"{path}/c", minimum=1)
     ancilla = _ancilla_from_json(_require(obj, "ancilla", path), f"{path}/ancilla")
-    projections_raw = _require(obj, "projections", path)
-    if not isinstance(projections_raw, list) or len(projections_raw) != c:
-        raise SchemaError(f"{path}/projections", f"expected an array of {c} matrices")
     size = n * ancilla.dim
-    projections = tuple(
-        matrix_from_json(p, f"{path}/projections/{i}", (size, size))
-        for i, p in enumerate(projections_raw)
-    )
+    projections = tuple(_matrices(_require(obj, "projections", path), f"{path}/projections", (size, size), c))
     return BlockStrategy(n=n, c=c, ancilla=ancilla, projections=projections)
 
 
@@ -292,12 +294,10 @@ def ops_from_json(obj, path: str = "", size: int | None = None) -> list[np.ndarr
 
     Without a size, every op must be square with the first op's row count.
     """
-    ops_raw = _require(obj, "ops", path)
-    if not isinstance(ops_raw, list) or not ops_raw:
-        raise SchemaError(f"{path}/ops", "expected a non-empty array of matrices")
+    ops_raw = _array(_require(obj, "ops", path), f"{path}/ops")
     if size is None and isinstance(ops_raw[0], list):
         size = len(ops_raw[0])
-    return [matrix_from_json(m, f"{path}/ops/{i}", (size, size)) for i, m in enumerate(ops_raw)]
+    return _matrices(ops_raw, f"{path}/ops", (size, size))
 
 
 def families_from_json(obj, path: str = "") -> tuple[list, TracialAncilla | None]:
@@ -305,19 +305,8 @@ def families_from_json(obj, path: str = "") -> tuple[list, TracialAncilla | None
     n = _as_int(_require(obj, "n", path), f"{path}/n", minimum=1)
     c = _as_int(_require(obj, "c", path), f"{path}/c", minimum=1)
     h = _as_int(_require(obj, "h", path), f"{path}/h", minimum=1)
-    fams_raw = _require(obj, "families", path)
-    if not isinstance(fams_raw, list) or len(fams_raw) != n:
-        raise SchemaError(f"{path}/families", f"expected {n} families")
-    families = []
-    for x, fam in enumerate(fams_raw):
-        if not isinstance(fam, list) or len(fam) != c:
-            raise SchemaError(f"{path}/families/{x}", f"expected {c} operators")
-        families.append(
-            [
-                matrix_from_json(m, f"{path}/families/{x}/{a}", (h, h))
-                for a, m in enumerate(fam)
-            ]
-        )
+    fams_raw = _array(_require(obj, "families", path), f"{path}/families", n, "families")
+    families = [_matrices(fam, f"{path}/families/{x}", (h, h), c) for x, fam in enumerate(fams_raw)]
     ancilla = None
     if obj.get("ancilla") is not None:
         ancilla = _ancilla_from_json(obj["ancilla"], f"{path}/ancilla")
@@ -329,15 +318,6 @@ def hom_rep_from_json(obj, path: str = "") -> tuple[list, TracialAncilla]:
     c = _as_int(_require(obj, "c", path), f"{path}/c", minimum=1)
     r = _as_int(_require(obj, "r", path), f"{path}/r", minimum=1)
     ancilla = _ancilla_from_json(_require(obj, "ancilla", path), f"{path}/ancilla")
-    f_raw = _require(obj, "f", path)
-    if not isinstance(f_raw, list) or len(f_raw) != c:
-        raise SchemaError(f"{path}/f", f"expected {c} rows")
+    f_raw = _array(_require(obj, "f", path), f"{path}/f", c, "rows")
     e = ancilla.dim
-    f = []
-    for a, row in enumerate(f_raw):
-        if not isinstance(row, list) or len(row) != r:
-            raise SchemaError(f"{path}/f/{a}", f"expected {r} operators")
-        f.append(
-            [matrix_from_json(m, f"{path}/f/{a}/{v}", (e, e)) for v, m in enumerate(row)]
-        )
-    return f, ancilla
+    return [_matrices(row, f"{path}/f/{a}", (e, e), r) for a, row in enumerate(f_raw)], ancilla

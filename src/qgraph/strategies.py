@@ -14,12 +14,14 @@ from functools import cached_property
 import numpy as np
 
 from .linalg import (
+    _CHUNK_BYTES,
     DEFAULT_TOL,
     POVM_CHECKS,
     ROUNDING_SLACK,
     SINGULAR_FLOOR,
     CheckReport,
     Tolerance,
+    _memoized,
     as_matrix,
     canonical_shuffle,
     check_measurement,
@@ -156,10 +158,7 @@ class BlockStrategy:
 
     def measurement_report(self, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
         """check_measurement of the P_a, memoized per tolerance like factors."""
-        cache = self.__dict__.setdefault("_measurement_cache", {})
-        if tol.eps not in cache:
-            cache[tol.eps] = check_measurement(self.projections, tol)
-        return cache[tol.eps]
+        return _memoized(self, "_measurement_cache", tol, lambda s, t: check_measurement(s.projections, t))
 
     def ancilla_block_defect(self) -> float:
         """Worst violation of the ancilla's block-diagonal structure by any P_a."""
@@ -211,11 +210,6 @@ def factor_outcomes(ops: np.ndarray) -> OutcomeFactors | None:
     keep = s > SINGULAR_FLOOR * max(1.0, s.max(initial=0.0))
     labels, _ = np.nonzero(keep)
     return OutcomeFactors(len(ops), u.transpose(0, 2, 1)[keep].T, s[keep], vh[keep], labels)
-
-
-# Bound on the bytes of the temporaries of one chunk of _star_commutator_norm, of
-# homgame._sandwich, and of graphs._bimodule_distances.
-_CHUNK_BYTES = 4 << 20
 
 
 def _star_commutator_norm(ents: np.ndarray) -> float:

@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from helpers import random_block_strategy, random_povm
 from qgraph import ClassicalGraph, VnAlgebra, graph_operator_system
@@ -503,6 +505,61 @@ def test_emitter_matches_the_indented_encoder(monkeypatch, capsys, argv):
     # ... in its layout: sorted keys and one object entry per line, with
     # numeric arrays on a single line.
     assert out == _layout_reference(report) + "\n"
+
+
+@pytest.mark.parametrize("argv", EMIT_CASES, ids=" ".join)
+def test_every_verb_refuses_a_malformed_tolerance(tmp_path, monkeypatch, capsys, argv):
+    # main resolves the tolerance for every verb, even one that reads none.
+    monkeypatch.delenv("QGRAPH_TOL", raising=False)
+    args = _example_args(argv)
+    for extra, env, pointer in ((["--tol", "1e300"], None, "--tol"), ([], "nan", "QGRAPH_TOL")):
+        with monkeypatch.context() as m:
+            if env is not None:
+                m.setenv("QGRAPH_TOL", env)
+            assert main(args + extra) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["pointer"] == pointer
+    assert main(args) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "report.json"
+    assert main(args + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text() == printed
+
+
+# Each example input of EMIT_CASES, with the first case that reads it (FILE).
+INPUT_CASES = {}
+for _argv in EMIT_CASES:
+    for _i, _arg in enumerate(_argv):
+        if _arg.endswith(".json"):
+            INPUT_CASES.setdefault(_arg, _argv[:_i] + ["FILE"] + _argv[_i + 1 :])
+
+
+def _numeric_leaves(node, path=""):
+    if isinstance(node, dict):
+        return [p for k, v in node.items() for p in _numeric_leaves(v, f"{path}/{k}")]
+    if isinstance(node, list):
+        return [p for i, v in enumerate(node) for p in _numeric_leaves(v, f"{path}/{i}")]
+    return [] if isinstance(node, bool) or not isinstance(node, (int, float)) else [path]
+
+
+@pytest.mark.parametrize("example", sorted(INPUT_CASES))
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_non_finite_leaf_anywhere_exits_2_with_a_pointer_above_it(tmp_path, capsys, example, data):
+    doc = json.loads((EXAMPLES / example).read_text())
+    leaf = data.draw(st.sampled_from(_numeric_leaves(doc)), label="leaf")
+    literal = data.draw(st.sampled_from(["NaN", "Infinity", "-Infinity", "1e999"]), label="literal")
+    sentinel = 123456.5
+    _set_field(doc, leaf, sentinel)
+    path = tmp_path / example
+    path.write_text(json.dumps(doc).replace(json.dumps(sentinel), literal))
+    assert main([str(path) if a == "FILE" else a for a in _example_args(INPUT_CASES[example])]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    pointer = json.loads(captured.err)["pointer"]
+    assert leaf == pointer or leaf.startswith(pointer + "/")
 
 
 def test_emitter_layout_by_hand():
