@@ -13,7 +13,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, SPAN_RANK_FLOOR, Tolerance, as_matrix, hermitian_eig, hs_norm, worst_residual
+from .linalg import (
+    DEFAULT_TOL, FRAME_RESIDUAL, GENERIC_WINDOW, GENERIC_ZERO, NULLSPACE_ABS_FLOOR, NULLSPACE_FLOOR,
+    SPAN_RANK_FLOOR, UNITARY_DEFECT, Tolerance, as_matrix, hs_norm, worst_residual,
+)
 
 __all__ = [
     "VnAlgebra",
@@ -55,7 +58,7 @@ class VnAlgebra:
             if u.shape != (self.n, self.n):
                 raise ValueError(f"embedding unitary has shape {u.shape}, expected {(self.n, self.n)}")
             defect = hs_norm(u.conj().T @ u - np.eye(self.n))
-            if not defect <= 1e-8:
+            if not defect <= UNITARY_DEFECT:
                 raise ValueError(f"embedding matrix is not unitary (defect {defect:.3e})")
             object.__setattr__(self, "unitary", u)
 
@@ -251,20 +254,16 @@ def plancherel(alg: VnAlgebra) -> PlancherelTrace:
     return PlancherelTrace(alg)
 
 
-def _nullspace(mat: np.ndarray, rel_tol: float = 1e-9) -> np.ndarray:
-    """Orthonormal rows spanning the (right) nullspace of a tall matrix.
-
-    The absolute floor keeps an all-noise matrix (every singular value at
-    roundoff scale) from being assigned spurious rank.
-    """
+def _nullspace(mat: np.ndarray) -> np.ndarray:
+    """Orthonormal rows spanning the (right) nullspace of a tall matrix."""
     _, s, vh = np.linalg.svd(mat, full_matrices=False)
-    return vh[int(np.sum(s > max(rel_tol * s[0], 1e-12))) :].conj()
+    return vh[int(np.sum(s > max(NULLSPACE_FLOOR * s[0], NULLSPACE_ABS_FLOOR))) :].conj()
 
 
 def _cluster_eigenvalues(w: np.ndarray, gap: float) -> list[np.ndarray]:
     """Index groups of (sorted) eigenvalues split at gaps larger than gap.
 
-    A split gap below 1000 * gap is a nearly degenerate generic element: its
+    A split gap below GENERIC_WINDOW * gap is a nearly degenerate generic element: its
     eigenvectors, and so the recovered frame, are accurate only to about
     roundoff over that gap.  That is a genericity failure, and the caller
     draws another element.
@@ -273,7 +272,7 @@ def _cluster_eigenvalues(w: np.ndarray, gap: float) -> list[np.ndarray]:
     groups, current = [], [order[0]]
     for idx in order[1:]:
         step = w[idx] - w[current[-1]]
-        if gap < step <= 1e3 * gap:
+        if gap < step <= GENERIC_WINDOW * gap:
             raise _GenericityFailure(f"eigenvalue gap {step:.3e} is too close to {gap:.3e}")
         if step > gap:
             groups.append(np.array(current))
@@ -341,8 +340,8 @@ def _normal_form_attempt(basis, comm: np.ndarray, n: int, rng: np.random.Generat
         return (c @ comm).reshape(n, n)
 
     x = generic()
-    w, v = hermitian_eig(x + x.conj().T, Tolerance(1e-7))
-    copies = _cluster_eigenvalues(w, gap=1e-6 * max(1.0, float(np.abs(w).max())))
+    w, v = np.linalg.eigh(x + x.conj().T)  # Hermitian by construction
+    copies = _cluster_eigenvalues(w, gap=GENERIC_ZERO * max(1.0, float(np.abs(w).max())))
     starts = np.cumsum([0] + [len(ix) for ix in copies[:-1]])
     v = v[:, np.concatenate(copies)]  # copy i spans columns starts[i] : starts[i] + k_i
 
@@ -358,9 +357,9 @@ def _normal_form_attempt(basis, comm: np.ndarray, n: int, rng: np.random.Generat
     for i in range(len(copies)):
         if placed[i]:
             continue
-        if np.any((links[i] > 1e-6) & (links[i] <= 1e-3)):
+        if np.any((links[i] > GENERIC_ZERO) & (links[i] <= GENERIC_WINDOW * GENERIC_ZERO)):
             raise _GenericityFailure("a link between two copies is nearly zero")
-        members, k = np.flatnonzero(links[i] > 1e-3), len(copies[i])
+        members, k = np.flatnonzero(links[i] > GENERIC_WINDOW * GENERIC_ZERO), len(copies[i])
         if placed[members].any() or any(len(copies[j]) != k for j in members):
             raise _GenericityFailure("links do not split the copies into blocks")
         placed[members] = True
@@ -380,12 +379,12 @@ def _normal_form_attempt(basis, comm: np.ndarray, n: int, rng: np.random.Generat
 
     # Validate the recovery before committing to it.
     defect = hs_norm(u.conj().T @ u - np.eye(n))
-    if not defect <= 1e-8:
+    if not defect <= UNITARY_DEFECT:
         raise _GenericityFailure(f"assembled frame is not unitary (defect {defect:.3e})")
     canon = algebra_basis(VnAlgebra(n=n, blocks=blocks))
     b_can = u.conj().T @ np.asarray(basis) @ u
     residuals = np.linalg.norm(b_can - project_onto_span(b_can, canon), axis=(-2, -1))
     worst = worst_residual(residuals)[0]
-    if not worst <= np.sqrt(n) * 1e-7:
+    if not worst <= np.sqrt(n) * FRAME_RESIDUAL:
         raise _GenericityFailure(f"conjugated basis leaves canonical span (residual {worst:.3e})")
     return VnAlgebra(n=n, blocks=blocks, unitary=u), u

@@ -234,6 +234,9 @@ def _cmd_verify_hom(args, tol):
 
 def _cmd_correlation(args, tol):
     strat = strategy_from_json(_load_json(args.strategy))
+    defect = strat.ancilla_block_defect()
+    if not defect <= tol.eps:
+        raise ValueError(f"strategy leaves its ancilla algebra (ancilla_block_defect {defect:.3e})")
     if args.source == "tensor":
         x = correlation_from_tensor(bob_from_alice(strat))
     else:

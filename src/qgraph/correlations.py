@@ -199,13 +199,13 @@ def synchronous_identities(x: Correlation, tol: Tolerance = DEFAULT_TOL) -> Iden
 
     conj_residual = worst_residual(np.abs(t - np.conj(t.transpose(0, 1, 3, 2, 5, 4))))[0]
 
-    # Row and column sums, kept for a != b only.
-    sums = np.abs([np.einsum("abikjk->abij", t), np.einsum("abkikj->abij", t)])
+    # Row and column sums: (3) reads the blocks a != b, and (4) sums the blocks a = b.
+    sums = np.array([np.einsum("abikjk->abij", t), np.einsum("abkikj->abij", t)])
     distinct = ~np.eye(x.c, dtype=bool)[:, :, None, None]
-    off = worst_residual(np.where(distinct, sums, 0.0))[0]
+    off = worst_residual(np.where(distinct, np.abs(sums), 0.0))[0]
 
-    diag_sums = [np.einsum("aaikjk->ij", t), np.einsum("aakikj->ij", t)]
-    diag_sum = worst_residual(np.abs(np.subtract(diag_sums, np.eye(x.n))))[0]
+    diag_sums = np.trace(sums, axis1=1, axis2=2)
+    diag_sum = worst_residual(np.abs(diag_sums - np.eye(x.n)))[0]
     return IdentityReport(positivity, conj_residual, off, diag_sum)
 
 

@@ -17,15 +17,15 @@ from .graphs import ClassicalGraph, QuantumGraph, adjacency_subspace_basis, requ
 from .linalg import (
     _CHUNK_BYTES,
     DEFAULT_TOL,
-    ROUNDING_SLACK,
     Check,
     CheckReport,
     Tolerance,
+    _memoized,
     check_measurement,
     hs_norm,
     worst_residual,
 )
-from .strategies import BlockStrategy, OutcomeFactors, TracialAncilla, factor_outcomes
+from .strategies import BlockStrategy, OutcomeFactors, TracialAncilla
 
 __all__ = [
     "GameInstance",
@@ -57,52 +57,61 @@ def _check_dims(inst: GameInstance, strategy: BlockStrategy):
         )
 
 
-def _sandwich(ps, ys: np.ndarray, mask: np.ndarray, weights=None) -> np.ndarray:
-    """sqrt(sum_Y |W P_a (Y (x) 1) P_b|_F^2) for each pair (a, b) of the c x c mask, else 0.
+def _sandwich(f: OutcomeFactors | None, ys: np.ndarray, kappa, mask: np.ndarray, weights=None) -> np.ndarray:
+    """A fail-closed value of res_ab(P) = sqrt(sum_Y |W P_a (Y (x) 1) P_b|_F^2) per pair (a, b) of
+    the c x c mask, else 0, from the rounding f of the stack P (None for a non-finite stack: inf
+    on every masked pair).  For an HS-orthonormal (m, n, n) stack Y, res_ab is the HS norm of
+    Z -> W P_a (Z (x) 1) P_b on its span; W is 1 or diag(weights), with positive weights.
 
-    For an HS-orthonormal (m, n, n) stack Y, the Hilbert-Schmidt norm of
-    Z -> W P_a (Z (x) 1) P_b on their span, whichever basis of it is given.
-    W is 1 or diag(weights), with positive weights.  ps is a (c, nD, nD) stack or its
-    OutcomeFactors (None for a non-finite stack, which reads inf on every masked pair).
+    The value is res_ab(Pi) + |W|_2 sqrt(kappa) (d_a + d_b + d_a d_b), for the given kappa =
+    max(|sum_Y Y Y*|_2, |sum_Y Y* Y|_2).  It is never below res_ab(P): with P_a = Pi_a + E_a,
+    the three terms with an E obey sum_Y |A (Y (x) 1) B|_F^2 <= |B|_2^2 |A|_F^2 |sum_Y Y Y*|_2
+    or its mirror, |A|_2^2 |B|_F^2 |sum_Y Y* Y|_2.
 
-    With P_a = U_a S_a V_a*, |W P_a X P_b|_F = |C_a (S_a V_a* X U_b S_b)|_F, where
-    C_a*C_a = U_a* W^2 U_a (C_a = 1 for W = 1), as V_b* has orthonormal rows.  So
-    one (R, R) table per Y, (C S V*)(Y (x) 1)(U S), holds every pair as a block,
-    and the sum over Y of its squared entries is reduced block by block.
+    With V unitary, |W Pi_a X Pi_b|_F = |C_a (V_a* X V_b)|_F for C_a*C_a = V_a* W^2 V_a (C_a = 1
+    for W = 1).  So one N x N table per Y, C V* (Y (x) 1) V, holds every pair as a block, and
+    the sum over Y of its squared entries is reduced block by block.
     """
-    f = factor_outcomes(ps) if isinstance(ps, np.ndarray) else ps
     if f is None:
         return np.where(mask, np.inf, 0.0)
-    left = f.s[:, None] * f.vh
+    left = f.v.conj().T
     if weights is not None:
-        # The Cholesky factor of the block diagonal of U* W^2 U holds every C_a.
-        gram = np.where(f.labels[:, None] == f.labels, (f.u.conj().T * weights**2) @ f.u, 0.0)
+        # The Cholesky factor of the block diagonal of V* W^2 V holds every C_a.
+        gram = np.where(f.labels[:, None] == f.labels, (left * weights**2) @ f.v, 0.0)
         left = np.linalg.cholesky(gram).conj().T @ left
-    size, rank = f.u.shape
-    n = ys.shape[-1]
-    right = (f.u * f.s).reshape(n, size // n * rank)  # U S with its n-index first
-    squares = np.zeros((rank, rank))
-    # A chunk of k inputs Y has two complex temporaries, (k, nD, R) and (k, R, R).
-    step = max(1, _CHUNK_BYTES // (16 * rank * (size + rank) + 1))
+    size, n = len(f.v), ys.shape[-1]
+    right = f.v.reshape(n, size // n * size)  # V with its n-index first
+    squares = np.zeros((size, size))
+    # A chunk of k inputs Y has two complex (k, N, N) temporaries.
+    step = max(1, _CHUNK_BYTES // (32 * size * size + 1))
     for start in range(0, len(ys), step):
         chunk = ys[start : start + step]
-        lifted = (chunk @ right).reshape(len(chunk), size, rank)  # (Y (x) 1) U S
-        table = (left @ lifted).view(np.float64).reshape(len(chunk), rank, rank, 2)
+        lifted = (chunk @ right).reshape(len(chunk), size, size)  # (Y (x) 1) V
+        table = (left @ lifted).view(np.float64).reshape(len(chunk), size, size, 2)
         squares += np.einsum("kijz,kijz->ij", table, table)
     member = (f.labels == np.arange(f.c)[:, None]).astype(np.float64)
-    return np.where(mask, np.sqrt(member @ squares @ member.T), 0.0)
+    d, scale = f.defects, np.sqrt(kappa) * (1.0 if weights is None else weights.max())
+    bound = scale * (d[:, None] + d + np.outer(d, d))
+    return np.where(mask, np.sqrt(member @ squares @ member.T) + bound, 0.0)
 
 
-def _forbidden_outcomes(inst: GameInstance, factors, weights=None) -> tuple:
-    """(same, adjacency): the sandwiches of factors (as _sandwich takes them) over M' on
-    pairs a != b and over S n (M')perp on non-adjacent pairs, the spans of the same-vertex
-    and the adjacency edge-basis inputs of a graph that passes validate."""
-    g = inst.source
-    same = np.asarray(commutant(g.algebra))
-    perp = np.reshape(adjacency_subspace_basis(g), (-1, g.n, g.n))
+def _input_spaces(g: QuantumGraph, tol: Tolerance) -> tuple:
+    """(M', S n (M')perp) as (m, n, n) stacks, the spans of the same-vertex and the adjacency
+    edge-basis inputs of a graph that passes validate, each paired with its kappa."""
+    out = []
+    for ys in (np.asarray(commutant(g.algebra)), np.reshape(adjacency_subspace_basis(g), (-1, g.n, g.n))):
+        grams = np.stack([np.einsum("kij,klj->il", ys, ys.conj()), np.einsum("kji,kjl->il", ys.conj(), ys)])
+        out.append((ys, np.linalg.eigvalsh(grams)[:, -1].max()))
+    return tuple(out)
+
+
+def _forbidden_outcomes(inst: GameInstance, factors, tol: Tolerance, weights=None) -> tuple:
+    """(same, adjacency): the sandwiches of the rounding factors over M' on pairs a != b and
+    over S n (M')perp on non-adjacent pairs; the spaces are memoized on the graph."""
+    same, perp = _memoized(inst.source, "_input_spaces_cache", tol, _input_spaces)
     offdiag = ~np.eye(inst.target.vertices, dtype=bool)
-    adjacency = _sandwich(factors, perp, inst.target._nonadjacent, weights)
-    return _sandwich(factors, same, offdiag, weights), adjacency
+    adjacency = _sandwich(factors, *perp, inst.target._nonadjacent, weights)
+    return _sandwich(factors, *same, offdiag, weights), adjacency
 
 
 def verify_structural(
@@ -119,7 +128,7 @@ def verify_structural(
     """
     _check_dims(inst, strategy)
     pvm = [c.max_residual for c in strategy.measurement_report(tol).checks]
-    same, adjacency = _forbidden_outcomes(inst, strategy.factors)
+    same, adjacency = _forbidden_outcomes(inst, strategy.factors, tol)
     squares = same**2
     membership = np.sqrt(squares.sum(axis=1) + squares.sum(axis=0))
     return CheckReport(
@@ -142,13 +151,14 @@ def verify_operational(
     sqrt(sum_Y amplitude^2) over the edge-basis inputs Y of its tag, per pair it forbids:
     a != b for same-vertex inputs, non-adjacent pairs for adjacency inputs.  Those inputs
     are orthonormal bases of M' (the units W_k W_l*/sqrt(dim K_k)) and of S n (M')perp,
-    so the sums are taken over these spaces; the graph must pass validate.  Equivalent to
-    verify_structural for PVM strategies with a faithful trace.
+    so the sums are taken over these spaces; the graph must pass validate.  Each rule is read,
+    fail-closed, from the rounded PVM (_sandwich).  Equivalent to verify_structural for PVM
+    strategies with a faithful trace.
     """
     _check_dims(inst, strategy)
     weights = np.sqrt(np.tile(strategy.ancilla.trace_diagonal(), strategy.n))
     require_valid(inst.source, tol)
-    same, adjacency = _forbidden_outcomes(inst, strategy.factors, weights)
+    same, adjacency = _forbidden_outcomes(inst, strategy.factors, tol, weights)
     return CheckReport(
         (
             Check.of("same_vertex_rule", same, tol, "a", "b"),
@@ -178,44 +188,29 @@ class ChannelRep:
 def extract_channel(
     inst: GameInstance, strategy: BlockStrategy, tol: Tolerance = DEFAULT_TOL
 ) -> ChannelRep:
-    """Kraus operators F_{(a,k)} = |a><u_{a,k}| from eigenvectors of each P_a.
+    """Kraus operators F_k = |a_k><v_k| from the columns v_k of the spectral rounding of the
+    P_a (BlockStrategy.factors), a_k the outcome of v_k, so the Kraus count is nD.
 
-    Projections must have spectrum within tol of {0,1}; eigenvectors above 1/2
-    are kept, so the Kraus count is sum_a rank(P_a).  Also verifies the
+    The strategy must pass its measurement report; on a PVM the rounded PVM is the P_a,
+    so F_k* F_k summed over the v_k of outcome a is P_a.  Also verifies the
     channel subset conditions: compressions of adjacency inputs land in
     S_G n (D_c)perp, compressions of same-vertex inputs land in D_c.  The
-    one entry of F_k (Y (x) 1) F_l* is <u_k, (Y (x) 1) u_l>, so the residual is
-    that of verify_operational, unweighted, for Q_a = sum_k u_{a,k} u_{a,k}*.
-    """
+    one entry of F_k (Y (x) 1) F_l* is <v_k, (Y (x) 1) v_l>, so the residual is
+    the worst of check_game_algebra_rep's relations 2 and 3, fail-closed bound included."""
     _check_dims(inst, strategy)
     failed = strategy.measurement_report(tol).failures()
     if failed:
         raise ValueError(f"strategy is not a PVM within tolerance: {failed}")
-    size = strategy.n * strategy.ancilla.dim
-    c = strategy.c
-
-    vectors = []
-    for a, p in enumerate(strategy.projections):
-        w, v = np.linalg.eigh((p + p.conj().T) / 2)
-        drift = float(np.minimum(np.abs(w), np.abs(w - 1.0)).max())
-        if not drift <= max(tol.eps * ROUNDING_SLACK, 1e-8):
-            raise ValueError(f"P_{a} spectrum drifts from {{0,1}} by {drift:.3e}")
-        vectors.append(v[:, w > 0.5])
-    labels = np.repeat(np.arange(c), [v.shape[1] for v in vectors])
-    u = np.concatenate(vectors, axis=1)  # column k is u_k, the Kraus vector of outcome labels[k]
-    stack = np.zeros((len(labels), c, size), dtype=np.complex128)
-    stack[np.arange(len(labels)), labels] = u.conj().T
-    completeness = hs_norm(
-        np.einsum("mau,mav->uv", np.conj(stack), stack) - np.eye(size)
-    )
+    f = strategy.factors
+    size, c = len(f.v), strategy.c
+    stack = np.zeros((size, c, size), dtype=np.complex128)
+    stack[np.arange(size), f.labels] = f.v.conj().T
+    completeness = hs_norm(f.v @ f.v.conj().T - np.eye(size))  # sum_k F_k* F_k = V V*
     choi = np.einsum("mau,mbv->uavb", stack, np.conj(stack)).reshape(
         size * c, size * c
     )
-
-    # Q_a = sum_k u_k u_k*, factored as it was built.
-    q = OutcomeFactors(c, u, np.ones(len(labels)), u.conj().T, labels)
     require_valid(inst.source, tol)
-    worst = worst_residual(_forbidden_outcomes(inst, q))[0]
+    worst = worst_residual(_forbidden_outcomes(inst, f, tol))[0]
     if worst > tol.eps:
         raise ValueError(f"channel subset conditions violated (residual {worst:.3e})")
     return ChannelRep(
@@ -240,7 +235,7 @@ def check_game_algebra_rep(
     _check_dims(inst, strategy)
     rep = strategy.measurement_report(tol)
     relation1 = [rep.check(name).max_residual for name in ("hermitian", "idempotency", "sum")]
-    commutant_relation, adjacency = _forbidden_outcomes(inst, strategy.factors)
+    commutant_relation, adjacency = _forbidden_outcomes(inst, strategy.factors, tol)
     return CheckReport(
         (
             Check.of("idempotents_sum_to_identity", relation1, tol),

@@ -46,11 +46,6 @@ class Tolerance:
 
 DEFAULT_TOL = Tolerance()
 
-# Relative floor of the thin SVDs behind the game relations: a singular value at or
-# below SINGULAR_FLOOR * max(1, sigma_max) is rounding noise of a rank-deficient
-# operator, and dropping it moves a relation by far less than any usable tolerance.
-SINGULAR_FLOOR = 1e-14
-
 # Factor by which a check on a derived quantity (an input's norm, an imaginary part
 # left by rounding, a spectrum or corner of a computed operator) widens tol.eps: such
 # a quantity sums rounding over many more terms than the residual that tol.eps bounds.
@@ -61,6 +56,21 @@ ROUNDING_SLACK = 100
 # times the largest of the spanning family is a dependent direction blurred by rounding
 # in the given matrices, not a direction of the span.
 SPAN_RANK_FLOOR = 1e-8
+
+# Largest |U*U - 1|_F of an embedding unitary or assembled frame; residuals read in it inherit it.
+UNITARY_DEFECT = 1e-8
+# Rank rule of algebra._nullspace; the absolute floor gives an all-noise matrix no spurious rank.
+NULLSPACE_FLOOR = 1e-9
+NULLSPACE_ABS_FLOOR = 1e-12
+# normal_form: a relative gap or link <= GENERIC_ZERO is rounding; up to GENERIC_WINDOW x above it, redraw.
+GENERIC_ZERO = 1e-6
+GENERIC_WINDOW = 1e3
+# Largest distance per sqrt(n) of normal_form's conjugated generators from the canonical span.
+FRAME_RESIDUAL = 1e-7
+# Slack on the sum of a TracialAncilla's trace weights, which a JSON file gives to ~16 digits.
+TRACE_WEIGHT_SLACK = 1e-9
+# Floor of the tolerance on unitary_to_pvm's output, a sum of c rounded powers of U.
+SPECTRUM_FLOOR = 1e-8
 
 # Bound on the bytes of the temporaries of one chunk of strategies._star_commutator_norm,
 # homgame._sandwich and graphs._bimodule_distances.
@@ -221,7 +231,7 @@ def partial_trace(m, dims: tuple[int, int], side: str) -> np.ndarray:
 
 
 def hermitian_eig(a, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix; the only spectral primitive used.
+    """Eigendecomposition of a Hermitian matrix.
 
     Returns (eigenvalues ascending, eigenvector columns).  Rejects inputs whose
     anti-Hermitian part exceeds the tolerance.

@@ -18,14 +18,14 @@ from .linalg import (
     DEFAULT_TOL,
     POVM_CHECKS,
     ROUNDING_SLACK,
-    SINGULAR_FLOOR,
+    SPECTRUM_FLOOR,
+    TRACE_WEIGHT_SLACK,
     CheckReport,
     Tolerance,
     _memoized,
     as_matrix,
     canonical_shuffle,
     check_measurement,
-    hermitian_eig,
     hs_norm,
     psd_sqrt,
     square_stack,
@@ -74,7 +74,7 @@ class TracialAncilla:
                 raise ValueError(
                     f"trace weights must be positive (faithfulness) and finite, got {w}"
                 )
-            if not abs(sum(w) - 1.0) <= 1e-9:
+            if not abs(sum(w) - 1.0) <= TRACE_WEIGHT_SLACK:
                 raise ValueError(f"trace weights must sum to 1, got sum {sum(w)}")
             object.__setattr__(self, "trace_weights", w)
 
@@ -172,44 +172,44 @@ class BlockStrategy:
         d = self.ancilla.dim
         return _star_commutator_norm(self.entries().reshape(-1, d, d)) <= tol.eps
 
-    # Immutable value: the factors are computed once and shared by every game check.
+    # Immutable value: the rounding is computed once and shared by every game check.
     @cached_property
     def factors(self) -> OutcomeFactors | None:
-        """factor_outcomes of the P_a: None when an entry is not finite."""
-        return factor_outcomes(np.stack(self.projections))
+        """round_outcomes of the P_a: None when an entry is not finite."""
+        return round_outcomes(np.stack(self.projections))
 
 
 @dataclass(frozen=True)
 class OutcomeFactors:
-    """Thin SVDs P_a = U_a diag(s_a) V_a* of a (c, N, N) stack, outcome by outcome.
-
-    The kept singular triples of all outcomes sit side by side: u is (N, R), s is
-    (R,), vh is (R, N), and triple k belongs to outcome labels[k] (non-decreasing).
-    An outcome with P_a = 0 keeps none.
+    """The spectral rounding of a (c, N, N) stack P to a PVM Pi: v is an N x N unitary whose
+    column k belongs to outcome labels[k] (non-decreasing), Pi_a = V_a V_a* over the columns
+    V_a of outcome a (0 if it has none), and defects[a] is d_a = |P_a - Pi_a|_F.
     """
 
     c: int
-    u: np.ndarray
-    s: np.ndarray
-    vh: np.ndarray
+    v: np.ndarray
     labels: np.ndarray
+    defects: np.ndarray
 
 
-def factor_outcomes(ops: np.ndarray) -> OutcomeFactors | None:
-    """One batched thin SVD of a (c, N, N) stack, keeping the singular values above
-    SINGULAR_FLOOR * max(1, sigma_max); None, with no SVD run, when the stack is not
-    finite.  For a PVM, R = N.
+def _eigenprojections(v: np.ndarray, labels: np.ndarray, c: int):
+    for a in range(c):
+        cols = v[:, labels == a]
+        yield cols @ cols.conj().T
 
-    Dropping the singular values <= tau of P_a and P_b moves the Hilbert-Schmidt norm
-    of Z -> W P_a (Z (x) 1) P_b on an m-dimensional space of n x n matrices by at most
-    sqrt(m D) tau |W|_2 (|P_a|_2 + |P_b|_2) <= sqrt(n) sqrt(n D) tau |W|_2 (|P_a|_2 + |P_b|_2).
-    """
+
+def round_outcomes(ops: np.ndarray) -> OutcomeFactors | None:
+    """Spectral rounding of a (c, N, N) stack: one eigh of A = sum_a (a+1) herm(P_a); each eigenvalue,
+    rounded to the nearest integer clamped to {1..c}, labels its eigenvector with an outcome (eigh
+    sorts them, so the labels are sorted too).  None, with no decomposition run, on a non-finite stack."""
     if not np.isfinite(ops).all():
         return None
-    u, s, vh = np.linalg.svd(ops, full_matrices=False)
-    keep = s > SINGULAR_FLOOR * max(1.0, s.max(initial=0.0))
-    labels, _ = np.nonzero(keep)
-    return OutcomeFactors(len(ops), u.transpose(0, 2, 1)[keep].T, s[keep], vh[keep], labels)
+    c = len(ops)
+    weighted = sum((a + 1) * ((p + p.conj().T) / 2) for a, p in enumerate(ops))
+    w, v = np.linalg.eigh(weighted)
+    labels = np.clip(np.rint(w).astype(int), 1, c) - 1
+    defects = [np.linalg.norm(p - q) for p, q in zip(ops, _eigenprojections(v, labels, c))]
+    return OutcomeFactors(c, v, labels, np.array(defects))
 
 
 def _star_commutator_norm(ents: np.ndarray) -> float:
@@ -401,31 +401,22 @@ def unitary_to_pvm(u, c: int, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
     # For a unitary of order c the inversion is an exact PVM; a failure here
     # means the spectrum leaves the c-th roots of unity.  This avoids any
     # non-Hermitian eigensolver.
-    failed = check_measurement(out, Tolerance(max(tol.eps * ROUNDING_SLACK, 1e-8))).failures()
+    failed = check_measurement(out, Tolerance(max(tol.eps * ROUNDING_SLACK, SPECTRUM_FLOOR))).failures()
     if failed:
         raise ValueError(f"spectrum is not contained in the c-th roots of unity: {failed}")
     return out
 
 
 def round_almost_pvm(ops) -> tuple[list[np.ndarray], float]:
-    """Round a family of almost-projections to an exact PVM.
-
-    Spectral rounding of the outcome-weighted sum A = sum_a (a+1) P_a: each
-    eigenvalue is rounded to the nearest integer clamped to {1..c} and Q_a is
-    the corresponding eigenprojection.  Succeeds on finite input; returns the
-    projections and their max operator-norm distance to the input, the
-    quality of the rounding.
+    """Round a family of almost-projections to an exact PVM by round_outcomes, the
+    rounding every game check reads.  Succeeds on finite input; returns the projections
+    and their max operator-norm distance to the input, the quality of the rounding.
     """
     stack = square_stack(ops)
-    c = len(stack)
-    weighted = sum((a + 1) * ((p + p.conj().T) / 2) for a, p in enumerate(stack))
-    w, v = hermitian_eig(weighted, Tolerance(1e-6))
-    labels = np.clip(np.rint(w).astype(int), 1, c)
-    out = []
-    for a in range(1, c + 1):
-        cols = v[:, labels == a]
-        out.append(cols @ cols.conj().T)
-
+    rounding = round_outcomes(stack)
+    if rounding is None:
+        raise ValueError("operators have non-finite entries")
+    out = list(_eigenprojections(rounding.v, rounding.labels, rounding.c))
     dist = np.linalg.norm(np.stack(out) - stack, ord=2, axis=(-2, -1))
     return out, worst_residual(dist)[0]
 

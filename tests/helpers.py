@@ -15,11 +15,13 @@ from qgraph import (
     TracialAncilla,
     VnAlgebra,
     graph_operator_system,
+    round_almost_pvm,
     shift_multiply_coloring,
 )
 from qgraph.algebra import commutant_units
 from qgraph.colorings import complete_quantum_graph, diagonal_strategy
-from qgraph.linalg import canonical_shuffle, matrix_unit, unit_root_power
+from qgraph.correlations import IdentityReport
+from qgraph.linalg import canonical_shuffle, matrix_unit, unit_root_power, worst_residual
 
 
 def rand_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -93,6 +95,30 @@ def random_block_strategy(
     return BlockStrategy(n=n, c=c, ancilla=ancilla, projections=tuple(projections))
 
 
+def block_mixing_strategy(rng: np.random.Generator) -> BlockStrategy:
+    """An exact PVM over M_2 + M_1 whose entries leave the algebra: a random block PVM with
+    trace weights (1/2, 1/2), conjugated by 1 (x) U for a Haar U on C^3.  Its entries neither
+    commute nor lie in the algebra, and tau(x y) != tau(y x) on them."""
+    s = random_block_strategy(rng, 3, 3, (2, 1), (0.5, 0.5))
+    mix = np.kron(np.eye(3), rand_unitary(rng, 3))
+    return BlockStrategy(n=3, c=3, ancilla=s.ancilla, projections=conjugate(mix, s.projections))
+
+
+def reference_synchronous_identities(x: Correlation) -> IdentityReport:
+    """The body that correlations.synchronous_identities replaced, kept as its reference:
+    identity (4) from its own two einsums over the blocks a = b."""
+    t = x.tensor
+    diag_entries = np.einsum("abiijj->abij", t)
+    positivity = worst_residual([np.abs(diag_entries.imag), np.maximum(-diag_entries.real, 0.0)])[0]
+    conj_residual = worst_residual(np.abs(t - np.conj(t.transpose(0, 1, 3, 2, 5, 4))))[0]
+    sums = np.abs([np.einsum("abikjk->abij", t), np.einsum("abkikj->abij", t)])
+    distinct = ~np.eye(x.c, dtype=bool)[:, :, None, None]
+    off = worst_residual(np.where(distinct, sums, 0.0))[0]
+    diag_sums = [np.einsum("aaikjk->ij", t), np.einsum("aakikj->ij", t)]
+    diag_sum = worst_residual(np.abs(np.subtract(diag_sums, np.eye(x.n))))[0]
+    return IdentityReport(positivity, conj_residual, off, diag_sum)
+
+
 def times_input(ops: np.ndarray, y: np.ndarray) -> np.ndarray:
     """P (Y (x) 1) for each P of a (c, nD, nD) stack and each Y of an (..., n, n)
     stack, as (..., c, nD, nD).  Y meets the n-index of P, seen as (c, n, D, n, D),
@@ -150,6 +176,24 @@ def dense_sandwich(ps: np.ndarray, ys: np.ndarray, mask: np.ndarray, weights=Non
         (a,) = np.nonzero(mask[:, b])
         out[a, b] = np.linalg.norm(np.linalg.norm(x[:, a] @ ps[b], axis=(-2, -1)), axis=0)
     return out
+
+
+def spread(ys: np.ndarray) -> float:
+    """kappa = max(|sum_Y Y Y*|_2, |sum_Y Y* Y|_2) of an (m, n, n) stack, the constant of
+    homgame._sandwich's bound, from the norms of the two sums."""
+    n = ys.shape[-1]
+    sums = (sum((y @ y.conj().T for y in ys), np.zeros((n, n))), sum((y.conj().T @ y for y in ys), np.zeros((n, n))))
+    return max(np.linalg.norm(m, ord=2) for m in sums)
+
+
+def rounded_dense_sandwich(ps: np.ndarray, ys: np.ndarray, mask: np.ndarray, weights=None) -> np.ndarray:
+    """The value homgame._sandwich reports, from the dense kernel: dense_sandwich on the
+    rounded PVM Pi of round_almost_pvm, plus |W|_2 sqrt(kappa) (d_a + d_b + d_a d_b) on the
+    masked pairs, with d_a = |P_a - Pi_a|_F and kappa = spread(Y)."""
+    pi = np.stack(round_almost_pvm(ps)[0])
+    d = np.linalg.norm(ps - pi, axis=(-2, -1))
+    scale = np.sqrt(spread(ys)) * (1.0 if weights is None else weights.max())
+    return dense_sandwich(pi, ys, mask, weights) + np.where(mask, scale * (d[:, None] + d + np.outer(d, d)), 0.0)
 
 
 def dense_membership(ps: np.ndarray, comm: np.ndarray) -> np.ndarray:

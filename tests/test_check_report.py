@@ -10,9 +10,12 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     LADDER,
+    block_mixing_strategy,
     conjugate,
     dense_membership,
     dense_sandwich,
@@ -31,7 +34,10 @@ from helpers import (
     reference_correlation_from_trace,
     reference_diagonal_projections,
     reference_shift_multiply_projections,
+    reference_synchronous_identities,
     reference_teleport_projections,
+    rounded_dense_sandwich,
+    spread,
 )
 from qgraph import (
     BlockStrategy,
@@ -83,10 +89,9 @@ from qgraph.graphs import (
     classical_graph_from_operator_system,
     edge_basis,
 )
-from qgraph.homgame import _forbidden_outcomes, _sandwich
+from qgraph.homgame import _forbidden_outcomes, _input_spaces, _sandwich
 from qgraph.linalg import (
     POVM_CHECKS,
-    SINGULAR_FLOOR,
     Check,
     canonical_shuffle,
     hermitian_eig,
@@ -95,7 +100,7 @@ from qgraph.linalg import (
     worst_residual,
 )
 from qgraph.serialize import matrix_from_json
-from qgraph.strategies import _star_commutator_norm, factor_outcomes
+from qgraph.strategies import _star_commutator_norm, round_outcomes
 
 K = ClassicalGraph.complete
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -299,10 +304,11 @@ def summed(table):
     return sums, len(inputs)
 
 
-def assert_sum_bounds(worst, new, m):
-    """The largest term bounds a sum of m squares from below, and sqrt(m) times it from above."""
+def assert_sum_bounds(worst, new, m, slack=0.0):
+    """The largest term bounds a sum of m squares from below, and sqrt(m) times it from above;
+    slack is what a reported value may add to the sum."""
     assert worst <= new * (1 + 1e-12) + 1e-15
-    assert new <= np.sqrt(m) * worst * (1 + 1e-12) + 1e-15
+    assert new <= np.sqrt(m) * worst * (1 + 1e-12) + 1e-15 + slack
 
 
 def reference_validate(g, tol):
@@ -707,11 +713,7 @@ def kernel_cases():
     # Entries that neither commute nor lie in M_2 + M_1, whose trace weights differ
     # (1/4, 1/4, 1/2): tau(x y) != tau(y x) on them, so trace weights on the column
     # index read differently.
-    s = random_block_strategy(rng, 3, 3, (2, 1), (0.5, 0.5))
-    mix = np.kron(np.eye(3), rand_unitary(rng, 3))
-    yield "block-mixing D=3", BlockStrategy(
-        n=3, c=3, ancilla=s.ancilla, projections=conjugate(mix, s.projections)
-    )
+    yield "block-mixing D=3", block_mixing_strategy(rng)
 
 
 KERNEL_CASES = list(kernel_cases())
@@ -1102,6 +1104,16 @@ def test_sync_and_identities_match_reference_loops(label, x):
     assert rep.passed(tol) == (max(identities) <= tol.eps)
 
 
+@pytest.mark.parametrize("label, s", KERNEL_CASES, ids=[c[0] for c in KERNEL_CASES])
+def test_synchronous_identities_match_reference_einsums(label, s):
+    # Identity (4) now sums the diagonal blocks of identity (3)'s row and column sums.
+    tol = Tolerance()
+    x = correlation_from_trace(s)
+    rep, ref = synchronous_identities(x, tol), reference_synchronous_identities(x)
+    assert np.abs(np.subtract(dataclasses.astuple(rep), dataclasses.astuple(ref))).max() <= 1e-12
+    assert rep.passed(tol) == ref.passed(tol)
+
+
 def classical_correlation_cases():
     for label, x in CORRELATION_CASES:
         # tau is no trace on the block-mixing entries, so their compression is not real.
@@ -1180,7 +1192,12 @@ def reference_sandwich(strategy, mats, mask, weights):
 def test_sandwich_kernel_matches_reference_loop(label, g, target, s, wins):
     rng = np.random.default_rng(2024)
     size = s.n * s.ancilla.dim
-    ps = np.stack(s.projections)
+    factors = round_outcomes(np.stack(s.projections))
+    # The reported value is res(Pi) + beta with beta = |W|_2 sqrt(kappa) (d_a + d_b + d_a d_b),
+    # and res(Pi) <= res(P) + beta by the same bound, so it exceeds res(P) by at most 2 beta;
+    # kappa <= n and |W|_2 <= 1 here.
+    d = factors.defects.max()
+    slack = 2 * np.sqrt(s.n) * (2 * d + d * d)
     masks = [target._nonadjacent, ~np.eye(s.c, dtype=bool), rng.random((s.c, s.c)) < 0.3]
     for mats in (commutant(g.algebra), adjacency_subspace_basis(g), []):
         stack = np.reshape(mats, (-1, s.n, s.n))
@@ -1189,24 +1206,25 @@ def test_sandwich_kernel_matches_reference_loop(label, g, target, s, wins):
         for mask in masks:
             for weights in (None, rng.random(size)):
                 ref = reference_sandwich(s, mats, mask, np.ones(size) if weights is None else weights)
-                got = _sandwich(ps, stack, mask, weights)
+                got = _sandwich(factors, stack, spread(stack), mask, weights)
                 assert np.abs(got - np.sqrt((ref**2).sum(axis=-1))).max(initial=0.0) <= 1e-12
-                assert np.abs(_sandwich(ps, mixed, mask, weights) - got).max(initial=0.0) <= 1e-12
-                assert_sum_bounds(ref.max(initial=0.0), got.max(initial=0.0), len(mats))
+                assert np.abs(_sandwich(factors, mixed, spread(mixed), mask, weights) - got).max(initial=0.0) <= 1e-12
+                assert_sum_bounds(ref.max(initial=0.0), got.max(initial=0.0), len(mats), slack)
 
 
 # --- the factored sandwich against the dense kernel it replaced ----------------------
 
 
-def assert_factored_matches_dense(ps, g, masks, weights_list, factors=None):
-    """The factored kernel (from the given factors, or from ps) equals the dense one within
-    1e-12 over M', S n (M')perp and the empty space, for every mask and weight."""
+def assert_factored_matches_dense(ps, g, masks, weights_list, reference=dense_sandwich):
+    """The factored kernel on the rounding of ps equals the reference within 1e-12 over M',
+    S n (M')perp and the empty space, for every mask and weight."""
+    factors = round_outcomes(ps)
     for mats in (commutant(g.algebra), adjacency_subspace_basis(g), []):
         ys = np.reshape(mats, (-1, g.n, g.n))
         for mask in masks:
             for weights in weights_list:
-                want = dense_sandwich(ps, ys, mask, weights)
-                got = _sandwich(ps if factors is None else factors, ys, mask, weights)
+                want = reference(ps, ys, mask, weights)
+                got = _sandwich(factors, ys, spread(ys), mask, weights)
                 assert np.abs(got - want).max(initial=0.0) <= 1e-12
 
 
@@ -1222,7 +1240,7 @@ def trace_weights(s):
 def test_factored_sandwich_matches_dense_kernel(label, g, target, s, wins):
     rng = np.random.default_rng(2030)
     masks = game_masks(rng, target, s.c)
-    assert_factored_matches_dense(np.stack(s.projections), g, masks, (None, trace_weights(s)), s.factors)
+    assert_factored_matches_dense(np.stack(s.projections), g, masks, (None, trace_weights(s)))
 
 
 @pytest.mark.parametrize("label, g, target, s, wins", CASES, ids=[c[0] for c in CASES])
@@ -1230,9 +1248,9 @@ def test_factored_sandwich_in_one_input_chunks(monkeypatch, label, g, target, s,
     rng = np.random.default_rng(2033)
     ys = np.reshape(adjacency_subspace_basis(g), (-1, g.n, g.n))
     mask, weights = game_masks(rng, target, s.c)[2], trace_weights(s)
-    whole = _sandwich(s.factors, ys, mask, weights)
+    whole = _sandwich(s.factors, ys, spread(ys), mask, weights)
     monkeypatch.setattr("qgraph.homgame._CHUNK_BYTES", 1)
-    assert np.abs(_sandwich(s.factors, ys, mask, weights) - whole).max(initial=0.0) <= 1e-12
+    assert np.abs(_sandwich(s.factors, ys, spread(ys), mask, weights) - whole).max(initial=0.0) <= 1e-12
 
 
 def off_ladder_stacks(rng, s):
@@ -1251,23 +1269,24 @@ WINNING = [c for c in CASES if c[4]]
 
 
 @pytest.mark.parametrize("label, g, target, s, wins", WINNING, ids=[c[0] for c in WINNING])
-def test_factored_sandwich_matches_dense_kernel_off_pvms(label, g, target, s, wins):
+def test_rounded_sandwich_matches_dense_kernel_off_pvms(label, g, target, s, wins):
+    # Off a PVM the kernel reads the rounded PVM and adds the bound term.
     rng = np.random.default_rng(2031)
     for ps in off_ladder_stacks(rng, s):
         weights = (None, rng.uniform(0.1, 1.0, size=ps.shape[-1]))
-        assert_factored_matches_dense(ps, g, game_masks(rng, K(len(ps)), len(ps)), weights)
+        assert_factored_matches_dense(ps, g, game_masks(rng, K(len(ps)), len(ps)), weights, rounded_dense_sandwich)
 
 
 @pytest.mark.parametrize("label, g, target, s, wins", WINNING, ids=[c[0] for c in WINNING])
-def test_membership_off_pvms_sums_rows_and_columns_of_the_dense_table(label, g, target, s, wins):
-    # Off a PVM, membership is the per-a sum over the M' table, not the commutator norm;
-    # a non-Hermitian stack makes the table asymmetric.
+def test_membership_off_pvms_sums_rows_and_columns_of_the_reported_table(label, g, target, s, wins):
+    # Off a PVM, membership is the per-a sum over the reported M' table, not the commutator
+    # norm; a non-Hermitian stack makes the table asymmetric.
     rng = np.random.default_rng(2034)
     comm = np.asarray(commutant(g.algebra))
     for ps in off_ladder_stacks(rng, s):
         c = len(ps)
         strategy = BlockStrategy(n=s.n, c=c, ancilla=s.ancilla, projections=tuple(ps))
-        squares = dense_sandwich(ps, comm, ~np.eye(c, dtype=bool)) ** 2
+        squares = rounded_dense_sandwich(ps, comm, ~np.eye(c, dtype=bool)) ** 2
         want = np.sqrt(squares.sum(axis=0) + squares.sum(axis=1))
         check = verify_structural(GameInstance(source=g, target=K(c)), strategy).check("membership")
         assert abs(check.max_residual - want.max()) <= 1e-12
@@ -1278,39 +1297,62 @@ def test_membership_off_pvms_sums_rows_and_columns_of_the_dense_table(label, g, 
 def test_factored_sandwich_reads_inf_on_a_nan_stack(label, g, target, s, wins):
     ps = np.stack(s.projections)
     ps[-1, 0, -1] = np.nan
-    assert factor_outcomes(ps) is None
+    assert round_outcomes(ps) is None
+    with pytest.raises(ValueError, match="non-finite"):
+        round_almost_pvm(ps)
     mask = ~np.eye(s.c, dtype=bool)
     for mats in (commutant(g.algebra), adjacency_subspace_basis(g)):
-        got = _sandwich(ps, np.reshape(mats, (-1, g.n, g.n)), mask, trace_weights(s))
+        ys = np.reshape(mats, (-1, g.n, g.n))
+        got = _sandwich(round_outcomes(ps), ys, spread(ys), mask, trace_weights(s))
         assert np.array_equal(got, np.where(mask, np.inf, 0.0))
 
 
 @pytest.mark.parametrize("label, g, target, s, wins", WINNING, ids=[c[0] for c in WINNING])
-def test_singular_values_under_the_floor_move_a_residual_within_the_bound(label, g, target, s, wins):
-    # Add to P_0 a new singular value just under the floor, between vectors outside its range:
-    # the factored kernel drops it, and the dense one keeps it.
-    rng = np.random.default_rng(2032)
-    ps = np.stack(s.projections)
-    size = ps.shape[-1]
-    tau = SINGULAR_FLOOR * max(1.0, np.linalg.norm(ps, ord=2, axis=(-2, -1)).max())
-    z = rng.normal(size=(2, size)) + 1j * rng.normal(size=(2, size))
-    x, y = z @ (np.eye(size) - ps[0]).T  # rows (1 - P_0) z_k
-    outer = np.outer(x / np.linalg.norm(x), y.conj() / np.linalg.norm(y))
-    rank = sum(round(np.trace(p).real) for p in s.projections)
-    above = ps.copy()
-    above[0] += 1.01 * tau * outer
-    assert len(factor_outcomes(above).s) == rank + 1
-    ps[0] += 0.99 * tau * outer
-    factors = factor_outcomes(ps)
-    assert len(factors.s) == rank
-    weights = trace_weights(s)
-    norms = np.linalg.norm(ps, ord=2, axis=(-2, -1))
-    bound = np.sqrt(s.n) * np.sqrt(size) * tau * weights.max() * (norms[:, None] + norms[None, :])
-    mask = np.ones((s.c, s.c), dtype=bool)
+def test_adjacency_zeros_off_pvms_reads_the_reported_table(label, g, target, s, wins):
+    rng = np.random.default_rng(2035)
+    perp = np.reshape(adjacency_subspace_basis(g), (-1, g.n, g.n))
+    for ps in off_ladder_stacks(rng, s):
+        strategy = BlockStrategy(n=s.n, c=len(ps), ancilla=s.ancilla, projections=tuple(ps))
+        want = rounded_dense_sandwich(ps, perp, K(len(ps))._nonadjacent)
+        check = verify_structural(GameInstance(source=g, target=K(len(ps))), strategy).check("adjacency_zeros")
+        assert abs(check.max_residual - want.max()) <= 1e-12
+
+
+# S = span{E_10, E_20} over the diagonal algebra is not self-adjoint: sum Y Y* = E_11 + E_22 and
+# sum Y* Y = 2 E_00, so kappa must take the larger of the two.
+ONE_SIDED = QuantumGraph(n=3, algebra=VnAlgebra(n=3, blocks=((1, 1),) * 3), s_basis=(matrix_unit(3, 1, 0), matrix_unit(3, 2, 0)))
+
+
+@pytest.mark.parametrize("g", [c[1] for c in CASES] + [ONE_SIDED], ids=[c[0] for c in CASES] + ["one-sided"])
+def test_input_spaces_are_the_game_bases_with_their_spread(g):
+    (same, k_same), (perp, k_perp) = _input_spaces(g, Tolerance())
+    assert np.array_equal(same, np.asarray(commutant(g.algebra)))
+    assert np.array_equal(perp, np.reshape(adjacency_subspace_basis(g), (-1, g.n, g.n)))
+    assert abs(k_same - spread(same)) <= 1e-12 and abs(k_perp - spread(perp)) <= 1e-12
+
+
+NEAR_PVM_CASES = [c for c in CASES if c[3].n * c[3].ancilla.dim <= 8]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    case=st.sampled_from(NEAR_PVM_CASES),
+    scale=st.floats(-13.0, -0.3),
+    hermitian=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_reported_sandwich_never_reads_below_the_dense_one(case, scale, hermitian, seed):
+    # The fail-closed bound: on a near-PVM the value is at least the sandwich of the stack itself.
+    _, g, target, s, _ = case
+    rng = np.random.default_rng(seed)
+    ps = np.stack(_noisy(rng, s.projections, 10.0**scale, hermitian))
+    factors = round_outcomes(ps)
     for mats in (commutant(g.algebra), adjacency_subspace_basis(g)):
-        ys = np.reshape(mats, (-1, s.n, s.n))
-        moved = np.abs(_sandwich(factors, ys, mask, weights) - dense_sandwich(ps, ys, mask, weights))
-        assert (moved <= bound).all()
+        ys = np.reshape(mats, (-1, g.n, g.n))
+        for mask in game_masks(rng, target, s.c):
+            for weights in (None, trace_weights(s)):
+                got = _sandwich(factors, ys, spread(ys), mask, weights)
+                assert (got >= dense_sandwich(ps, ys, mask, weights) - 1e-12).all()
 
 
 # --- normal_form against the *-closure and centre solve it replaced -----------------
@@ -1669,7 +1711,7 @@ def test_subset_residual_matches_reference_loop(label, g, target, s, wins):
     kraus = [np.outer(np.eye(s.c)[a], u[:, k].conj()) for k, a in enumerate(labels)]
     worst, new, terms = reference_subset_residual(inst, s, kraus, tol)
     q = np.stack([v @ v.conj().T for v in vectors])
-    assert abs(worst_residual(_forbidden_outcomes(inst, q))[0] - new) <= 1e-12
+    assert abs(worst_residual(_forbidden_outcomes(inst, round_outcomes(q), tol))[0] - new) <= 1e-12
     assert_sum_bounds(worst, new, terms)
     assert (worst <= tol.eps) == wins and (new <= tol.eps) == wins
     if wins:

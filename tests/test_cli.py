@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import random_block_strategy, random_povm
+from helpers import block_mixing_strategy, random_block_strategy, random_povm
 from qgraph import ClassicalGraph, VnAlgebra, graph_operator_system
 from qgraph import cli
 from qgraph.cli import main
@@ -160,6 +160,16 @@ def test_correlation_paths_agree(tmp_path, capsys):
     a1 = np.asarray(x1["X"], dtype=float)
     a2 = np.asarray(x2["X"], dtype=float)
     assert np.abs(a1 - a2).max() < 1e-10
+
+
+@pytest.mark.parametrize("source", ["trace", "tensor"])
+def test_correlation_refuses_a_strategy_outside_its_ancilla_algebra(tmp_path, capsys, source):
+    s = block_mixing_strategy(np.random.default_rng(92))
+    assert s.ancilla_block_defect() > 0.1
+    path = write(tmp_path, "s.json", strategy_to_json(s))
+    assert main(["correlation", "--from", source, "--strategy", path]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "ancilla_block_defect" in json.loads(err)["error"]
 
 
 def test_check_sync_and_identities_and_compress(tmp_path, capsys):
@@ -354,7 +364,7 @@ def test_traceless_bell_example_fails_operational_and_has_no_channel(capsys):
     assert main(["validate", str(EXAMPLES / "traceless_graph.json")]) == 0
     capsys.readouterr()
     assert main(["verify-hom", *files, "--mode", "operational"]) == 1
-    assert json.loads(capsys.readouterr().out)["operational"]["checks"][0]["max_residual"] == 0.5
+    assert abs(json.loads(capsys.readouterr().out)["operational"]["checks"][0]["max_residual"] - 0.5) <= 1e-12
     assert main(["extract-channel", *files]) == 1
     assert "subset conditions" in json.loads(capsys.readouterr().err)["error"]
 

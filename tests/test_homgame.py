@@ -11,6 +11,7 @@ from helpers import (
     rand_hermitian,
     rand_unitary,
     random_block_strategy,
+    random_povm,
     rotate,
 )
 from qgraph import (
@@ -24,6 +25,7 @@ from qgraph import (
     compose_reps,
     extract_channel,
     graph_operator_system,
+    round_almost_pvm,
     shift_multiply_coloring,
     teleport_coloring,
     verify_operational,
@@ -32,8 +34,10 @@ from qgraph import (
 from qgraph.algebra import algebra_basis, commutant, project_onto_span
 from qgraph.cli import MAX_TOL
 from qgraph.colorings import complete_quantum_graph, diagonal_strategy
+from qgraph.correlations import embed_classical
 from qgraph.graphs import adjacency_subspace_basis
 from qgraph.linalg import Tolerance, matrix_unit
+from qgraph.strategies import _eigenprojections
 
 K = ClassicalGraph.complete
 MODES = {
@@ -297,6 +301,17 @@ class TestExtractChannel:
             recon[a] += np.outer(u, u.conj())
         for p, q in zip(s.projections, recon):
             assert np.linalg.norm(p - q) <= 1e-10
+
+    def test_kraus_vectors_rebuild_a_complex_pvm(self):
+        # M_3's colouring carries cube roots of unity, here in a Haar frame too.
+        rng = np.random.default_rng(27)
+        alg = VnAlgebra(n=3, blocks=((1, 3),), unitary=rand_unitary(rng, 3))
+        s = shift_multiply_coloring(alg)
+        rep = extract_channel(GameInstance(source=complete_quantum_graph(alg), target=K(s.c)), s)
+        assert rep.num_kraus == s.n * s.ancilla.dim
+        for a, p in enumerate(s.projections):
+            rebuilt = sum(f.conj().T @ f for f in rep.kraus if np.abs(f[a]).any())
+            assert np.abs(rebuilt - p).max() <= 1e-12
 
     def test_rejects_non_pvm(self):
         alg = VnAlgebra(n=2, blocks=((1, 2),))
@@ -695,3 +710,44 @@ def test_modes_and_channel_agree_on_exact_pvms(blocks, graph, pvm, seed):
     else:
         with pytest.raises(ValueError, match="subset conditions"):
             extract_channel(inst, s)
+
+
+# --- one spectral rounding per strategy: the table stays nD wide --------------------------
+
+
+def with_hermitian_noise(rng, s, eps):
+    """P_a + eps H_a / N for seeded Hermitian H_a: every P_a becomes full rank."""
+    size = s.n * s.ancilla.dim
+    noisy = tuple(p + eps * rand_hermitian(rng, size) / size for p in s.projections)
+    return BlockStrategy(n=s.n, c=s.c, ancilla=s.ancilla, projections=noisy)
+
+
+def test_noisy_winning_colouring_keeps_an_nd_wide_table_and_passes():
+    # A batched SVD kept every singular value above 1e-14 of this stack: a table 2920 wide.
+    rng = np.random.default_rng(24)
+    alg = VnAlgebra(n=9, blocks=((1, 2), (1, 3), (1, 4)), unitary=rand_unitary(rng, 9))
+    s = with_hermitian_noise(rng, shift_multiply_coloring(alg), 1e-12)
+    size = s.n * s.ancilla.dim
+    inst = GameInstance(source=complete_quantum_graph(alg), target=K(s.c))
+    assert verify_structural(inst, s).passed
+    assert s.factors.v.shape == (size, size) and s.factors.labels.shape == (size,)
+
+
+def test_full_rank_povm_keeps_an_nd_wide_table():
+    s = embed_classical([random_povm(np.random.default_rng(25), 2, 3) for _ in range(3)])
+    size = s.n * s.ancilla.dim
+    assert s.factors.v.shape == (size, size)
+    inst = GameInstance(source=complete_quantum_graph(VnAlgebra(n=3, blocks=((1, 3),))), target=K(s.c))
+    assert not verify_structural(inst, s).passed
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-12, 1e-3])
+def test_round_almost_pvm_and_the_game_checks_share_one_rounding(eps):
+    rng = np.random.default_rng(26)
+    alg = VnAlgebra(n=3, blocks=((1, 1), (1, 2)), unitary=rand_unitary(rng, 3))
+    s = with_hermitian_noise(rng, shift_multiply_coloring(alg), eps)
+    rounded, _ = round_almost_pvm(s.projections)
+    f = s.factors
+    for got, want in zip(_eigenprojections(f.v, f.labels, f.c), rounded, strict=True):
+        assert np.array_equal(got, want)
+    assert np.array_equal(f.defects, [np.linalg.norm(p - q) for p, q in zip(s.projections, rounded)])
