@@ -109,6 +109,16 @@ class QuantumGraph:
         # the residual is rounding noise, and must not be normalized into a basis.
         return tuple(vh[s > SPAN_RANK_FLOOR * self._split[2]].reshape(-1, self.n, self.n))
 
+    @cached_property
+    def _game_inputs(self) -> tuple:
+        """The game's same-vertex and adjacency input spaces M' and S n (M')perp as (m, n, n) stacks,
+        each with the kappa = max(|sum_Y Y Y*|_2, |sum_Y Y* Y|_2) of homgame._sandwich's bound."""
+        out = []
+        for ys in (np.asarray(commutant(self.algebra)), np.reshape(self._adjacency_basis, (-1, self.n, self.n))):
+            grams = np.stack([np.einsum("kij,klj->il", ys, ys.conj()), np.einsum("kji,kjl->il", ys.conj(), ys)])
+            out.append((ys, np.linalg.eigvalsh(grams)[:, -1].max()))
+        return tuple(out)
+
 
 def validate(g: QuantumGraph, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
     """Check the quantum graph invariants, reporting worst residual per check.

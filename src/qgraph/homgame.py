@@ -12,15 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import commutant
-from .graphs import ClassicalGraph, QuantumGraph, adjacency_subspace_basis, require_valid
+from .graphs import ClassicalGraph, QuantumGraph, require_valid
 from .linalg import (
     _CHUNK_BYTES,
     DEFAULT_TOL,
     Check,
     CheckReport,
     Tolerance,
-    _memoized,
     check_measurement,
     hs_norm,
     worst_residual,
@@ -95,20 +93,10 @@ def _sandwich(f: OutcomeFactors | None, ys: np.ndarray, kappa, mask: np.ndarray,
     return np.where(mask, np.sqrt(member @ squares @ member.T) + bound, 0.0)
 
 
-def _input_spaces(g: QuantumGraph, tol: Tolerance) -> tuple:
-    """(M', S n (M')perp) as (m, n, n) stacks, the spans of the same-vertex and the adjacency
-    edge-basis inputs of a graph that passes validate, each paired with its kappa."""
-    out = []
-    for ys in (np.asarray(commutant(g.algebra)), np.reshape(adjacency_subspace_basis(g), (-1, g.n, g.n))):
-        grams = np.stack([np.einsum("kij,klj->il", ys, ys.conj()), np.einsum("kji,kjl->il", ys.conj(), ys)])
-        out.append((ys, np.linalg.eigvalsh(grams)[:, -1].max()))
-    return tuple(out)
-
-
-def _forbidden_outcomes(inst: GameInstance, factors, tol: Tolerance, weights=None) -> tuple:
+def _forbidden_outcomes(inst: GameInstance, factors, weights=None) -> tuple:
     """(same, adjacency): the sandwiches of the rounding factors over M' on pairs a != b and
     over S n (M')perp on non-adjacent pairs; the spaces are memoized on the graph."""
-    same, perp = _memoized(inst.source, "_input_spaces_cache", tol, _input_spaces)
+    same, perp = inst.source._game_inputs
     offdiag = ~np.eye(inst.target.vertices, dtype=bool)
     adjacency = _sandwich(factors, *perp, inst.target._nonadjacent, weights)
     return _sandwich(factors, *same, offdiag, weights), adjacency
@@ -128,7 +116,7 @@ def verify_structural(
     """
     _check_dims(inst, strategy)
     pvm = [c.max_residual for c in strategy.measurement_report(tol).checks]
-    same, adjacency = _forbidden_outcomes(inst, strategy.factors, tol)
+    same, adjacency = _forbidden_outcomes(inst, strategy.factors)
     squares = same**2
     membership = np.sqrt(squares.sum(axis=1) + squares.sum(axis=0))
     return CheckReport(
@@ -158,7 +146,7 @@ def verify_operational(
     _check_dims(inst, strategy)
     weights = np.sqrt(np.tile(strategy.ancilla.trace_diagonal(), strategy.n))
     require_valid(inst.source, tol)
-    same, adjacency = _forbidden_outcomes(inst, strategy.factors, tol, weights)
+    same, adjacency = _forbidden_outcomes(inst, strategy.factors, weights)
     return CheckReport(
         (
             Check.of("same_vertex_rule", same, tol, "a", "b"),
@@ -210,7 +198,7 @@ def extract_channel(
         size * c, size * c
     )
     require_valid(inst.source, tol)
-    worst = worst_residual(_forbidden_outcomes(inst, f, tol))[0]
+    worst = worst_residual(_forbidden_outcomes(inst, f))[0]
     if worst > tol.eps:
         raise ValueError(f"channel subset conditions violated (residual {worst:.3e})")
     return ChannelRep(
@@ -235,7 +223,7 @@ def check_game_algebra_rep(
     _check_dims(inst, strategy)
     rep = strategy.measurement_report(tol)
     relation1 = [rep.check(name).max_residual for name in ("hermitian", "idempotency", "sum")]
-    commutant_relation, adjacency = _forbidden_outcomes(inst, strategy.factors, tol)
+    commutant_relation, adjacency = _forbidden_outcomes(inst, strategy.factors)
     return CheckReport(
         (
             Check.of("idempotents_sum_to_identity", relation1, tol),

@@ -182,34 +182,38 @@ class BlockStrategy:
 @dataclass(frozen=True)
 class OutcomeFactors:
     """The spectral rounding of a (c, N, N) stack P to a PVM Pi: v is an N x N unitary whose
-    column k belongs to outcome labels[k] (non-decreasing), Pi_a = V_a V_a* over the columns
-    V_a of outcome a (0 if it has none), and defects[a] is d_a = |P_a - Pi_a|_F.
+    column k belongs to outcome labels[k] (non-decreasing), projections[a] is Pi_a = V_a V_a*
+    over the columns V_a of outcome a (0 if it has none), and defects[a] is d_a = |P_a - Pi_a|_F.
     """
 
     c: int
     v: np.ndarray
     labels: np.ndarray
+    projections: np.ndarray
     defects: np.ndarray
-
-
-def _eigenprojections(v: np.ndarray, labels: np.ndarray, c: int):
-    for a in range(c):
-        cols = v[:, labels == a]
-        yield cols @ cols.conj().T
 
 
 def round_outcomes(ops: np.ndarray) -> OutcomeFactors | None:
     """Spectral rounding of a (c, N, N) stack: one eigh of A = sum_a (a+1) herm(P_a); each eigenvalue,
     rounded to the nearest integer clamped to {1..c}, labels its eigenvector with an outcome (eigh
-    sorts them, so the labels are sorted too).  None, with no decomposition run, on a non-finite stack."""
+    sorts them, so the labels are sorted too).  None, with no decomposition run, on a non-finite stack.
+
+    The eigenvectors of A mix every outcome's deviation into each Pi_a, so V is then turned by the Cayley
+    transform of the anti-Hermitian X that fits each Pi_a to its own P_a to first order: X = (G - G*)/2
+    between outcomes r != s, for G = V* M and column j of M = herm(P_s) v_j, s the outcome of v_j."""
     if not np.isfinite(ops).all():
         return None
     c = len(ops)
-    weighted = sum((a + 1) * ((p + p.conj().T) / 2) for a, p in enumerate(ops))
-    w, v = np.linalg.eigh(weighted)
+    weighted = np.einsum("a,aij->ij", np.arange(1.0, c + 1), ops)
+    w, v = np.linalg.eigh((weighted + weighted.conj().T) / 2)
     labels = np.clip(np.rint(w).astype(int), 1, c) - 1
-    defects = [np.linalg.norm(p - q) for p, q in zip(ops, _eigenprojections(v, labels, c))]
-    return OutcomeFactors(c, v, labels, np.array(defects))
+    m = ((ops + ops.conj().transpose(0, 2, 1)) @ v)[labels, :, np.arange(len(v))].T  # 2M
+    g = v.conj().T @ m
+    half = np.where(labels[:, None] != labels, (g - g.conj().T) / 8, 0.0)  # X/2
+    v = v @ np.linalg.solve(np.eye(len(v)) - half, np.eye(len(v)) + half)
+    cuts = np.searchsorted(labels, np.arange(c + 1))  # outcome a owns the columns cuts[a]:cuts[a + 1]
+    pi = np.stack([v[:, lo:hi] @ v[:, lo:hi].conj().T for lo, hi in zip(cuts, cuts[1:])])
+    return OutcomeFactors(c, v, labels, pi, np.linalg.norm(ops - pi, axis=(1, 2)))
 
 
 def _star_commutator_norm(ents: np.ndarray) -> float:
@@ -416,9 +420,8 @@ def round_almost_pvm(ops) -> tuple[list[np.ndarray], float]:
     rounding = round_outcomes(stack)
     if rounding is None:
         raise ValueError("operators have non-finite entries")
-    out = list(_eigenprojections(rounding.v, rounding.labels, rounding.c))
-    dist = np.linalg.norm(np.stack(out) - stack, ord=2, axis=(-2, -1))
-    return out, worst_residual(dist)[0]
+    dist = np.linalg.norm(rounding.projections - stack, ord=2, axis=(-2, -1))
+    return list(rounding.projections), worst_residual(dist)[0]
 
 
 def bob_from_alice(strategy: BlockStrategy) -> TensorStrategy:

@@ -89,7 +89,7 @@ from qgraph.graphs import (
     classical_graph_from_operator_system,
     edge_basis,
 )
-from qgraph.homgame import _forbidden_outcomes, _input_spaces, _sandwich
+from qgraph.homgame import _forbidden_outcomes, _sandwich
 from qgraph.linalg import (
     POVM_CHECKS,
     Check,
@@ -1325,7 +1325,7 @@ ONE_SIDED = QuantumGraph(n=3, algebra=VnAlgebra(n=3, blocks=((1, 1),) * 3), s_ba
 
 @pytest.mark.parametrize("g", [c[1] for c in CASES] + [ONE_SIDED], ids=[c[0] for c in CASES] + ["one-sided"])
 def test_input_spaces_are_the_game_bases_with_their_spread(g):
-    (same, k_same), (perp, k_perp) = _input_spaces(g, Tolerance())
+    (same, k_same), (perp, k_perp) = g._game_inputs
     assert np.array_equal(same, np.asarray(commutant(g.algebra)))
     assert np.array_equal(perp, np.reshape(adjacency_subspace_basis(g), (-1, g.n, g.n)))
     assert abs(k_same - spread(same)) <= 1e-12 and abs(k_perp - spread(perp)) <= 1e-12
@@ -1711,7 +1711,7 @@ def test_subset_residual_matches_reference_loop(label, g, target, s, wins):
     kraus = [np.outer(np.eye(s.c)[a], u[:, k].conj()) for k, a in enumerate(labels)]
     worst, new, terms = reference_subset_residual(inst, s, kraus, tol)
     q = np.stack([v @ v.conj().T for v in vectors])
-    assert abs(worst_residual(_forbidden_outcomes(inst, round_outcomes(q), tol))[0] - new) <= 1e-12
+    assert abs(worst_residual(_forbidden_outcomes(inst, round_outcomes(q)))[0] - new) <= 1e-12
     assert_sum_bounds(worst, new, terms)
     assert (worst <= tol.eps) == wins and (new <= tol.eps) == wins
     if wins:
