@@ -200,7 +200,7 @@ def round_outcomes(ops: np.ndarray) -> OutcomeFactors | None:
 
     The eigenvectors of A mix every outcome's deviation into each Pi_a, so V is then turned by the Cayley
     transform of the anti-Hermitian X that fits each Pi_a to its own P_a to first order: X = (G - G*)/2
-    between outcomes r != s, for G = V* M and column j of M = herm(P_s) v_j, s the outcome of v_j."""
+    for G = V* M, column j of M = herm(P_s) v_j with s the outcome of v_j (so X is 0 within an outcome)."""
     if not np.isfinite(ops).all():
         return None
     c = len(ops)
@@ -209,7 +209,7 @@ def round_outcomes(ops: np.ndarray) -> OutcomeFactors | None:
     labels = np.clip(np.rint(w).astype(int), 1, c) - 1
     m = ((ops + ops.conj().transpose(0, 2, 1)) @ v)[labels, :, np.arange(len(v))].T  # 2M
     g = v.conj().T @ m
-    half = np.where(labels[:, None] != labels, (g - g.conj().T) / 8, 0.0)  # X/2
+    half = (g - g.conj().T) / 8  # X/2
     v = v @ np.linalg.solve(np.eye(len(v)) - half, np.eye(len(v)) + half)
     cuts = np.searchsorted(labels, np.arange(c + 1))  # outcome a owns the columns cuts[a]:cuts[a + 1]
     pi = np.stack([v[:, lo:hi] @ v[:, lo:hi].conj().T for lo, hi in zip(cuts, cuts[1:])])
