@@ -14,8 +14,8 @@ from functools import cached_property
 import numpy as np
 
 from .linalg import (
-    DEFAULT_TOL, FRAME_RESIDUAL, GENERIC_WINDOW, GENERIC_ZERO, NULLSPACE_ABS_FLOOR, NULLSPACE_FLOOR,
-    SPAN_RANK_FLOOR, UNITARY_DEFECT, Tolerance, as_matrix, hs_norm, worst_residual,
+    FRAME_RESIDUAL, GENERIC_WINDOW, GENERIC_ZERO, NULLSPACE_ABS_FLOOR, NULLSPACE_FLOOR, SPAN_RANK_FLOOR,
+    UNITARY_DEFECT, as_matrix, hs_norm, worst_residual,
 )
 
 __all__ = [
@@ -213,11 +213,11 @@ def project_onto_span(x: np.ndarray, orthonormal: list[np.ndarray]) -> np.ndarra
     return ((z @ b.conj().T) @ b).reshape(x.shape)
 
 
-def orthonormalize(mats, drop_tol: float = SPAN_RANK_FLOOR) -> list[np.ndarray]:
+def orthonormalize(mats) -> list[np.ndarray]:
     """Orthonormal basis (HS inner product) of the span of a matrix family.
 
-    Uses an SVD of the stacked, flattened family; singular directions below
-    drop_tol (relative to the largest) are discarded.
+    Uses an SVD of the stacked, flattened family; singular directions at or
+    below SPAN_RANK_FLOOR (relative to the largest) are discarded.
     """
     mats = [as_matrix(m) for m in mats]
     if not mats:
@@ -227,7 +227,7 @@ def orthonormalize(mats, drop_tol: float = SPAN_RANK_FLOOR) -> list[np.ndarray]:
     _, s, vh = np.linalg.svd(stack, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return []
-    return list(vh[s > drop_tol * s[0]].reshape(-1, *shape))
+    return list(vh[s > SPAN_RANK_FLOOR * s[0]].reshape(-1, *shape))
 
 
 @dataclass(frozen=True)
@@ -286,7 +286,7 @@ def _cluster_eigenvalues(w: np.ndarray, gap: float) -> list[np.ndarray]:
 _MAX_ATTEMPTS = 8
 
 
-def normal_form(generators, tol: Tolerance = DEFAULT_TOL) -> tuple[VnAlgebra, np.ndarray]:
+def normal_form(generators) -> tuple[VnAlgebra, np.ndarray]:
     """Recover block structure and embedding unitary from algebra generators.
 
     Returns (alg, U) with U* <generators> U = (+)_r C I_{n_r} (x) M_{k_r};
@@ -312,7 +312,7 @@ def normal_form(generators, tol: Tolerance = DEFAULT_TOL) -> tuple[VnAlgebra, np
         raise ValueError("generators have non-finite entries")
     if not any(g.any() for g in generators):
         raise ValueError("generators are all zero, so they generate no unital algebra")
-    basis = orthonormalize(generators + [g.conj().T for g in generators], drop_tol=tol.eps * 10)
+    basis = orthonormalize(generators + [g.conj().T for g in generators])
 
     # A *-algebra contains I exactly when its generators and their adjoints
     # have no common kernel vector.

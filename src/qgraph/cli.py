@@ -295,7 +295,6 @@ def _cmd_extract_channel(args, tol):
         "num_kraus": rep.num_kraus,
         "kraus": [matrix_to_json(f) for f in rep.kraus],
         "choi": matrix_to_json(rep.choi),
-        "completeness_residual": rep.completeness_residual,
         "subset_residual": rep.subset_residual,
     }
     return report, True

@@ -13,20 +13,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import (
-    VnAlgebra,
-    commutant,
-    commutant_units,
-    project_onto_span,
-)
+from .algebra import VnAlgebra, commutant, commutant_units
 from .linalg import (
     _CHUNK_BYTES,
     DEFAULT_TOL,
+    MATRIX_SLACK,
     SPAN_RANK_FLOOR,
     Check,
     CheckReport,
     Tolerance,
-    _memoized,
     as_matrix,
     matrix_unit,
 )
@@ -79,42 +74,54 @@ class QuantumGraph:
 
     def span_basis(self) -> list[np.ndarray]:
         """HS-orthonormal basis of span(S)."""
-        return list(self._span)
+        return list(self._split[0].reshape(-1, self.n, self.n))
 
-    # Immutable value: derived bases are computed once and memoized.
+    # Immutable value: each derived basis and report is computed once, free of any tolerance.
     @cached_property
-    def _split(self) -> tuple[np.ndarray, np.ndarray, float]:
+    def _split(self) -> tuple[np.ndarray, np.ndarray]:
         """One SVD of the flattened spanning family: HS-orthonormal rows spanning
-        span(S) and span(S)perp, and the largest singular value.  As in
-        orthonormalize, directions at or below SPAN_RANK_FLOOR are left out of
-        span(S), so they belong to the complement."""
+        span(S) and span(S)perp.  As in orthonormalize, directions at or below
+        SPAN_RANK_FLOOR are left out of span(S), so they belong to the complement."""
         nn = self.n * self.n
         stack = np.reshape(np.asarray(self.s_basis, dtype=np.complex128), (len(self.s_basis), nn))
         if not len(stack):
-            return stack, np.eye(nn, dtype=np.complex128), 0.0
+            return stack, np.eye(nn, dtype=np.complex128)
         _, s, vh = np.linalg.svd(stack, full_matrices=len(stack) < nn)
+        vh.flags.writeable = False  # span_basis hands out views of it
         rank = int(np.count_nonzero(s > SPAN_RANK_FLOOR * s[0]))
-        return vh[:rank], vh[rank:], float(s[0])
+        return vh[:rank], vh[rank:]
 
     @cached_property
-    def _span(self) -> tuple[np.ndarray, ...]:
-        return tuple(self._split[0].reshape(-1, self.n, self.n))
+    def _adjacency_basis(self) -> np.ndarray:
+        """S n (M')perp as an orthonormal (x, n, n) stack: the directions of span(S) whose
+        principal cosine with M' is below 1/2, the right singular vectors of C B* for the
+        orthonormal rows C of M' and B of span(S).  On a bimodule, traceless or not, each
+        cosine is 0 or 1, so noise in S moves a cosine but not the dimension."""
+        span = self._split[0]
+        if not len(span):
+            return span.reshape(0, self.n, self.n)
+        comm = np.reshape(commutant(self.algebra), (-1, self.n * self.n))
+        _, s, wh = np.linalg.svd(comm @ span.conj().T)
+        cosines = np.pad(s, (0, len(span) - len(s)))  # a direction past rank(C B*) has cosine 0
+        basis = (wh[cosines < 0.5] @ span).reshape(-1, self.n, self.n)
+        basis.flags.writeable = False  # adjacency_subspace_basis hands out views of the game inputs
+        return basis
 
     @cached_property
-    def _adjacency_basis(self) -> tuple[np.ndarray, ...]:
-        basis = np.reshape(np.asarray(self.s_basis, dtype=np.complex128), (-1, self.n, self.n))
-        residual = basis - project_onto_span(basis, commutant(self.algebra))
-        _, s, vh = np.linalg.svd(residual.reshape(len(basis), self.n * self.n), full_matrices=False)
-        # Ranked against the spanning family, not the residual: when S lies in M',
-        # the residual is rounding noise, and must not be normalized into a basis.
-        return tuple(vh[s > SPAN_RANK_FLOOR * self._split[2]].reshape(-1, self.n, self.n))
+    def _validation(self) -> CheckReport:
+        """The tolerance-free report of validate, decided at DEFAULT_TOL."""
+        return _compute_validation(self)
+
+    @cached_property
+    def _edge_basis(self) -> "EdgeBasis":
+        return _compute_edge_basis(self)
 
     @cached_property
     def _game_inputs(self) -> tuple:
         """The game's same-vertex and adjacency input spaces M' and S n (M')perp as (m, n, n) stacks,
         each with the kappa = max(|sum_Y Y Y*|_2, |sum_Y Y* Y|_2) of homgame._sandwich's bound."""
         out = []
-        for ys in (np.asarray(commutant(self.algebra)), np.reshape(self._adjacency_basis, (-1, self.n, self.n))):
+        for ys in (np.asarray(commutant(self.algebra)), self._adjacency_basis):
             grams = np.stack([np.einsum("kij,klj->il", ys, ys.conj()), np.einsum("kji,kjl->il", ys.conj(), ys)])
             out.append((ys, np.linalg.eigvalsh(grams)[:, -1].max()))
         return tuple(out)
@@ -128,9 +135,9 @@ def validate(g: QuantumGraph, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
     set, operator_system for the identity, and bimodule for each a Y b over
     the commutant units a, b of M'; traceless reads |tr Y|.  When span(S)perp
     = 0, as for S = M_n, those three read exactly 0 with no witness.
-    Memoized per graph and tolerance, so edge_basis reuses the report.
+    The residuals are computed once per graph; tol only decides each check.
     """
-    return _memoized(g, "_validate_cache", tol, _compute_validation)
+    return g._validation.at(tol)
 
 
 def require_valid(g: QuantumGraph, tol: Tolerance = DEFAULT_TOL):
@@ -140,8 +147,8 @@ def require_valid(g: QuantumGraph, tol: Tolerance = DEFAULT_TOL):
         raise ValueError(f"quantum graph fails validation: {failed}")
 
 
-def _compute_validation(g: QuantumGraph, tol: Tolerance) -> CheckReport:
-    n = g.n
+def _compute_validation(g: QuantumGraph) -> CheckReport:
+    n, tol = g.n, DEFAULT_TOL
     perp = g._split[1]
 
     def distances(stack):
@@ -239,17 +246,16 @@ def edge_basis(g: QuantumGraph, tol: Tolerance = DEFAULT_TOL) -> EdgeBasis:
     graph, traceless or not.  Its adjacency elements follow:
     an orthonormal basis of E_a (S n (M')perp) E_b, the right singular
     vectors of the coordinates W_a* Z W_b over an orthonormal basis Z of
-    S n (M')perp, in descending singular value.  Deterministic, and memoized
-    per graph and tolerance.
+    S n (M')perp with singular value at least 1/2.  Deterministic, and computed
+    once per graph; tol only gates it on validate.
     """
-    return _memoized(g, "_edge_basis_cache", tol, _compute_edge_basis)
-
-
-def _compute_edge_basis(g: QuantumGraph, tol: Tolerance) -> EdgeBasis:
     require_valid(g, tol)
+    return g._edge_basis
 
+
+def _compute_edge_basis(g: QuantumGraph) -> EdgeBasis:
     kblocks = g.algebra.k_blocks()
-    perp = np.reshape(adjacency_subspace_basis(g), (-1, g.n, g.n))
+    perp = g._adjacency_basis
     elements: list[EdgeBasisElement] = []
     for a_idx, ka in enumerate(kblocks):
         for b_idx, kb in enumerate(kblocks):
@@ -259,10 +265,10 @@ def _compute_edge_basis(g: QuantumGraph, tol: Tolerance) -> EdgeBasis:
                 unit = wa @ wb.conj().T / np.sqrt(ka.dim)
                 elements.append(EdgeBasisElement(unit, SAME_VERTEX, (a_idx, b_idx)))
             # On a bimodule the compression maps S n (M')perp into itself, so
-            # the singular values are 0 or 1.
+            # the singular values are 0 or 1: the directions kept are those at 1.
             coords = (wa.conj().T @ perp @ wb).reshape(len(perp), ka.dim * kb.dim)
             _, s, vh = np.linalg.svd(coords, full_matrices=False)
-            for v in vh[s >= tol.eps * 10]:
+            for v in vh[s >= 0.5]:
                 y = wa @ v.reshape(ka.dim, kb.dim) @ wb.conj().T
                 elements.append(EdgeBasisElement(y, ADJACENCY, (a_idx, b_idx)))
     return EdgeBasis(tuple(elements), tuple(k.dim for k in kblocks))
@@ -346,7 +352,7 @@ def classical_graph_from_operator_system(
     if g.algebra.unitary is not None:
         return None
     n = g.n
-    span, perp, _ = g._split
+    span, perp = g._split
     # The distance of E_ij from span(S) is |Q vec(E_ij)|, the norm of column i * n + j of Q.
     r = np.linalg.norm(perp, axis=0).reshape(n, n)
     if not np.all(np.diagonal(r) <= tol.eps):
@@ -354,7 +360,7 @@ def classical_graph_from_operator_system(
     rows, cols = np.triu_indices(n, 1)
     present = r[rows, cols] <= tol.eps
     # A partially present matrix unit means g is not a graph system.
-    if not np.all(present | (np.abs(r[rows, cols] - 1.0) <= tol.eps * 10)):
+    if not np.all(present | (np.abs(r[rows, cols] - 1.0) <= tol.eps * MATRIX_SLACK)):
         return None
     candidate = ClassicalGraph(n, tuple(zip(rows[present].tolist(), cols[present].tolist())))
     if len(span) != n + 2 * len(candidate.edges):

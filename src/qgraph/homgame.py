@@ -20,7 +20,6 @@ from .linalg import (
     CheckReport,
     Tolerance,
     check_measurement,
-    hs_norm,
     worst_residual,
 )
 from .strategies import BlockStrategy, OutcomeFactors, TracialAncilla
@@ -136,10 +135,11 @@ def verify_operational(
 
     The amplitude of outcome (a, b) on an input Y is |T^{1/2} P_a (Y (x) 1) P_b|_F, with T
     the diagonal of trace weights: sqrt(p(a,b)) for a PVM.  Each rule reports
-    sqrt(sum_Y amplitude^2) over the edge-basis inputs Y of its tag, per pair it forbids:
-    a != b for same-vertex inputs, non-adjacent pairs for adjacency inputs.  Those inputs
-    are orthonormal bases of M' (the units W_k W_l*/sqrt(dim K_k)) and of S n (M')perp,
-    so the sums are taken over these spaces; the graph must pass validate.  Each rule is read,
+    sqrt(sum_Y amplitude^2) per pair it forbids, a != b over the commutant units Y of M' and
+    non-adjacent pairs over an orthonormal basis Y of S n (M')perp (QuantumGraph._game_inputs),
+    after the graph passes validate.  The sums agree with those over the edge-basis inputs of
+    each tag, which are other orthonormal bases of the same two spaces: a sum of squared
+    norms over an orthonormal basis does not depend on the basis.  Each rule is read,
     fail-closed, from the rounded PVM (_sandwich).  Equivalent to verify_structural for PVM
     strategies with a faithful trace.
     """
@@ -165,7 +165,6 @@ class ChannelRep:
 
     kraus: tuple[np.ndarray, ...]
     choi: np.ndarray
-    completeness_residual: float
     subset_residual: float
 
     @property
@@ -193,18 +192,17 @@ def extract_channel(
     size, c = len(f.v), strategy.c
     stack = np.zeros((size, c, size), dtype=np.complex128)
     stack[np.arange(size), f.labels] = f.v.conj().T
-    completeness = hs_norm(f.v @ f.v.conj().T - np.eye(size))  # sum_k F_k* F_k = V V*
-    choi = np.einsum("mau,mbv->uavb", stack, np.conj(stack)).reshape(
-        size * c, size * c
-    )
+    # Entry ((u, a), (v, b)) of the Choi matrix is sum_k F_k[a, u] conj(F_k[b, v]), which is
+    # conj(Pi_a[u, v]) for a = b over the Kraus vectors of outcome a, and 0 for a != b.
+    choi = np.zeros((size, c, size, c), dtype=np.complex128)
+    choi[:, np.arange(c), :, np.arange(c)] = np.conj(f.projections)
     require_valid(inst.source, tol)
     worst = worst_residual(_forbidden_outcomes(inst, f))[0]
     if worst > tol.eps:
         raise ValueError(f"channel subset conditions violated (residual {worst:.3e})")
     return ChannelRep(
         kraus=tuple(stack),
-        choi=choi,
-        completeness_residual=completeness,
+        choi=choi.reshape(size * c, size * c),
         subset_residual=worst,
     )
 

@@ -51,8 +51,12 @@ DEFAULT_TOL = Tolerance()
 # a quantity sums rounding over many more terms than the residual that tol.eps bounds.
 ROUNDING_SLACK = 100
 
-# Relative rank floor of the spans of matrix families (orthonormalize, and span(S)
-# and S n (M')perp of a quantum graph): a singular value at or below SPAN_RANK_FLOOR
+# Factor by which a check on one given matrix's own defect (anti-Hermitian part, negative
+# spectrum, |U*U - 1|_F, a distance that must be 0 or 1) widens tol.eps for its rounding.
+MATRIX_SLACK = 10
+
+# Relative rank floor of the spans of matrix families (orthonormalize, normal_form's
+# generators and span(S) of a quantum graph): a singular value at or below SPAN_RANK_FLOOR
 # times the largest of the spanning family is a dependent direction blurred by rounding
 # in the given matrices, not a direction of the span.
 SPAN_RANK_FLOOR = 1e-8
@@ -75,14 +79,6 @@ SPECTRUM_FLOOR = 1e-8
 # Bound on the bytes of the temporaries of one chunk of strategies._star_commutator_norm,
 # homgame._sandwich and graphs._bimodule_distances.
 _CHUNK_BYTES = 4 << 20
-
-
-def _memoized(obj, name: str, tol: Tolerance, compute):
-    """compute(obj, tol), stored on the immutable obj under name, per tolerance."""
-    cache = obj.__dict__.setdefault(name, {})
-    if tol.eps not in cache:
-        cache[tol.eps] = compute(obj, tol)
-    return cache[tol.eps]
 
 
 def worst_residual(residuals, axes: tuple[str, ...] = ()) -> tuple[float, dict | None]:
@@ -131,6 +127,12 @@ class CheckReport:
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
+
+    def at(self, tol: Tolerance) -> "CheckReport":
+        """The same checks decided at tol as Check.of decides; no residual or witness reads tol."""
+        return CheckReport(
+            tuple(Check(c.name, c.max_residual <= tol.eps, c.max_residual, c.witness) for c in self.checks)
+        )
 
     def __bool__(self):
         # As a plain object a report would always be true, and `assert report` could never fail.
@@ -238,7 +240,7 @@ def hermitian_eig(a, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarr
     """
     a = as_matrix(a)
     herm_defect = hs_norm(a - a.conj().T)
-    if not herm_defect <= tol.eps * 10:
+    if not herm_defect <= tol.eps * MATRIX_SLACK:
         raise ValueError(f"matrix is not Hermitian (defect {herm_defect:.3e})")
     w, v = np.linalg.eigh((a + a.conj().T) / 2)
     return w, v
@@ -247,11 +249,11 @@ def hermitian_eig(a, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarr
 def psd_sqrt(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Hermitian square root with eigenvalues clamped at 0.
 
-    Negative eigenvalues above -eps are zeroed (numerical positivity drift);
-    anything more negative is an error.
+    Negative eigenvalues down to -MATRIX_SLACK * eps are zeroed (numerical
+    positivity drift); anything more negative is an error.
     """
     w, v = hermitian_eig(a, tol)
-    if not w.min(initial=0.0) >= -tol.eps * 10:
+    if not w.min(initial=0.0) >= -tol.eps * MATRIX_SLACK:
         raise ValueError(f"matrix is not positive (min eigenvalue {w.min():.3e})")
     w = np.clip(w, 0.0, None)
     return (v * np.sqrt(w)) @ v.conj().T

@@ -16,13 +16,13 @@ import numpy as np
 from .linalg import (
     _CHUNK_BYTES,
     DEFAULT_TOL,
+    MATRIX_SLACK,
     POVM_CHECKS,
     ROUNDING_SLACK,
     SPECTRUM_FLOOR,
     TRACE_WEIGHT_SLACK,
     CheckReport,
     Tolerance,
-    _memoized,
     as_matrix,
     canonical_shuffle,
     check_measurement,
@@ -157,8 +157,8 @@ class BlockStrategy:
         return stack.reshape(self.c, self.n, d, self.n, d).transpose(0, 1, 3, 2, 4)
 
     def measurement_report(self, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
-        """check_measurement of the P_a, memoized per tolerance like factors."""
-        return _memoized(self, "_measurement_cache", tol, lambda s, t: check_measurement(s.projections, t))
+        """check_measurement of the P_a, decided at tol; the residuals are computed once."""
+        return self._measurement.at(tol)
 
     def ancilla_block_defect(self) -> float:
         """Worst violation of the ancilla's block-diagonal structure by any P_a."""
@@ -172,7 +172,12 @@ class BlockStrategy:
         d = self.ancilla.dim
         return _star_commutator_norm(self.entries().reshape(-1, d, d)) <= tol.eps
 
-    # Immutable value: the rounding is computed once and shared by every game check.
+    # Immutable value: the measurement report and the rounding are computed once and
+    # shared by every game check, at every tolerance.
+    @cached_property
+    def _measurement(self) -> CheckReport:
+        return check_measurement(self.projections)
+
     @cached_property
     def factors(self) -> OutcomeFactors | None:
         """round_outcomes of the P_a: None when an entry is not finite."""
@@ -307,9 +312,9 @@ class TensorStrategy:
 def dilate_povm(povm, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
     """Dilate a POVM {Q_a} on H to a PVM {P_a} on C^{c+1} (x) H.
 
-    Builds the isometry V of square roots, completes it to a unitary U, and
-    conjugates diagonal matrix units: P_a = U*(E_aa (x) I)U for a < c-1 and
-    P_{c-1} = U*((E_{c-1,c-1} + E_{c,c}) (x) I)U.  The (0,0) corner of P_a
+    Builds the isometry V of square roots and completes it to a unitary U.
+    With U_a the a-th block of h rows of U, P_a = U*(E_aa (x) I)U = U_a* U_a for
+    a < c-1, and P_{c-1} = U_{c-1}* U_{c-1} + U_c* U_c.  The (0,0) corner of P_a
     recovers Q_a.
     """
     mats = [as_matrix(q) for q in povm]
@@ -318,29 +323,22 @@ def dilate_povm(povm, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
         raise ValueError(f"input is not a POVM within tolerance: {failed}")
     c = len(mats)
     h = mats[0].shape[0]
-    roots = [psd_sqrt(q, tol) for q in mats]
-    v = np.vstack(roots)  # isometry H -> H^c
+    v = np.vstack([psd_sqrt(q, tol) for q in mats])  # isometry H -> H^c
     # sqrt(I - VV*) is the projection onto the cokernel of the isometry V;
     # taking it by spectral rounding avoids the square root's noise
     # amplification at the zero eigenvalues.
     gram = v @ v.conj().T
     evals, evecs = np.linalg.eigh((gram + gram.conj().T) / 2)
     kernel = evecs[:, evals < 0.5]
-    w = kernel @ kernel.conj().T
     u = np.zeros(((c + 1) * h, (c + 1) * h), dtype=np.complex128)
     u[: c * h, :h] = v
-    u[: c * h, h:] = w
+    u[: c * h, h:] = kernel @ kernel.conj().T
     u[c * h :, h:] = -v.conj().T
 
-    out = []
-    for a in range(c):
-        diag = np.zeros(c + 1)
-        diag[a] = 1.0
-        if a == c - 1:
-            diag[c] = 1.0
-        e = np.kron(np.diag(diag), np.eye(h))
-        out.append(u.conj().T @ e @ u)
-    return out
+    blocks = u.reshape(c + 1, h, (c + 1) * h)
+    out = blocks.conj().transpose(0, 2, 1) @ blocks
+    out[c - 1] += out[c]
+    return list(out[:c])
 
 
 def corner_compress(p: np.ndarray, n: int, c: int, h: int) -> np.ndarray:
@@ -388,7 +386,7 @@ def unitary_to_pvm(u, c: int, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
     """Fourier inversion on Z_c: P_a = (1/c) sum_d omega^{-ad} U^d."""
     u = as_matrix(u)
     size = u.shape[0]
-    if not hs_norm(u.conj().T @ u - np.eye(size)) <= tol.eps * 10:
+    if not hs_norm(u.conj().T @ u - np.eye(size)) <= tol.eps * MATRIX_SLACK:
         raise ValueError("input is not unitary within tolerance")
     powers = [np.eye(size, dtype=np.complex128)]
     for _ in range(c):
@@ -396,12 +394,8 @@ def unitary_to_pvm(u, c: int, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
     order_defect = hs_norm(powers[c] - np.eye(size))
     if not order_defect <= tol.eps * ROUNDING_SLACK:
         raise ValueError(f"U^{c} differs from the identity (defect {order_defect:.3e})")
-    out = []
-    for a in range(1, c + 1):
-        p = np.zeros_like(u)
-        for d in range(1, c + 1):
-            p += unit_root_power(c, -a * d) * powers[d]
-        out.append(p / c)
+    fourier = np.array([[unit_root_power(c, -a * d) for d in range(1, c + 1)] for a in range(1, c + 1)])
+    out = list(np.tensordot(fourier, np.stack(powers[1:]), axes=1) / c)
     # For a unitary of order c the inversion is an exact PVM; a failure here
     # means the spectrum leaves the c-th roots of unity.  This avoids any
     # non-Hermitian eigensolver.

@@ -104,9 +104,7 @@ class TestProject:
         # dim(M) plus the dimension of its HS-complement is n^2.
         alg = VnAlgebra(n=4, blocks=((1, 2), (2, 1)))
         units = [matrix_unit(4, i, j) for i in range(4) for j in range(4)]
-        complement = orthonormalize(
-            [u - project(alg, "alg", u) for u in units], drop_tol=1e-10
-        )
+        complement = orthonormalize([u - project(alg, "alg", u) for u in units])
         assert alg.dim_algebra + len(complement) == 16
 
 

@@ -58,14 +58,17 @@ from qgraph import (
     compress_to_classical,
     correlation_from_tensor,
     correlation_from_trace,
+    dilate_povm,
     extract_channel,
     graph_operator_system,
     normal_form,
+    pvm_to_unitary,
     rigidity_check,
     round_almost_pvm,
     shift_multiply_coloring,
     synchronous_identities,
     teleport_coloring,
+    unitary_to_pvm,
     validate,
     verify_operational,
     verify_structural,
@@ -97,6 +100,7 @@ from qgraph.linalg import (
     hermitian_eig,
     hs_norm,
     matrix_unit,
+    unit_root_power,
     worst_residual,
 )
 from qgraph.serialize import matrix_from_json
@@ -1371,14 +1375,14 @@ def _reference_commutant_of_span(basis, dim):
     return _reference_nullspace(np.vstack([np.kron(a, eye) - np.kron(eye, a.T) for a in basis]))
 
 
-def reference_normal_form(generators, tol=Tolerance()):
+def reference_normal_form(generators):
     """The old normal_form: *-closure by products, centre solve, then per
     central cluster a compression, a commutant solve and two generic draws."""
     generators = [np.asarray(g, dtype=np.complex128) for g in generators]
     n = generators[0].shape[0]
-    basis = orthonormalize(generators + [g.conj().T for g in generators], tol.eps * 10)
+    basis = orthonormalize(generators + [g.conj().T for g in generators])
     while True:
-        new_basis = orthonormalize(basis + [a @ b for a in basis for b in basis], tol.eps * 10)
+        new_basis = orthonormalize(basis + [a @ b for a in basis for b in basis])
         if len(new_basis) == len(basis):
             break
         basis = new_basis
@@ -1417,7 +1421,7 @@ def _reference_attempt(basis, center, n, rng):
     for idx in groups:
         w_block = v[:, idx]
         m_r = w_block.shape[1]
-        compressed = orthonormalize([w_block.conj().T @ b @ w_block for b in basis], 1e-8)
+        compressed = orthonormalize([w_block.conj().T @ b @ w_block for b in basis])
         k = round(np.sqrt(len(compressed)))
         if k * k != len(compressed) or m_r % k != 0:
             raise _GenericityFailure("central cluster is not a full matrix block")
@@ -1659,6 +1663,123 @@ def test_operational_verdicts_match_gram_schmidt_basis(label, g, target, s, wins
     assert report.passed == wins
 
 
+# --- S n (M')perp from principal cosines, and the tolerance that only decides ---------
+
+
+def reference_adjacency_basis(g):
+    """The old S n (M')perp: the spanning set minus its projection onto M', with the
+    singular directions above SPAN_RANK_FLOOR times the spanning family's largest."""
+    basis = np.reshape(np.asarray(g.s_basis, dtype=np.complex128), (-1, g.n * g.n))
+    comm = np.reshape(commutant(g.algebra), (-1, g.n * g.n))
+    residual = basis - (basis @ comm.conj().T) @ comm
+    _, s, vh = np.linalg.svd(residual, full_matrices=False)
+    top = np.linalg.svd(basis, compute_uv=False)[0] if len(basis) else 0.0
+    return vh[s > 1e-8 * top]
+
+
+def _projector(rows):
+    rows = np.reshape(rows, (len(rows), -1))
+    return rows.T @ rows.conj()
+
+
+def _valid_graphs():
+    seen = set()
+    cases = [(label, g) for label, g, *_ in CASES] + EDGE_CASES + VALIDATE_CASES
+    for label, g in cases:
+        if id(g) not in seen and validate(g).passed:
+            seen.add(id(g))
+            yield label, g
+
+
+VALID_GRAPHS = list(_valid_graphs())
+
+
+@pytest.mark.parametrize("label, g", VALID_GRAPHS, ids=[c[0] for c in VALID_GRAPHS])
+def test_adjacency_basis_spans_the_space_of_the_residual_svd(label, g):
+    new, old = np.asarray(adjacency_subspace_basis(g)), reference_adjacency_basis(g)
+    assert len(new) == len(old)
+    if len(new):
+        assert np.abs(_projector(new) - _projector(old)).max() <= 1e-12
+        gram = new.reshape(len(new), -1)
+        assert np.abs(gram.conj() @ gram.T - np.eye(len(new))).max() <= 1e-12
+
+
+@pytest.mark.parametrize("label, g, target, s, wins", CASES, ids=[c[0] for c in CASES])
+def test_game_residuals_on_the_residual_svd_basis(label, g, target, s, wins):
+    # The same graph with the old basis in place of the new one: every residual within 1e-12.
+    old = QuantumGraph(g.n, g.algebra, g.s_basis, g.traceless)
+    old.__dict__["_adjacency_basis"] = reference_adjacency_basis(g).reshape(-1, g.n, g.n)
+    for fn in (verify_structural, verify_operational, check_game_algebra_rep):
+        new_rep = fn(GameInstance(source=g, target=target), s)
+        old_rep = fn(GameInstance(source=old, target=target), s)
+        assert [c.passed for c in new_rep.checks] == [c.passed for c in old_rep.checks]
+        for a, b in zip(new_rep.checks, old_rep.checks):
+            assert abs(a.max_residual - b.max_residual) <= 1e-12, (fn.__name__, a.name)
+
+
+TOLERANCES = (Tolerance(1e-9), Tolerance(1e-6), Tolerance(1e-3))
+
+
+def tolerance_cases():
+    """CASES, and each winning one with seeded Hermitian noise, of norm 1e-7 / sqrt(c) on
+    each P_a and 1e-7 / k on each of the k spanning elements, so that verdicts differ
+    between the tolerances."""
+    rng = np.random.default_rng(2030)
+    for label, g, target, s, wins in CASES:
+        yield label, g, target, s
+        if wins:
+            ps = _noisy(rng, s.projections, 1e-7 / np.sqrt(s.c))
+            noisy = QuantumGraph(g.n, g.algebra, tuple(_noisy(rng, g.s_basis, 1e-7 / len(g.s_basis))))
+            yield f"{label} noisy", noisy, target, BlockStrategy(s.n, s.c, s.ancilla, tuple(ps))
+
+
+TOLERANCE_CASES = list(tolerance_cases())
+
+
+def _tolerance_free(report):
+    return [(c.name, c.max_residual, c.witness) for c in report.checks]
+
+
+@pytest.mark.parametrize("label, g, target, s", TOLERANCE_CASES, ids=[c[0] for c in TOLERANCE_CASES])
+def test_tolerance_changes_verdicts_only(label, g, target, s):
+    """Fresh objects at each tolerance, so no cached value is shared between them."""
+    seen, bases = {}, {}
+    for tol in TOLERANCES:
+        graph = QuantumGraph(g.n, g.algebra, g.s_basis, g.traceless)
+        strategy = BlockStrategy(s.n, s.c, s.ancilla, s.projections)
+        inst = GameInstance(source=graph, target=target)
+        reports = {"validate": validate(graph, tol), "measurement": strategy.measurement_report(tol)}
+        for fn in (verify_structural, verify_operational, check_game_algebra_rep):
+            try:
+                reports[fn.__name__] = fn(inst, strategy, tol)
+            except ValueError:  # operational refuses a graph that fails validate at tol
+                assert not reports["validate"].passed
+        for name, report in reports.items():
+            for c in report.checks:
+                assert c.passed == (c.max_residual <= tol.eps), (name, c.name)
+            seen.setdefault(name, []).append(_tolerance_free(report))
+        if reports["validate"].passed:
+            bases[tol.eps] = edge_basis(graph, tol)
+    for name, values in seen.items():
+        assert all(v == values[0] for v in values), name
+    first = next(iter(bases.values()), None)
+    for basis in bases.values():
+        assert basis.block_dims == first.block_dims
+        assert [(e.tag, e.block) for e in basis.elements] == [(e.tag, e.block) for e in first.elements]
+        assert all(np.array_equal(e.matrix, f.matrix) for e, f in zip(basis.elements, first.elements))
+
+
+def test_tolerance_cases_move_verdicts():
+    moved = set()
+    for label, g, target, s in TOLERANCE_CASES:
+        inst = GameInstance(source=g, target=target)
+        verdicts = {verify_structural(inst, s, tol).passed for tol in TOLERANCES}
+        verdicts |= {validate(g, tol).passed for tol in TOLERANCES}
+        if len(verdicts) > 1:
+            moved.add(label)
+    assert all(label in moved for label, *_ in TOLERANCE_CASES if label.endswith("noisy"))
+
+
 @pytest.mark.parametrize("label, s", KERNEL_CASES, ids=[c[0] for c in KERNEL_CASES])
 def test_stacked_outcome_probability_matches_per_input_calls(label, s):
     tol = Tolerance()
@@ -1719,6 +1840,17 @@ def test_subset_residual_matches_reference_loop(label, g, target, s, wins):
     else:
         with pytest.raises(ValueError, match="subset conditions"):
             extract_channel(inst, s, tol)
+
+
+@pytest.mark.parametrize("label, g, target, s, wins", [c for c in CASES if c[4]], ids=[c[0] for c in CASES if c[4]])
+def test_choi_matches_reference_einsum(label, g, target, s, wins):
+    # The einsum over the zero-padded (N, c, N) Kraus stack that extract_channel ran.
+    rep = extract_channel(GameInstance(source=g, target=target), s)
+    stack = np.stack(rep.kraus)
+    size, c = stack.shape[0], s.c
+    reference = np.einsum("mau,mbv->uavb", stack, np.conj(stack)).reshape(size * c, size * c)
+    assert rep.choi.shape == reference.shape
+    assert np.abs(rep.choi - reference).max() <= 1e-12
 
 
 def reference_compose(strategy, f, hom_ancilla):
@@ -1878,3 +2010,63 @@ def test_diagonal_strategy_matches_reference_loop(coloring, c):
     assert len(s.projections) == len(ref) == c
     for new, old in zip(s.projections, ref):
         assert_same_bits(new, old)
+
+
+# --- the dilation and the Fourier inversion against the loops they replaced --------
+
+
+def reference_dilate_povm(povm):
+    """The old dilate_povm: one (c+1)h-sized kron conjugation U*(E (x) I)U per outcome."""
+    mats = [np.asarray(q, dtype=np.complex128) for q in povm]
+    c, h = len(mats), mats[0].shape[0]
+    roots = []
+    for q in mats:
+        w, v = np.linalg.eigh((q + q.conj().T) / 2)
+        roots.append((v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T)
+    v = np.vstack(roots)
+    gram = v @ v.conj().T
+    evals, evecs = np.linalg.eigh((gram + gram.conj().T) / 2)
+    kernel = evecs[:, evals < 0.5]
+    u = np.zeros(((c + 1) * h, (c + 1) * h), dtype=np.complex128)
+    u[: c * h, :h] = v
+    u[: c * h, h:] = kernel @ kernel.conj().T
+    u[c * h :, h:] = -v.conj().T
+    out = []
+    for a in range(c):
+        diag = np.zeros(c + 1)
+        diag[a] = 1.0
+        if a == c - 1:
+            diag[c] = 1.0
+        out.append(u.conj().T @ np.kron(np.diag(diag), np.eye(h)) @ u)
+    return out
+
+
+def reference_unitary_to_pvm(u, c):
+    """The Fourier double loop of the old unitary_to_pvm."""
+    powers = [np.eye(len(u), dtype=np.complex128)]
+    for _ in range(c):
+        powers.append(powers[-1] @ u)
+    out = []
+    for a in range(1, c + 1):
+        p = np.zeros_like(u)
+        for d in range(1, c + 1):
+            p += unit_root_power(c, -a * d) * powers[d]
+        out.append(p / c)
+    return out
+
+
+@pytest.mark.parametrize("size, c", [(1, 1), (1, 3), (2, 2), (3, 4), (4, 3)])
+def test_dilate_povm_matches_reference_loop(size, c):
+    rng = np.random.default_rng(2050 + 10 * size + c)
+    for povm in (random_povm(rng, size, c), random_pvm(rng, size, c)):
+        new, old = dilate_povm(povm), reference_dilate_povm(povm)
+        assert len(new) == len(old) == c
+        assert max(np.abs(p - q).max() for p, q in zip(new, old)) <= 1e-12
+
+
+@pytest.mark.parametrize("size, c", [(1, 1), (2, 2), (3, 3), (4, 5), (6, 4)])
+def test_unitary_to_pvm_matches_reference_loop(size, c):
+    u = pvm_to_unitary(random_pvm(np.random.default_rng(2060 + 10 * size + c), size, c))
+    new, old = unitary_to_pvm(u, c), reference_unitary_to_pvm(u, c)
+    assert len(new) == len(old) == c
+    assert max(np.abs(p - q).max() for p, q in zip(new, old)) <= 1e-12

@@ -18,7 +18,7 @@ from qgraph import (
     validate,
 )
 from qgraph.algebra import commutant, orthonormalize, project_onto_span
-from qgraph.graphs import SAME_VERTEX, classical_graph_from_operator_system
+from qgraph.graphs import SAME_VERTEX, adjacency_subspace_basis, classical_graph_from_operator_system
 from qgraph.linalg import hs_norm, matrix_unit
 
 
@@ -58,22 +58,29 @@ class TestValidate:
         assert check.max_residual == pytest.approx(1 / np.sqrt(2), abs=1e-12)
 
     def test_report_memoized_for_edge_basis(self, monkeypatch):
+        # One validation and one edge basis per graph, whatever the tolerance: it only decides.
         from qgraph import graphs
 
         calls = []
-        compute = graphs._compute_validation
-        monkeypatch.setattr(
-            graphs, "_compute_validation", lambda g, tol: calls.append(tol) or compute(g, tol)
-        )
+        for name in ("_compute_validation", "_compute_edge_basis"):
+            original = getattr(graphs, name)
+            monkeypatch.setattr(graphs, name, lambda g, _f=original, _n=name: calls.append(_n) or _f(g))
         g = full_graph(3)
-        report = validate(g)
-        edge_basis(g)
-        assert validate(g) is report and len(calls) == 1
-        validate(g, Tolerance(1e-6))
-        assert len(calls) == 2
+        for tol in (Tolerance(), Tolerance(1e-6)):
+            assert validate(g, tol).passed
+            edge_basis(g, tol)
+        assert calls == ["_compute_validation", "_compute_edge_basis"]
         # A graph validated by nobody yet is validated once inside edge_basis.
-        edge_basis(full_graph(3))
-        assert len(calls) == 3
+        edge_basis(full_graph(3), Tolerance(1e-3))
+        assert calls[2:] == ["_compute_validation", "_compute_edge_basis"]
+
+    def test_cached_bases_are_read_only(self):
+        # span_basis and adjacency_subspace_basis hand out views of what validate and
+        # the game checks read, so a write into one must not reach them.
+        g = full_graph(2)
+        for basis in (g.span_basis(), adjacency_subspace_basis(g)):
+            with pytest.raises(ValueError, match="read-only"):
+                basis[0][0, 0] = 1.0
 
     def test_empty_spanning_set(self):
         g = QuantumGraph(n=2, algebra=diag_algebra(2), s_basis=())
