@@ -184,6 +184,8 @@ def _bimodule_distances(alg: VnAlgebra, ys: np.ndarray, perp: np.ndarray) -> np.
     """
     n = alg.n
     lead_start, trail_start, dims = np.array(commutant_units(alg)).T
+    if not len(perp):  # span(S) is all of M_n: every distance is exactly 0
+        return np.zeros((len(dims), len(dims), len(ys)))
     width = int(dims.max())
     pad = np.arange(width)
     inside = pad < dims[:, None]

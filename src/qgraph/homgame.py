@@ -43,17 +43,6 @@ class GameInstance:
     target: ClassicalGraph
 
 
-def _check_dims(inst: GameInstance, strategy: BlockStrategy):
-    if strategy.n != inst.source.n:
-        raise ValueError(
-            f"strategy has n={strategy.n}, source graph has n={inst.source.n}"
-        )
-    if strategy.c != inst.target.vertices:
-        raise ValueError(
-            f"strategy has {strategy.c} outputs, target has {inst.target.vertices} vertices"
-        )
-
-
 def _sandwich(f: OutcomeFactors | None, ys: np.ndarray, kappa, mask: np.ndarray, weights=None) -> np.ndarray:
     """A fail-closed value of res_ab(P) = sqrt(sum_Y |W P_a (Y (x) 1) P_b|_F^2) per pair (a, b) of
     the c x c mask, else 0, from the rounding f of the stack P (None for a non-finite stack: inf
@@ -92,13 +81,22 @@ def _sandwich(f: OutcomeFactors | None, ys: np.ndarray, kappa, mask: np.ndarray,
     return np.where(mask, np.sqrt(member @ squares @ member.T) + bound, 0.0)
 
 
-def _forbidden_outcomes(inst: GameInstance, factors, weights=None) -> tuple:
-    """(same, adjacency): the sandwiches of the rounding factors over M' on pairs a != b and
-    over S n (M')perp on non-adjacent pairs; the spaces are memoized on the graph."""
+def _forbidden_outcomes(inst: GameInstance, strategy: BlockStrategy, tol: Tolerance, weights=None) -> tuple:
+    """(same, adjacency): the sandwiches of the strategy's rounding over M' on pairs a != b and
+    over S n (M')perp on non-adjacent pairs; the spaces are memoized on the graph.
+
+    The one gate of every game decision: it raises ValueError unless the strategy's n and c
+    match the game and the source passes validate at tol (the game is defined on a quantum
+    graph only).  Validation is the graph's cached report, so a job computes it once."""
+    if strategy.n != inst.source.n:
+        raise ValueError(f"strategy has n={strategy.n}, source graph has n={inst.source.n}")
+    if strategy.c != inst.target.vertices:
+        raise ValueError(f"strategy has {strategy.c} outputs, target has {inst.target.vertices} vertices")
+    require_valid(inst.source, tol)
     same, perp = inst.source._game_inputs
     offdiag = ~np.eye(inst.target.vertices, dtype=bool)
-    adjacency = _sandwich(factors, *perp, inst.target._nonadjacent, weights)
-    return _sandwich(factors, *same, offdiag, weights), adjacency
+    adjacency = _sandwich(strategy.factors, *perp, inst.target._nonadjacent, weights)
+    return _sandwich(strategy.factors, *same, offdiag, weights), adjacency
 
 
 def verify_structural(
@@ -113,9 +111,8 @@ def verify_structural(
     (iii) P_a ((S n (M')perp) (x) 1) P_b = 0 for every non-adjacent target pair,
     including a = b, by the sandwich over that space.
     """
-    _check_dims(inst, strategy)
+    same, adjacency = _forbidden_outcomes(inst, strategy, tol)
     pvm = [c.max_residual for c in strategy.measurement_report(tol).checks]
-    same, adjacency = _forbidden_outcomes(inst, strategy.factors)
     squares = same**2
     membership = np.sqrt(squares.sum(axis=1) + squares.sum(axis=0))
     return CheckReport(
@@ -136,17 +133,14 @@ def verify_operational(
     The amplitude of outcome (a, b) on an input Y is |T^{1/2} P_a (Y (x) 1) P_b|_F, with T
     the diagonal of trace weights: sqrt(p(a,b)) for a PVM.  Each rule reports
     sqrt(sum_Y amplitude^2) per pair it forbids, a != b over the commutant units Y of M' and
-    non-adjacent pairs over an orthonormal basis Y of S n (M')perp (QuantumGraph._game_inputs),
-    after the graph passes validate.  The sums agree with those over the edge-basis inputs of
-    each tag, which are other orthonormal bases of the same two spaces: a sum of squared
-    norms over an orthonormal basis does not depend on the basis.  Each rule is read,
-    fail-closed, from the rounded PVM (_sandwich).  Equivalent to verify_structural for PVM
-    strategies with a faithful trace.
+    non-adjacent pairs over an orthonormal basis Y of S n (M')perp (QuantumGraph._game_inputs).
+    The sums agree with those over the edge-basis inputs of each tag, which are other
+    orthonormal bases of the same two spaces: a sum of squared norms over an orthonormal basis
+    does not depend on the basis.  Each rule is read, fail-closed, from the rounded PVM
+    (_sandwich).  Equivalent to verify_structural for PVM strategies with a faithful trace.
     """
-    _check_dims(inst, strategy)
     weights = np.sqrt(np.tile(strategy.ancilla.trace_diagonal(), strategy.n))
-    require_valid(inst.source, tol)
-    same, adjacency = _forbidden_outcomes(inst, strategy.factors, weights)
+    same, adjacency = _forbidden_outcomes(inst, strategy, tol, weights)
     return CheckReport(
         (
             Check.of("same_vertex_rule", same, tol, "a", "b"),
@@ -184,7 +178,7 @@ def extract_channel(
     S_G n (D_c)perp, compressions of same-vertex inputs land in D_c.  The
     one entry of F_k (Y (x) 1) F_l* is <v_k, (Y (x) 1) v_l>, so the residual is
     the worst of check_game_algebra_rep's relations 2 and 3, fail-closed bound included."""
-    _check_dims(inst, strategy)
+    worst = worst_residual(_forbidden_outcomes(inst, strategy, tol))[0]
     failed = strategy.measurement_report(tol).failures()
     if failed:
         raise ValueError(f"strategy is not a PVM within tolerance: {failed}")
@@ -196,8 +190,6 @@ def extract_channel(
     # conj(Pi_a[u, v]) for a = b over the Kraus vectors of outcome a, and 0 for a != b.
     choi = np.zeros((size, c, size, c), dtype=np.complex128)
     choi[:, np.arange(c), :, np.arange(c)] = np.conj(f.projections)
-    require_valid(inst.source, tol)
-    worst = worst_residual(_forbidden_outcomes(inst, f))[0]
     if worst > tol.eps:
         raise ValueError(f"channel subset conditions violated (residual {worst:.3e})")
     return ChannelRep(
@@ -218,10 +210,9 @@ def check_game_algebra_rep(
     Relations 2 and 3 report, per pair (a, b), the Hilbert-Schmidt norm of
     Y -> p_a (Y (x) 1) p_b on the whole space, as verify_structural does.
     """
-    _check_dims(inst, strategy)
+    commutant_relation, adjacency = _forbidden_outcomes(inst, strategy, tol)
     rep = strategy.measurement_report(tol)
     relation1 = [rep.check(name).max_residual for name in ("hermitian", "idempotency", "sum")]
-    commutant_relation, adjacency = _forbidden_outcomes(inst, strategy.factors)
     return CheckReport(
         (
             Check.of("idempotents_sum_to_identity", relation1, tol),

@@ -431,6 +431,35 @@ def test_overflowing_residual_exits_1_without_invalid_json(tmp_path, m2_graph_fi
     assert "error" in json.loads(captured.err)
 
 
+# Every verb that plays the game, on S = span{E_00} over D_3 (not an operator system) with
+# the diagonal 3-colouring; COLOURING and MAP are files the test writes.
+NOT_A_GRAPH_CASES = [
+    *(["verify-hom", "--graph", "not_a_graph.json", "--complete", "3", "--strategy", "COLOURING", "--mode", mode]
+      for mode in ("structural", "operational", "algebra", "both")),
+    ["extract-channel", "--graph", "not_a_graph.json", "--complete", "3", "--strategy", "COLOURING"],
+    ["bounds", "not_a_graph.json"],
+    ["compose", "--strategy", "COLOURING", "--map", "MAP", "--graph", "not_a_graph.json"],
+]
+
+
+@pytest.mark.parametrize("argv", NOT_A_GRAPH_CASES, ids=" ".join)
+def test_every_game_verb_refuses_a_graph_that_fails_validate(tmp_path, capsys, argv):
+    assert main(["color", "--method", "abelian-loc", "--algebra", str(EXAMPLES / "abelian_algebra.json"),
+                 "--out", str(tmp_path / "colour.json")]) == 0
+    files = {
+        "COLOURING": write(tmp_path, "colouring.json", read(tmp_path / "colour.json")["strategy"]),
+        # The identity representation of Hom(K_3, K_3) over a trivial ancilla.
+        "MAP": write(tmp_path, "map.json", {
+            "c": 3, "r": 3, "ancilla": {"block_dims": [1], "trace_weights": [1.0]},
+            "f": [[matrix_to_json(np.eye(1) * (a == v)) for v in range(3)] for a in range(3)],
+        }),
+    }
+    assert main([files.get(a, a) for a in _example_args(argv)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"].startswith("quantum graph fails validation")
+
+
 NUMBER = r"-?\d+(\.\d+)?(e-?\d+)?"
 
 

@@ -25,6 +25,7 @@ from qgraph import (
     TracialAncilla,
     VnAlgebra,
     check_game_algebra_rep,
+    chromatic_bounds,
     compose_reps,
     extract_channel,
     graph_operator_system,
@@ -556,12 +557,27 @@ def test_each_mode_reads_one_forbidden_outcome_table(monkeypatch):
     alg = VnAlgebra(n=3, blocks=((1, 1), (1, 2)))
     s = shift_multiply_coloring(alg)
     inst = GameInstance(source=complete_quantum_graph(alg), target=K(s.c))
-    validated = {"structural": False, "operational": True, "algebra": False, "channel": True}
+    # Every mode, the channel included, passes the one gate once: it validates the graph.
     for mode, verify in {**MODES, "channel": extract_channel}.items():
         calls.clear()
         verify(inst, s)
         assert calls.count("_forbidden_outcomes") == 1, mode
-        assert calls.count("require_valid") == validated[mode], mode
+        assert calls.count("require_valid") == 1, mode
+
+
+@pytest.mark.parametrize("decide", [*MODES, "channel", "bounds"])
+@pytest.mark.parametrize("s_basis", [(), (matrix_unit(3, 0, 0),)], ids=["empty", "E_00"])
+def test_every_game_decision_refuses_a_graph_that_fails_validate(decide, s_basis):
+    # Over D_3 neither spans an operator system, so the game is not defined on it.
+    g = QuantumGraph(n=3, algebra=VnAlgebra(n=3, blocks=((1, 1),) * 3), s_basis=s_basis)
+    assert validate(g).failures().keys() == {"operator_system"}
+    inst = GameInstance(source=g, target=K(3))
+    s = diagonal_strategy([0, 1, 2], 3)
+    with pytest.raises(ValueError, match="quantum graph fails validation"):
+        if decide == "bounds":
+            chromatic_bounds(g)
+        else:
+            {**MODES, "channel": extract_channel}[decide](inst, s)
 
 
 class TestConjugatedAlgebraOperational:
