@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .algebra import PlancherelTrace, VnAlgebra, commutant, normal_form, plancherel, project
+from .algebra import VnAlgebra, commutant, normal_form
 from .colorings import (
     BoundsReport,
     ColoringReport,
@@ -31,7 +31,6 @@ from .graphs import (
     EdgeBasis,
     QuantumGraph,
     chromatic_number,
-    classical_oracle,
     edge_basis,
     graph_operator_system,
     homomorphism_exists,
@@ -53,8 +52,6 @@ from .linalg import (
     Tolerance,
     canonical_shuffle,
     check_measurement,
-    hs_inner,
-    partial_trace,
 )
 from .strategies import (
     BlockStrategy,
@@ -64,7 +61,5 @@ from .strategies import (
     corner_compress,
     dilate_block_povm,
     dilate_povm,
-    pvm_to_unitary,
     round_almost_pvm,
-    unitary_to_pvm,
 )

@@ -8,7 +8,7 @@ ambient coordinates: M = U (canonical) U*.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -21,12 +21,9 @@ from .linalg import (
 __all__ = [
     "VnAlgebra",
     "KBlock",
-    "PlancherelTrace",
     "algebra_basis",
     "commutant",
     "commutant_units",
-    "project",
-    "plancherel",
     "normal_form",
     "orthonormalize",
     "project_onto_span",
@@ -138,10 +135,6 @@ class KBlock:
     dim: int
     isometry: np.ndarray
 
-    @property
-    def projection(self) -> np.ndarray:
-        return self.isometry @ self.isometry.conj().T
-
 
 def _compute_algebra_basis(alg: VnAlgebra) -> np.ndarray:
     """The (dim M, n, n) stack of I_m (x) E_uv / sqrt(m), (u, v) row-major in each block."""
@@ -184,23 +177,6 @@ def commutant(alg: VnAlgebra) -> list[np.ndarray]:
     return list(alg._commutant_basis)
 
 
-def project(alg: VnAlgebra, space: str, x) -> np.ndarray:
-    """Orthogonal (Hilbert-Schmidt) projection of x onto M, M' or (M')^perp."""
-    x = as_matrix(x)
-    if x.shape != (alg.n, alg.n):
-        raise ValueError(f"shape mismatch: {x.shape} vs {(alg.n, alg.n)}")
-    if space == "alg":
-        basis = algebra_basis(alg)
-    elif space in ("comm", "comm_perp"):
-        basis = commutant(alg)
-    else:
-        raise ValueError(f"space must be 'alg', 'comm' or 'comm_perp', got {space!r}")
-    proj = project_onto_span(x, basis)
-    if space == "comm_perp":
-        return x - proj
-    return proj
-
-
 def project_onto_span(x: np.ndarray, orthonormal: list[np.ndarray]) -> np.ndarray:
     """Projection onto the span of an HS-orthonormal family.
 
@@ -228,30 +204,6 @@ def orthonormalize(mats) -> list[np.ndarray]:
     if s.size == 0 or s[0] == 0.0:
         return []
     return list(vh[s > SPAN_RANK_FLOOR * s[0]].reshape(-1, *shape))
-
-
-@dataclass(frozen=True)
-class PlancherelTrace:
-    """The block-weighted trace psi_M = (+)_r k_r/(n_r dim M) Tr_{n_r k_r}."""
-
-    algebra: VnAlgebra
-    weights: tuple[float, ...] = field(init=False)
-
-    def __post_init__(self):
-        d = self.algebra.dim_algebra
-        w = tuple(k / (m * d) for m, k in self.algebra.blocks)
-        object.__setattr__(self, "weights", w)
-
-    def __call__(self, x) -> complex:
-        x = self.algebra.to_canonical(as_matrix(x))
-        total = 0.0 + 0.0j
-        for w, off, (m, k) in zip(self.weights, self.algebra.block_offsets(), self.algebra.blocks):
-            total += w * np.trace(x[off : off + m * k, off : off + m * k])
-        return complex(total)
-
-
-def plancherel(alg: VnAlgebra) -> PlancherelTrace:
-    return PlancherelTrace(alg)
 
 
 def _nullspace(mat: np.ndarray) -> np.ndarray:

@@ -251,10 +251,6 @@ class BoundsReport:
     def passed(self) -> bool:
         return all(b.verification.passed for b in self.bounds)
 
-    def best(self, model: str) -> ChromaticBound | None:
-        candidates = [b for b in self.bounds if b.model == model]
-        return min(candidates, key=lambda b: b.colors) if candidates else None
-
 
 def chromatic_bounds(g: QuantumGraph, tol: Tolerance = DEFAULT_TOL) -> BoundsReport:
     """Certified chromatic upper bounds with verified witness strategies.

@@ -33,14 +33,11 @@ __all__ = [
     "ClassicalGraph",
     "validate",
     "edge_basis",
-    "adjacency_subspace_basis",
     "graph_operator_system",
     "classical_graph_from_operator_system",
     "proper_coloring",
     "chromatic_number",
     "homomorphism_exists",
-    "classical_oracle",
-    "OracleReport",
 ]
 
 SAME_VERTEX = "same_vertex"
@@ -104,7 +101,7 @@ class QuantumGraph:
         _, s, wh = np.linalg.svd(comm @ span.conj().T)
         cosines = np.pad(s, (0, len(span) - len(s)))  # a direction past rank(C B*) has cosine 0
         basis = (wh[cosines < 0.5] @ span).reshape(-1, self.n, self.n)
-        basis.flags.writeable = False  # adjacency_subspace_basis hands out views of the game inputs
+        basis.flags.writeable = False  # one of the cached game inputs, which are read-only
         return basis
 
     @cached_property
@@ -225,17 +222,6 @@ class EdgeBasisElement:
 class EdgeBasis:
     elements: tuple[EdgeBasisElement, ...]
     block_dims: tuple[int, ...]
-
-    def tagged(self, tag: str) -> list[EdgeBasisElement]:
-        return [e for e in self.elements if e.tag == tag]
-
-    def matrices(self) -> list[np.ndarray]:
-        return [e.matrix for e in self.elements]
-
-
-def adjacency_subspace_basis(g: QuantumGraph) -> list[np.ndarray]:
-    """HS-orthonormal basis of S intersect (M')^perp."""
-    return list(g._adjacency_basis)
 
 
 def edge_basis(g: QuantumGraph, tol: Tolerance = DEFAULT_TOL) -> EdgeBasis:
@@ -422,19 +408,3 @@ def homomorphism_exists(
     """Exhaustive search for a graph homomorphism g -> h."""
     _check_cap(g, cap)
     return _first_homomorphism(g, h) is not None
-
-
-@dataclass(frozen=True)
-class OracleReport:
-    """Brute-force facts about a classical graph."""
-
-    graph: ClassicalGraph
-    chromatic_number: int
-    cap: int = DEFAULT_VERTEX_CAP
-
-    def hom_to(self, h: ClassicalGraph) -> bool:
-        return homomorphism_exists(self.graph, h, self.cap)
-
-
-def classical_oracle(g: ClassicalGraph, cap: int = DEFAULT_VERTEX_CAP) -> OracleReport:
-    return OracleReport(graph=g, chromatic_number=chromatic_number(g, cap), cap=cap)

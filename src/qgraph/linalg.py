@@ -22,10 +22,8 @@ __all__ = [
     "as_matrix",
     "square_stack",
     "matrix_unit",
-    "hs_inner",
     "hs_norm",
     "canonical_shuffle",
-    "partial_trace",
     "hermitian_eig",
     "psd_sqrt",
     "check_measurement",
@@ -73,8 +71,6 @@ GENERIC_WINDOW = 1e3
 FRAME_RESIDUAL = 1e-7
 # Slack on the sum of a TracialAncilla's trace weights, which a JSON file gives to ~16 digits.
 TRACE_WEIGHT_SLACK = 1e-9
-# Floor of the tolerance on unitary_to_pvm's output, a sum of c rounded powers of U.
-SPECTRUM_FLOOR = 1e-8
 
 # Bound on the bytes of the temporaries of one chunk of strategies._star_commutator_norm,
 # homgame._sandwich and graphs._bimodule_distances.
@@ -182,18 +178,6 @@ def matrix_unit(n: int, i: int, j: int) -> np.ndarray:
     return e
 
 
-def hs_inner(a, b) -> complex:
-    """Unnormalized Hilbert-Schmidt inner product Tr(B* A).
-
-    Conjugate-linear in the second argument.
-    """
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return complex(np.vdot(b, a))
-
-
 def hs_norm(a) -> float:
     """Frobenius norm."""
     return float(np.linalg.norm(np.asarray(a)))
@@ -216,20 +200,6 @@ def canonical_shuffle(m, outer: int, inner: int) -> np.ndarray:
     t = m.reshape(outer, inner, rest, outer, inner, rest)
     t = t.transpose(1, 0, 2, 4, 3, 5)
     return np.ascontiguousarray(t.reshape(size, size))
-
-
-def partial_trace(m, dims: tuple[int, int], side: str) -> np.ndarray:
-    """Trace out one tensor leg: (Tr x id)(m) for side='left', (id x Tr) for 'right'."""
-    m = as_matrix(m)
-    d0, d1 = dims
-    if m.shape != (d0 * d1, d0 * d1):
-        raise ValueError(f"matrix of shape {m.shape} does not match dims {dims}")
-    t = m.reshape(d0, d1, d0, d1)
-    if side == "left":
-        return np.ascontiguousarray(np.einsum("abac->bc", t))
-    if side == "right":
-        return np.ascontiguousarray(np.einsum("abcb->ac", t))
-    raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
 def hermitian_eig(a, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:

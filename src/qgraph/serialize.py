@@ -310,6 +310,8 @@ def families_from_json(obj, path: str = "") -> tuple[list, TracialAncilla | None
     ancilla = None
     if obj.get("ancilla") is not None:
         ancilla = _ancilla_from_json(obj["ancilla"], f"{path}/ancilla")
+        if ancilla.dim != h:
+            raise SchemaError(f"{path}/ancilla", f"ancilla dim {ancilla.dim} does not match operators on C^{h}")
     return families, ancilla
 
 

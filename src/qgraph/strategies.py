@@ -16,20 +16,15 @@ import numpy as np
 from .linalg import (
     _CHUNK_BYTES,
     DEFAULT_TOL,
-    MATRIX_SLACK,
     POVM_CHECKS,
-    ROUNDING_SLACK,
-    SPECTRUM_FLOOR,
     TRACE_WEIGHT_SLACK,
     CheckReport,
     Tolerance,
     as_matrix,
     canonical_shuffle,
     check_measurement,
-    hs_norm,
     psd_sqrt,
     square_stack,
-    unit_root_power,
     worst_residual,
 )
 
@@ -40,8 +35,6 @@ __all__ = [
     "dilate_povm",
     "dilate_block_povm",
     "corner_compress",
-    "pvm_to_unitary",
-    "unitary_to_pvm",
     "round_almost_pvm",
     "bob_from_alice",
 ]
@@ -104,12 +97,6 @@ class TracialAncilla:
         for w, d, sl in zip(self.trace_weights, self.block_dims, self.block_slices()):
             t[sl] = w / d
         return t
-
-    def trace(self, x) -> complex:
-        x = as_matrix(x)
-        if x.shape != (self.dim, self.dim):
-            raise ValueError(f"shape mismatch: {x.shape} vs ancilla dim {self.dim}")
-        return complex(np.sum(self.trace_diagonal() * np.diagonal(x)))
 
     def block_defect(self, x: np.ndarray) -> float:
         """Frobenius norm of the part of x, or of a (..., D, D) stack, outside the
@@ -299,10 +286,6 @@ class TensorStrategy:
     def c(self) -> int:
         return len(self.alice)
 
-    def alice_entry(self, a: int, i: int, j: int) -> np.ndarray:
-        da = self.dims[0]
-        return self.alice[a][i * da : (i + 1) * da, j * da : (j + 1) * da]
-
     def bob_entry(self, b: int, k: int, ell: int) -> np.ndarray:
         """Q_{b,kl} in B(H_B) for Bob's operators on H_B (x) C^n."""
         n = self.n
@@ -371,38 +354,6 @@ def dilate_block_povm(
             raise ValueError(f"operator shape {q.shape} inconsistent with n={n}, h={h}")
     dilated = dilate_povm(mats, tol)  # on C^{c+1} (x) C^n (x) H
     return [canonical_shuffle(s, outer=c + 1, inner=n) for s in dilated]
-
-
-def pvm_to_unitary(pvm, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Order-c unitary U = sum_a omega^a P_a encoding a c-output PVM."""
-    mats = [as_matrix(p) for p in pvm]
-    failed = check_measurement(mats, tol).failures()
-    if failed:
-        raise ValueError(f"input is not a PVM within tolerance: {failed}")
-    return sum(unit_root_power(len(mats), a) * p for a, p in enumerate(mats, start=1))
-
-
-def unitary_to_pvm(u, c: int, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
-    """Fourier inversion on Z_c: P_a = (1/c) sum_d omega^{-ad} U^d."""
-    u = as_matrix(u)
-    size = u.shape[0]
-    if not hs_norm(u.conj().T @ u - np.eye(size)) <= tol.eps * MATRIX_SLACK:
-        raise ValueError("input is not unitary within tolerance")
-    powers = [np.eye(size, dtype=np.complex128)]
-    for _ in range(c):
-        powers.append(powers[-1] @ u)
-    order_defect = hs_norm(powers[c] - np.eye(size))
-    if not order_defect <= tol.eps * ROUNDING_SLACK:
-        raise ValueError(f"U^{c} differs from the identity (defect {order_defect:.3e})")
-    fourier = np.array([[unit_root_power(c, -a * d) for d in range(1, c + 1)] for a in range(1, c + 1)])
-    out = list(np.tensordot(fourier, np.stack(powers[1:]), axes=1) / c)
-    # For a unitary of order c the inversion is an exact PVM; a failure here
-    # means the spectrum leaves the c-th roots of unity.  This avoids any
-    # non-Hermitian eigensolver.
-    failed = check_measurement(out, Tolerance(max(tol.eps * ROUNDING_SLACK, SPECTRUM_FLOOR))).failures()
-    if failed:
-        raise ValueError(f"spectrum is not contained in the c-th roots of unity: {failed}")
-    return out
 
 
 def round_almost_pvm(ops) -> tuple[list[np.ndarray], float]:

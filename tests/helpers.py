@@ -21,6 +21,7 @@ from qgraph import (
 from qgraph.algebra import commutant_units
 from qgraph.colorings import complete_quantum_graph, diagonal_strategy
 from qgraph.correlations import IdentityReport
+from qgraph.graphs import EdgeBasis, EdgeBasisElement
 from qgraph.linalg import canonical_shuffle, matrix_unit, unit_root_power, worst_residual
 
 
@@ -102,6 +103,11 @@ def block_mixing_strategy(rng: np.random.Generator) -> BlockStrategy:
     s = random_block_strategy(rng, 3, 3, (2, 1), (0.5, 0.5))
     mix = np.kron(np.eye(3), rand_unitary(rng, 3))
     return BlockStrategy(n=3, c=3, ancilla=s.ancilla, projections=conjugate(mix, s.projections))
+
+
+def tagged(basis: EdgeBasis, tag: str) -> list[EdgeBasisElement]:
+    """The elements of an edge basis with the given tag, in order."""
+    return [e for e in basis.elements if e.tag == tag]
 
 
 def reference_synchronous_identities(x: Correlation) -> IdentityReport:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from helpers import rand_unitary
-from qgraph import VnAlgebra, commutant, normal_form, plancherel, project
+from qgraph import VnAlgebra, commutant, normal_form
 from qgraph.algebra import algebra_basis, orthonormalize, project_onto_span
 from qgraph.linalg import hs_norm, matrix_unit
 from qgraph.serialize import matrix_from_json
@@ -83,57 +83,33 @@ class TestCommutant:
 
 
 class TestProject:
+    """project_onto_span over the bases of M and M'."""
+
     def test_traceless_full_algebra(self):
         alg = VnAlgebra(n=3, blocks=((1, 3),))
         x = np.diag([1.0, -1.0, 0.0]).astype(complex)
-        np.testing.assert_allclose(project(alg, "comm_perp", x), x, atol=1e-12)
+        np.testing.assert_allclose(project_onto_span(x, commutant(alg)), 0.0, atol=1e-12)
 
     def test_offdiagonal_perp_to_diagonal(self):
         alg = diag_algebra(2)
         e12 = matrix_unit(2, 0, 1)
-        np.testing.assert_allclose(project(alg, "comm_perp", e12), e12, atol=1e-12)
+        np.testing.assert_allclose(project_onto_span(e12, commutant(alg)), 0.0, atol=1e-12)
 
     def test_decomposition(self):
+        # x = p + (x - p) with p in M' and x - p HS-orthogonal to M'.
         rng = np.random.default_rng(9)
         alg = VnAlgebra(n=5, blocks=((1, 2), (1, 1), (2, 1)))
         x = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
-        total = project(alg, "comm", x) + project(alg, "comm_perp", x)
-        np.testing.assert_allclose(total, x, atol=1e-12)
+        p = project_onto_span(x, commutant(alg))
+        assert max(hs_norm(p @ b - b @ p) for b in algebra_basis(alg)) <= 1e-12
+        assert max(abs(np.vdot(z, x - p)) for z in commutant(alg)) <= 1e-12
 
     def test_complement_dimension_count(self):
         # dim(M) plus the dimension of its HS-complement is n^2.
         alg = VnAlgebra(n=4, blocks=((1, 2), (2, 1)))
         units = [matrix_unit(4, i, j) for i in range(4) for j in range(4)]
-        complement = orthonormalize([u - project(alg, "alg", u) for u in units])
+        complement = orthonormalize([u - project_onto_span(u, algebra_basis(alg)) for u in units])
         assert alg.dim_algebra + len(complement) == 16
-
-
-class TestPlancherel:
-    def test_full_matrix_block(self):
-        alg = VnAlgebra(n=2, blocks=((1, 2),))
-        psi = plancherel(alg)
-        assert psi.weights == (pytest.approx(0.5),)
-        x = np.diag([2.0, 4.0]).astype(complex)
-        assert psi(x) == pytest.approx(3.0)  # normalized trace
-
-    def test_abelian_uniform(self):
-        alg = diag_algebra(4)
-        psi = plancherel(alg)
-        np.testing.assert_allclose(psi.weights, [0.25] * 4)
-
-    def test_normalization(self):
-        for blocks, n in [(((1, 2), (3, 1)), 5), (((2, 2),), 4), (((1, 1),), 1)]:
-            alg = VnAlgebra(n=n, blocks=blocks)
-            assert plancherel(alg)(np.eye(n)) == pytest.approx(1.0)
-
-    def test_tracial_and_faithful_on_algebra(self):
-        alg = VnAlgebra(n=5, blocks=((1, 2), (1, 1), (2, 1)))
-        psi = plancherel(alg)
-        basis = algebra_basis(alg)
-        for x in basis:
-            for y in basis:
-                assert psi(x @ y) == pytest.approx(psi(y @ x), abs=1e-12)
-            assert psi(x.conj().T @ x).real > 1e-12
 
 
 class TestNormalForm:

@@ -62,13 +62,11 @@ from qgraph import (
     extract_channel,
     graph_operator_system,
     normal_form,
-    pvm_to_unitary,
     rigidity_check,
     round_almost_pvm,
     shift_multiply_coloring,
     synchronous_identities,
     teleport_coloring,
-    unitary_to_pvm,
     validate,
     verify_operational,
     verify_structural,
@@ -89,7 +87,6 @@ from qgraph.graphs import (
     EdgeBasis,
     EdgeBasisElement,
     _bimodule_distances,
-    adjacency_subspace_basis,
     classical_graph_from_operator_system,
     edge_basis,
 )
@@ -101,7 +98,6 @@ from qgraph.linalg import (
     hermitian_eig,
     hs_norm,
     matrix_unit,
-    unit_root_power,
     worst_residual,
 )
 from qgraph.serialize import matrix_from_json
@@ -351,7 +347,7 @@ def _nonadjacent_pairs(target):
 
 def _reference_adjacency(inst, strategy, tol):
     eye = np.eye(strategy.ancilla.dim)
-    perp = adjacency_subspace_basis(inst.source)
+    perp = inst.source._adjacency_basis
     worst, witness, table = 0.0, None, {}
     for a, b in _nonadjacent_pairs(inst.target):
         pa, pb = strategy.projections[a], strategy.projections[b]
@@ -1228,7 +1224,7 @@ def test_sandwich_kernel_matches_reference_loop(label, g, target, s, wins):
     d = factors.defects.max()
     slack = 2 * np.sqrt(s.n) * (2 * d + d * d)
     masks = [target._nonadjacent, ~np.eye(s.c, dtype=bool), rng.random((s.c, s.c)) < 0.3]
-    for mats in (commutant(g.algebra), adjacency_subspace_basis(g), []):
+    for mats in (commutant(g.algebra), list(g._adjacency_basis), []):
         stack = np.reshape(mats, (-1, s.n, s.n))
         # Another orthonormal basis of the same span.
         mixed = np.einsum("kl,lij->kij", rand_unitary(rng, len(mats)), stack) if mats else stack
@@ -1248,7 +1244,7 @@ def assert_factored_matches_dense(ps, g, masks, weights_list, reference=dense_sa
     """The factored kernel on the rounding of ps equals the reference within 1e-12 over M',
     S n (M')perp and the empty space, for every mask and weight."""
     factors = round_outcomes(ps)
-    for mats in (commutant(g.algebra), adjacency_subspace_basis(g), []):
+    for mats in (commutant(g.algebra), g._adjacency_basis, []):
         ys = np.reshape(mats, (-1, g.n, g.n))
         for mask in masks:
             for weights in weights_list:
@@ -1275,7 +1271,7 @@ def test_factored_sandwich_matches_dense_kernel(label, g, target, s, wins):
 @pytest.mark.parametrize("label, g, target, s, wins", CASES, ids=[c[0] for c in CASES])
 def test_factored_sandwich_in_one_input_chunks(monkeypatch, label, g, target, s, wins):
     rng = np.random.default_rng(2033)
-    ys = np.reshape(adjacency_subspace_basis(g), (-1, g.n, g.n))
+    ys = g._adjacency_basis
     mask, weights = game_masks(rng, target, s.c)[2], trace_weights(s)
     whole = _sandwich(s.factors, ys, spread(ys), mask, weights)
     monkeypatch.setattr("qgraph.homgame._CHUNK_BYTES", 1)
@@ -1330,7 +1326,7 @@ def test_factored_sandwich_reads_inf_on_a_nan_stack(label, g, target, s, wins):
     with pytest.raises(ValueError, match="non-finite"):
         round_almost_pvm(ps)
     mask = ~np.eye(s.c, dtype=bool)
-    for mats in (commutant(g.algebra), adjacency_subspace_basis(g)):
+    for mats in (commutant(g.algebra), g._adjacency_basis):
         ys = np.reshape(mats, (-1, g.n, g.n))
         got = _sandwich(round_outcomes(ps), ys, spread(ys), mask, trace_weights(s))
         assert np.array_equal(got, np.where(mask, np.inf, 0.0))
@@ -1339,7 +1335,7 @@ def test_factored_sandwich_reads_inf_on_a_nan_stack(label, g, target, s, wins):
 @pytest.mark.parametrize("label, g, target, s, wins", WINNING, ids=[c[0] for c in WINNING])
 def test_adjacency_zeros_off_pvms_reads_the_reported_table(label, g, target, s, wins):
     rng = np.random.default_rng(2035)
-    perp = np.reshape(adjacency_subspace_basis(g), (-1, g.n, g.n))
+    perp = g._adjacency_basis
     for ps in off_ladder_stacks(rng, s):
         strategy = BlockStrategy(n=s.n, c=len(ps), ancilla=s.ancilla, projections=tuple(ps))
         want = rounded_dense_sandwich(ps, perp, K(len(ps))._nonadjacent)
@@ -1356,7 +1352,7 @@ ONE_SIDED = QuantumGraph(n=3, algebra=VnAlgebra(n=3, blocks=((1, 1),) * 3), s_ba
 def test_input_spaces_are_the_game_bases_with_their_spread(g):
     (same, k_same), (perp, k_perp) = g._game_inputs
     assert np.array_equal(same, np.asarray(commutant(g.algebra)))
-    assert np.array_equal(perp, np.reshape(adjacency_subspace_basis(g), (-1, g.n, g.n)))
+    assert np.array_equal(perp, g._adjacency_basis)
     assert abs(k_same - spread(same)) <= 1e-12 and abs(k_perp - spread(perp)) <= 1e-12
 
 
@@ -1376,7 +1372,7 @@ def test_reported_sandwich_never_reads_below_the_dense_one(case, scale, hermitia
     rng = np.random.default_rng(seed)
     ps = np.stack(_noisy(rng, s.projections, 10.0**scale, hermitian))
     factors = round_outcomes(ps)
-    for mats in (commutant(g.algebra), adjacency_subspace_basis(g)):
+    for mats in (commutant(g.algebra), g._adjacency_basis):
         ys = np.reshape(mats, (-1, g.n, g.n))
         for mask in game_masks(rng, target, s.c):
             for weights in (None, trace_weights(s)):
@@ -1607,8 +1603,8 @@ def reference_edge_basis(g, tol):
                 unit = ka.isometry @ kb.isometry.conj().T / np.sqrt(ka.dim)
                 kept.append(unit)
                 elements.append(EdgeBasisElement(unit, SAME_VERTEX, (a_idx, b_idx)))
-            for z in adjacency_subspace_basis(g):
-                cand = ka.projection @ z @ kb.projection
+            for z in g._adjacency_basis:
+                cand = ka.isometry @ ka.isometry.conj().T @ z @ kb.isometry @ kb.isometry.conj().T
                 for prev in kept:
                     cand = cand - np.vdot(prev, cand) * prev
                 nrm = hs_norm(cand)
@@ -1672,7 +1668,7 @@ def test_edge_basis_matches_gram_schmidt_reference(label, g):
         vecs = [np.reshape(got[pair][ADJACENCY], (-1, g.n * g.n)), np.reshape(tags[ADJACENCY], (-1, g.n * g.n))]
         projectors = [v.T @ v.conj() for v in vecs]
         assert np.abs(projectors[0] - projectors[1]).max() <= 1e-12
-    gram = np.reshape(basis.matrices(), (len(basis.elements), -1))
+    gram = np.reshape([e.matrix for e in basis.elements], (len(basis.elements), -1))
     assert np.abs(gram.conj() @ gram.T - np.eye(len(gram))).max() <= 1e-12
 
 
@@ -1721,7 +1717,7 @@ VALID_GRAPHS = list(_valid_graphs())
 
 @pytest.mark.parametrize("label, g", VALID_GRAPHS, ids=[c[0] for c in VALID_GRAPHS])
 def test_adjacency_basis_spans_the_space_of_the_residual_svd(label, g):
-    new, old = np.asarray(adjacency_subspace_basis(g)), reference_adjacency_basis(g)
+    new, old = g._adjacency_basis, reference_adjacency_basis(g)
     assert len(new) == len(old)
     if len(new):
         assert np.abs(_projector(new) - _projector(old)).max() <= 1e-12
@@ -1922,7 +1918,7 @@ def test_compose_reps_matches_reference_loop(label, c, f, split):
 
 
 def reference_tensor_entries(ts):
-    """The triple copy loop over alice_entry and bob_entry, the reference for the
+    """The triple copy loop over Alice's D_A x D_A blocks and bob_entry, the reference for the
     entry views of reference_correlation_from_tensor."""
     n, c = ts.n, ts.c
     da, db = ts.dims
@@ -1931,7 +1927,7 @@ def reference_tensor_entries(ts):
     for a in range(c):
         for i in range(n):
             for j in range(n):
-                p_ent[a, i, j] = ts.alice_entry(a, i, j)
+                p_ent[a, i, j] = ts.alice[a][i * da : (i + 1) * da, j * da : (j + 1) * da]
                 q_ent[a, i, j] = ts.bob_entry(a, i, j)
     return p_ent, q_ent
 
@@ -2070,20 +2066,6 @@ def reference_dilate_povm(povm):
     return out
 
 
-def reference_unitary_to_pvm(u, c):
-    """The Fourier double loop of the old unitary_to_pvm."""
-    powers = [np.eye(len(u), dtype=np.complex128)]
-    for _ in range(c):
-        powers.append(powers[-1] @ u)
-    out = []
-    for a in range(1, c + 1):
-        p = np.zeros_like(u)
-        for d in range(1, c + 1):
-            p += unit_root_power(c, -a * d) * powers[d]
-        out.append(p / c)
-    return out
-
-
 @pytest.mark.parametrize("size, c", [(1, 1), (1, 3), (2, 2), (3, 4), (4, 3)])
 def test_dilate_povm_matches_reference_loop(size, c):
     rng = np.random.default_rng(2050 + 10 * size + c)
@@ -2093,9 +2075,3 @@ def test_dilate_povm_matches_reference_loop(size, c):
         assert max(np.abs(p - q).max() for p, q in zip(new, old)) <= 1e-12
 
 
-@pytest.mark.parametrize("size, c", [(1, 1), (2, 2), (3, 3), (4, 5), (6, 4)])
-def test_unitary_to_pvm_matches_reference_loop(size, c):
-    u = pvm_to_unitary(random_pvm(np.random.default_rng(2060 + 10 * size + c), size, c))
-    new, old = unitary_to_pvm(u, c), reference_unitary_to_pvm(u, c)
-    assert len(new) == len(old) == c
-    assert max(np.abs(p - q).max() for p, q in zip(new, old)) <= 1e-12

@@ -207,6 +207,15 @@ def test_embed_and_bisync(tmp_path, capsys):
     assert out["pass"] and [c["name"] for c in out["checks"]] == ["synchronous", "bisynchronous"]
 
 
+def test_embed_refuses_an_ancilla_of_another_dim_with_pointer(tmp_path, capsys):
+    # The example operators act on C^1, so an M_2 ancilla is malformed input.
+    doc = json.loads((EXAMPLES / "families.json").read_text())
+    doc["ancilla"] = {"block_dims": [2]}
+    assert main(["embed", write(tmp_path, "fam.json", doc)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and json.loads(err)["pointer"] == "/ancilla"
+
+
 def test_extract_channel_command(tmp_path, m2_graph_file, capsys):
     strat_path = str(tmp_path / "s.json")
     main(["color", "--method", "teleport", "--d", "1", "--k", "2", "--out", strat_path])

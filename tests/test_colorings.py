@@ -210,7 +210,7 @@ class TestChromaticBounds:
         oracle = {b.method: b for b in rep.bounds}["classical_oracle"]
         assert oracle.exact and oracle.colors == 3
         assert oracle.colors == chromatic_number(ClassicalGraph.cycle(5))
-        assert rep.best("loc").colors == 3
+        assert min(b.colors for b in rep.bounds if b.model == "loc") == 3
 
     def test_monotonicity_witness_transfers(self):
         # The complete-graph witness for (M_n, M, M_n) verifies for any
@@ -224,12 +224,11 @@ class TestChromaticBounds:
     def test_abelian_loc_bound(self):
         g = complete_quantum_graph(VnAlgebra(n=3, blocks=((1, 1),) * 3))
         rep = chromatic_bounds(g)
-        loc = rep.best("loc")
-        assert loc is not None and loc.colors == 3
+        assert min(b.colors for b in rep.bounds if b.model == "loc") == 3
 
     def test_nonexistence_notes_cited_not_computed(self):
         g = complete_quantum_graph(VnAlgebra(n=2, blocks=((1, 2),)))
         rep = chromatic_bounds(g)
-        assert rep.best("loc") is None
+        assert not [b for b in rep.bounds if b.model == "loc"]
         assert any("no loc coloring" in note for note in rep.notes)
         assert any("lower" in note for note in rep.notes)

@@ -103,7 +103,7 @@ class TestCorrelationFromTensor:
             for b in range(2):
                 for idx in [(0, 0, 0, 0), (0, 1, 1, 0)]:
                     i, j, k, ell = idx
-                    pa = xi_a.conj() @ ts.alice_entry(a, i, j) @ xi_a
+                    pa = xi_a.conj() @ ts.alice[a][i * da : (i + 1) * da, j * da : (j + 1) * da] @ xi_a
                     qb = xi_b.conj() @ ts.bob_entry(b, k, ell) @ xi_b
                     assert x.tensor[a, b, i, j, k, ell] == pytest.approx(pa * qb, abs=1e-12)
 

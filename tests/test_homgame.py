@@ -16,6 +16,7 @@ from helpers import (
     random_block_strategy,
     random_povm,
     rotate,
+    tagged,
 )
 from qgraph import (
     BlockStrategy,
@@ -40,7 +41,6 @@ from qgraph.algebra import algebra_basis, commutant, project_onto_span
 from qgraph.cli import MAX_TOL
 from qgraph.colorings import complete_quantum_graph, diagonal_strategy
 from qgraph.correlations import embed_classical
-from qgraph.graphs import adjacency_subspace_basis
 from qgraph.linalg import Tolerance, matrix_unit
 from qgraph.serialize import graph_from_json, strategy_from_json
 
@@ -431,8 +431,8 @@ class TestTracelessVariant:
 
         eb = edge_basis(g)
         assert [e.tag for e in eb.elements].count("same_vertex") == 1
-        assert np.abs(eb.tagged("same_vertex")[0].matrix - np.eye(3) / np.sqrt(3)).max() <= 1e-12
-        assert len(eb.tagged("adjacency")) == 6
+        assert np.abs(tagged(eb, "same_vertex")[0].matrix - np.eye(3) / np.sqrt(3)).max() <= 1e-12
+        assert len(tagged(eb, "adjacency")) == 6
         inst = GameInstance(source=g, target=K(3))
         s = diagonal_unit_strategy(3)
         assert verify_structural(inst, s).passed
@@ -446,7 +446,7 @@ class TestGraphsInsideTheCommutant:
     def test_complete_graph_over_rotated_scalars(self):
         alg = VnAlgebra(n=2, blocks=((2, 1),), unitary=rand_unitary(np.random.default_rng(11), 2))
         g = complete_quantum_graph(alg)
-        assert adjacency_subspace_basis(g) == []
+        assert len(g._adjacency_basis) == 0
         one = BlockStrategy(n=2, c=1, ancilla=TracialAncilla.trivial(), projections=(np.eye(2),))
         inst = GameInstance(source=g, target=K(1))
         for mode, verify in MODES.items():
@@ -458,7 +458,7 @@ class TestGraphsInsideTheCommutant:
         g0 = graph_operator_system(ClassicalGraph.empty(3))
         alg = VnAlgebra(n=3, blocks=g0.algebra.blocks, unitary=v)
         g = QuantumGraph(n=3, algebra=alg, s_basis=conjugate(v, g0.s_basis))
-        assert adjacency_subspace_basis(g) == []
+        assert len(g._adjacency_basis) == 0
         d = diagonal_strategy((0, 1, 2), 3)
         s = BlockStrategy(n=3, c=3, ancilla=d.ancilla, projections=conjugate(v, d.projections))
         inst = GameInstance(source=g, target=K(3))
@@ -481,7 +481,7 @@ def test_noise_in_the_spanning_set_adds_no_adjacency_input(eps):
     g = QuantumGraph(n=5, algebra=alg, s_basis=tuple(np.array(conjugate(v, g0.s_basis)) + noise))
     tol = Tolerance(1e-6)
     assert validate(g, tol).passed
-    assert len(adjacency_subspace_basis(g)) == 10
+    assert len(g._adjacency_basis) == 10
     d = diagonal_strategy((0, 1, 0, 1, 2), 3)
     s = BlockStrategy(n=5, c=3, ancilla=d.ancilla, projections=conjugate(v, d.projections))
     inst = GameInstance(source=g, target=K(3))
@@ -500,7 +500,7 @@ def test_noise_in_a_traceless_spanning_set_keeps_every_adjacency_input(eps):
     alg = VnAlgebra(n=3, blocks=((1, 3),), unitary=v)
     g = QuantumGraph(n=3, algebra=alg, s_basis=tuple(np.array(offdiag) + noise), traceless=True)
     assert validate(g, Tolerance(1e-6)).passed
-    assert len(adjacency_subspace_basis(g)) == 6
+    assert len(g._adjacency_basis) == 6
 
 
 def reference_nonadjacent(target):

@@ -1,10 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from helpers import rand_hermitian, random_pvm
-from qgraph import Tolerance, canonical_shuffle, check_measurement, hs_inner, partial_trace
+from qgraph import Tolerance, canonical_shuffle, check_measurement
 from qgraph.linalg import POVM_CHECKS, hermitian_eig, matrix_unit, psd_sqrt, unit_root_power
 
 
@@ -14,40 +12,6 @@ def test_tolerance_positive():
         Tolerance(0.0)
     with pytest.raises(ValueError):
         Tolerance(-1e-9)
-
-
-class TestHSInner:
-    def test_matrix_units(self):
-        e11 = matrix_unit(2, 0, 0)
-        e12 = matrix_unit(2, 0, 1)
-        e21 = matrix_unit(2, 1, 0)
-        assert hs_inner(e11, e11) == 1
-        assert hs_inner(e12, e21) == 0
-
-    def test_identity(self):
-        for n in (1, 3, 5):
-            assert hs_inner(np.eye(n), np.eye(n)) == pytest.approx(n)
-
-    def test_conjugate_linear_in_second(self):
-        rng = np.random.default_rng(0)
-        a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        assert hs_inner(a, 2j * b) == pytest.approx(-2j * hs_inner(a, b))
-        assert hs_inner(a, b) == pytest.approx(np.conj(hs_inner(b, a)))
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            hs_inner(np.eye(2), np.eye(3))
-
-    @given(st.integers(1, 4), st.integers(0, 2**32 - 1))
-    @settings(max_examples=30, deadline=None)
-    def test_positivity(self, n, seed):
-        rng = np.random.default_rng(seed)
-        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        val = hs_inner(a, a)
-        assert val.imag == pytest.approx(0.0, abs=1e-12)
-        assert val.real >= 0.0
-        assert val.real == pytest.approx(np.linalg.norm(a) ** 2, rel=1e-12)
 
 
 class TestCanonicalShuffle:
@@ -85,40 +49,6 @@ class TestCanonicalShuffle:
     def test_size_not_divisible(self):
         with pytest.raises(ValueError):
             canonical_shuffle(np.eye(10), 3, 4)
-
-
-class TestPartialTrace:
-    def test_product(self):
-        rng = np.random.default_rng(4)
-        a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        m = np.kron(a, b)
-        np.testing.assert_allclose(partial_trace(m, (2, 3), "left"), np.trace(a) * b, atol=1e-13)
-        np.testing.assert_allclose(partial_trace(m, (2, 3), "right"), np.trace(b) * a, atol=1e-13)
-
-    def test_bell_projection(self):
-        # Direct evaluation: |phi> = (e0 (x) e0 + e1 (x) e1)/sqrt(2) has the
-        # 4x4 projection with 1/2 at positions {0,3} x {0,3}.
-        proj = np.zeros((4, 4), dtype=complex)
-        for r in (0, 3):
-            for c in (0, 3):
-                proj[r, c] = 0.5
-        np.testing.assert_allclose(partial_trace(proj, (2, 2), "left"), np.eye(2) / 2)
-
-    def test_identity(self):
-        np.testing.assert_allclose(partial_trace(np.eye(4), (2, 2), "left"), 2 * np.eye(2))
-
-    def test_trace_preserving(self):
-        rng = np.random.default_rng(5)
-        m = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-        for side in ("left", "right"):
-            assert np.trace(partial_trace(m, (2, 3), side)) == pytest.approx(
-                np.trace(m), abs=1e-12
-            )
-
-    def test_size_mismatch(self):
-        with pytest.raises(ValueError):
-            partial_trace(np.eye(5), (2, 3), "left")
 
 
 class TestCheckMeasurement:

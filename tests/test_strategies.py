@@ -15,10 +15,8 @@ from qgraph import (
     corner_compress,
     dilate_block_povm,
     dilate_povm,
-    pvm_to_unitary,
     round_almost_pvm,
     shift_multiply_coloring,
-    unitary_to_pvm,
 )
 from qgraph.linalg import matrix_unit
 
@@ -42,8 +40,10 @@ class TestTracialAncilla:
             TracialAncilla((1,) * len(weights), weights)
 
     def test_trace_normalized(self):
-        a = TracialAncilla((2, 3), (0.25, 0.75))
-        assert a.trace(np.eye(5)) == pytest.approx(1.0)
+        # tau(X) = sum_u t_u X_uu, so tau(1) = sum_u t_u = 1.
+        t = TracialAncilla((2, 3), (0.25, 0.75)).trace_diagonal()
+        np.testing.assert_allclose(t, [0.125, 0.125, 0.25, 0.25, 0.25])
+        assert t.sum() == pytest.approx(1.0)
 
     def test_block_defect(self):
         a = TracialAncilla((1, 1))
@@ -183,41 +183,6 @@ class TestDilateBlockPovm:
                 assert check_measurement(dil, Tolerance(1e-10)).passed
                 for p, q in zip(dil, povm):
                     assert np.linalg.norm(corner_compress(p, n, c, h) - q) <= 1e-10
-
-
-class TestPvmUnitary:
-    def test_diagonal_example(self):
-        u = pvm_to_unitary([matrix_unit(2, 0, 0), matrix_unit(2, 1, 1)])
-        np.testing.assert_allclose(u, np.diag([-1.0, 1.0]), atol=1e-14)
-
-    def test_roundtrip(self):
-        rng = np.random.default_rng(25)
-        for c in (2, 3, 4):
-            pvm = random_pvm(rng, 5, c)
-            back = unitary_to_pvm(pvm_to_unitary(pvm), c)
-            for p, q in zip(pvm, back):
-                np.testing.assert_allclose(p, q, atol=1e-10)
-
-    def test_order(self):
-        rng = np.random.default_rng(26)
-        u = pvm_to_unitary(random_pvm(rng, 4, 3))
-        acc = np.eye(4, dtype=complex)
-        for _ in range(3):
-            acc = acc @ u
-        assert np.linalg.norm(acc - np.eye(4)) <= 1e-12
-
-    def test_spectrum_in_roots_of_unity(self):
-        rng = np.random.default_rng(27)
-        u = pvm_to_unitary(random_pvm(rng, 6, 4))
-        eigs = np.linalg.eigvals(u)
-        roots = np.exp(2j * np.pi * np.arange(1, 5) / 4)
-        dist = np.abs(eigs[:, None] - roots[None, :]).min(axis=1).max()
-        assert dist <= 1e-10
-
-    def test_rejects_wrong_order(self):
-        u = np.diag([np.exp(0.3j), 1.0])
-        with pytest.raises(ValueError):
-            unitary_to_pvm(u, 2)
 
 
 class TestRoundAlmostPvm:
