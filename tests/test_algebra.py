@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from helpers import rand_unitary
-from qgraph import VnAlgebra, commutant, normal_form
+from qgraph import TracialAncilla, VnAlgebra, commutant, normal_form
 from qgraph.algebra import algebra_basis, orthonormalize, project_onto_span
 from qgraph.linalg import hs_norm, matrix_unit
 from qgraph.serialize import matrix_from_json
@@ -110,6 +110,49 @@ class TestProject:
         units = [matrix_unit(4, i, j) for i in range(4) for j in range(4)]
         complement = orthonormalize([u - project_onto_span(u, algebra_basis(alg)) for u in units])
         assert alg.dim_algebra + len(complement) == 16
+
+
+class TestPlancherel:
+    """The Plancherel trace psi_M = (+)_r k_r/dim M Tr_{k_r} of a multiplicity-free M is
+    the default trace of the TracialAncilla on the same blocks: t_u = k_r/dim M."""
+
+    @staticmethod
+    def trace_diagonal(alg):
+        assert all(m == 1 for m, _ in alg.blocks) and alg.unitary is None
+        return TracialAncilla(tuple(k for _, k in alg.blocks)).trace_diagonal()
+
+    def test_full_matrix_block(self):
+        alg = VnAlgebra(n=2, blocks=((1, 2),))
+        t = self.trace_diagonal(alg)
+        np.testing.assert_allclose(t, [0.5, 0.5])
+        x = np.diag([2.0, 4.0]).astype(complex)
+        assert t @ np.diag(x) == pytest.approx(3.0)  # normalized trace
+
+    def test_abelian_uniform(self):
+        np.testing.assert_allclose(self.trace_diagonal(diag_algebra(4)), [0.25] * 4)
+
+    def test_normalization(self):
+        for blocks, n in [(((1, 2), (1, 3)), 5), (((1, 2), (1, 2)), 4), (((1, 1),), 1)]:
+            alg = VnAlgebra(n=n, blocks=blocks)
+            t = self.trace_diagonal(alg)
+            want = np.concatenate([[k / alg.dim_algebra] * k for _, k in blocks])
+            np.testing.assert_allclose(t, want, atol=1e-15)
+            assert t.sum() == pytest.approx(1.0)
+        # The tensor product of two Plancherel traces is the Plancherel trace.
+        a, b = TracialAncilla((1, 2)), TracialAncilla((3, 1))
+        np.testing.assert_allclose(a.tensor(b).trace_weights, TracialAncilla((3, 1, 6, 2)).trace_weights)
+
+    def test_tracial_and_faithful_on_algebra(self):
+        alg = VnAlgebra(n=6, blocks=((1, 2), (1, 1), (1, 3)))
+        ancilla = TracialAncilla((2, 1, 3))
+        t = self.trace_diagonal(alg)
+        basis = algebra_basis(alg)
+        assert len(basis) == alg.dim_algebra
+        for x in basis:
+            assert ancilla.block_defect(x) == 0.0
+            for y in basis:
+                assert t @ np.diag(x @ y) == pytest.approx(t @ np.diag(y @ x), abs=1e-12)
+            assert (t @ np.diag(x.conj().T @ x)).real > 1e-12
 
 
 class TestNormalForm:

@@ -79,7 +79,7 @@ from qgraph.algebra import (
     orthonormalize,
     project_onto_span,
 )
-from qgraph.colorings import complete_quantum_graph, diagonal_strategy
+from qgraph.colorings import _bell_projections, complete_quantum_graph, diagonal_strategy
 from qgraph.correlations import ClassicalCorrelation, Correlation, embed_classical, outcome_probability
 from qgraph.graphs import (
     ADJACENCY,
@@ -98,6 +98,7 @@ from qgraph.linalg import (
     hermitian_eig,
     hs_norm,
     matrix_unit,
+    unit_root_power,
     worst_residual,
 )
 from qgraph.serialize import matrix_from_json
@@ -2040,6 +2041,21 @@ def test_diagonal_strategy_matches_reference_loop(coloring, c):
 # --- the dilation and the Fourier inversion against the loops they replaced --------
 
 
+def reference_unitary_to_pvm(u, c):
+    """The Fourier double loop P_a = (1/c) sum_d omega^(-ad) U^d, a = 1..c: the spectral
+    projection of an order-c unitary U at omega^a."""
+    powers = [np.eye(len(u), dtype=np.complex128)]
+    for _ in range(c):
+        powers.append(powers[-1] @ u)
+    out = []
+    for a in range(1, c + 1):
+        p = np.zeros_like(u)
+        for d in range(1, c + 1):
+            p += unit_root_power(c, -a * d) * powers[d]
+        out.append(p / c)
+    return out
+
+
 def reference_dilate_povm(povm):
     """The old dilate_povm: one (c+1)h-sized kron conjugation U*(E (x) I)U per outcome."""
     mats = [np.asarray(q, dtype=np.complex128) for q in povm]
@@ -2075,3 +2091,15 @@ def test_dilate_povm_matches_reference_loop(size, c):
         assert max(np.abs(p - q).max() for p, q in zip(new, old)) <= 1e-12
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_bell_projections_match_fourier_reference_loop(k):
+    """phi_ab spans the joint eigenspace of X* (x) X* at omega^a and Z* (x) Z at omega^b
+    (Z e_i = omega^i e_i, X e_i = e_(i+1)), so each Bell projection of the colorings is the
+    product of two spectral projections from the Fourier double loop."""
+    clock = np.diag([unit_root_power(k, i) for i in range(k)])
+    shift = np.roll(np.eye(k, dtype=np.complex128), 1, axis=0)
+    xs = reference_unitary_to_pvm(np.kron(shift, shift).conj().T, k)
+    zs = reference_unitary_to_pvm(np.kron(clock.conj(), clock), k)
+    old = np.stack([xs[(a - 1) % k] @ zs[(b - 1) % k] for a in range(k) for b in range(k)])
+    new = _bell_projections(k).reshape(k * k, k * k, k * k)
+    assert np.abs(new - old).max() <= 1e-12

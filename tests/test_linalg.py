@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from helpers import rand_hermitian, random_pvm
+from helpers import rand_hermitian, rand_unitary, random_pvm
 from qgraph import Tolerance, canonical_shuffle, check_measurement
-from qgraph.linalg import POVM_CHECKS, hermitian_eig, matrix_unit, psd_sqrt, unit_root_power
+from qgraph.linalg import POVM_CHECKS, hermitian_eig, hs_norm, matrix_unit, psd_sqrt, unit_root_power
 
 
 def test_tolerance_positive():
@@ -12,6 +12,38 @@ def test_tolerance_positive():
         Tolerance(0.0)
     with pytest.raises(ValueError):
         Tolerance(-1e-9)
+
+
+class TestHSNorm:
+    def test_matrix_units(self):
+        for i in range(3):
+            for j in range(3):
+                assert hs_norm(matrix_unit(3, i, j)) == 1.0
+        assert hs_norm(matrix_unit(3, 0, 1) - matrix_unit(3, 1, 0)) == pytest.approx(np.sqrt(2))
+
+    def test_identity(self):
+        for n in range(1, 6):
+            assert hs_norm(np.eye(n)) == pytest.approx(np.sqrt(n))
+
+    def test_positivity(self):
+        rng = np.random.default_rng(12)
+        assert hs_norm(np.zeros((3, 3))) == 0.0
+        for _ in range(5):
+            x = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+            assert hs_norm(x) > 0.0
+            assert hs_norm(x) ** 2 == pytest.approx(np.vdot(x, x).real)
+
+    def test_unitary_invariance(self):
+        rng = np.random.default_rng(13)
+        x = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        u, v = rand_unitary(rng, 4), rand_unitary(rng, 4)
+        assert hs_norm(u @ x @ v) == pytest.approx(hs_norm(x), rel=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entry_fails_every_bound(self, bad):
+        x = np.eye(2, dtype=complex)
+        x[0, 1] = bad
+        assert not hs_norm(x) <= 1e300
 
 
 class TestCanonicalShuffle:

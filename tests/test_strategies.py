@@ -166,6 +166,38 @@ class TestDilatePovm:
             dilate_povm([np.eye(2), np.eye(2)])
 
 
+class TestCornerCompress:
+    @staticmethod
+    def isometry(n, c, h):
+        """V: e_i (x) xi -> e_i (x) e_0 (x) xi."""
+        e0 = np.eye(c + 1)[:, :1]
+        return np.kron(np.eye(n), np.kron(e0, np.eye(h)))
+
+    @pytest.mark.parametrize("n, c, h", [(1, 1, 1), (2, 2, 1), (2, 1, 3), (3, 2, 2)])
+    def test_matches_isometry(self, n, c, h):
+        rng = np.random.default_rng(40 + n + 3 * c + 7 * h)
+        size = n * (c + 1) * h
+        p = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+        v = self.isometry(n, c, h)
+        np.testing.assert_allclose(corner_compress(p, n, c, h), v.T @ p @ v, atol=1e-13)
+
+    def test_identity(self):
+        np.testing.assert_array_equal(corner_compress(np.eye(2 * 3 * 2), 2, 2, 2), np.eye(4))
+
+    def test_product(self):
+        # p = A (x) B (x) X on C^n (x) C^(c+1) (x) H keeps B_00 A (x) X.
+        rng = np.random.default_rng(44)
+        a, b, x = (rng.normal(size=(m, m)) for m in (2, 3, 2))
+        got = corner_compress(np.kron(a, np.kron(b, x)), 2, 2, 2)
+        np.testing.assert_allclose(got, b[0, 0] * np.kron(a, x), atol=1e-13)
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ValueError, match="inconsistent"):
+            corner_compress(np.eye(6), 2, 2, 2)
+        with pytest.raises(ValueError):
+            corner_compress(np.ones(12), 2, 2, 1)
+
+
 class TestDilateBlockPovm:
     def test_n1_reduces_to_plain(self):
         rng = np.random.default_rng(23)
