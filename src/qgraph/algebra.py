@@ -15,7 +15,7 @@ import numpy as np
 
 from .linalg import (
     FRAME_RESIDUAL, GENERIC_WINDOW, GENERIC_ZERO, NULLSPACE_ABS_FLOOR, NULLSPACE_FLOOR, SPAN_RANK_FLOOR,
-    UNITARY_DEFECT, as_matrix, hs_norm, worst_residual,
+    UNITARY_DEFECT, as_matrix, frozen_stack, hs_norm, worst_residual,
 )
 
 __all__ = [
@@ -35,6 +35,8 @@ class VnAlgebra:
     """Non-degenerate von Neumann subalgebra of M_n given by its block data.
 
     blocks is a sequence of (mult n_r, dim k_r) pairs with sum n_r*k_r = n.
+    unitary, when given, is stored as a read-only complex copy, and the cached
+    bases that algebra_basis and commutant return are read-only (m, n, n) stacks.
     """
 
     n: int
@@ -51,9 +53,7 @@ class VnAlgebra:
                 f"blocks {blocks} do not fill M_{self.n} (non-degeneracy)"
             )
         if self.unitary is not None:
-            u = as_matrix(self.unitary)
-            if u.shape != (self.n, self.n):
-                raise ValueError(f"embedding unitary has shape {u.shape}, expected {(self.n, self.n)}")
+            u = frozen_stack((self.unitary,), self.n, "embedding unitary")[0]
             defect = hs_norm(u.conj().T @ u - np.eye(self.n))
             if not defect <= UNITARY_DEFECT:
                 raise ValueError(f"embedding matrix is not unitary (defect {defect:.3e})")
@@ -95,12 +95,12 @@ class VnAlgebra:
     def _lift(self, x: np.ndarray) -> np.ndarray:
         return np.kron(self.unitary, np.eye(x.shape[-1] // self.n))
 
-    def central_projections(self) -> list[np.ndarray]:
-        """The minimal central projections E_r, in ambient coordinates."""
+    def central_projections(self) -> np.ndarray:
+        """The minimal central projections E_r, in ambient coordinates, as an (r, n, n) stack."""
         block = np.repeat(np.arange(len(self.blocks)), [m * k for m, k in self.blocks])
         e = np.zeros((len(self.blocks), self.n, self.n), dtype=np.complex128)
         e[block, np.arange(self.n), np.arange(self.n)] = 1.0
-        return list(self.embed(e))
+        return self.embed(e)
 
     def k_blocks(self) -> list["KBlock"]:
         """Irreducible subspaces K_alpha of the M-action, standard-basis split.
@@ -113,17 +113,17 @@ class VnAlgebra:
         for r, (off, (m, k)) in enumerate(zip(self.block_offsets(), self.blocks)):
             for p in range(m):
                 cols = [off + p * k + i for i in range(k)]
-                out.append(KBlock(central=r, mult=p, dim=k, isometry=np.ascontiguousarray(u[:, cols])))
+                out.append(KBlock(central=r, dim=k, isometry=np.ascontiguousarray(u[:, cols])))
         return out
 
     # Values are immutable, so derived bases are computed once per instance.
     @cached_property
-    def _algebra_basis(self) -> tuple[np.ndarray, ...]:
-        return tuple(_compute_algebra_basis(self))
+    def _algebra_basis(self) -> np.ndarray:
+        return frozen_stack(_compute_algebra_basis(self), self.n, "algebra basis element")
 
     @cached_property
-    def _commutant_basis(self) -> tuple[np.ndarray, ...]:
-        return tuple(_compute_commutant(self))
+    def _commutant_basis(self) -> np.ndarray:
+        return frozen_stack(_compute_commutant(self), self.n, "commutant basis element")
 
 
 @dataclass(frozen=True)
@@ -131,7 +131,6 @@ class KBlock:
     """One irreducible subspace K_alpha; isometry columns span it."""
 
     central: int
-    mult: int
     dim: int
     isometry: np.ndarray
 
@@ -167,14 +166,16 @@ def _compute_commutant(alg: VnAlgebra) -> np.ndarray:
     return alg.embed(out)
 
 
-def algebra_basis(alg: VnAlgebra) -> list[np.ndarray]:
-    """Hilbert-Schmidt orthonormal basis of M: (1/sqrt(n_r)) I_{n_r} (x) E_uv."""
-    return list(alg._algebra_basis)
+def algebra_basis(alg: VnAlgebra) -> np.ndarray:
+    """Hilbert-Schmidt orthonormal basis of M: (1/sqrt(n_r)) I_{n_r} (x) E_uv, as the
+    algebra's cached read-only (dim M, n, n) stack."""
+    return alg._algebra_basis
 
 
-def commutant(alg: VnAlgebra) -> list[np.ndarray]:
-    """HS-orthonormal basis of M' = (+)_r M_{n_r} (x) I_{k_r}, size sum n_r^2."""
-    return list(alg._commutant_basis)
+def commutant(alg: VnAlgebra) -> np.ndarray:
+    """HS-orthonormal basis of M' = (+)_r M_{n_r} (x) I_{k_r}, as the algebra's cached
+    read-only (sum n_r^2, n, n) stack."""
+    return alg._commutant_basis
 
 
 def project_onto_span(x: np.ndarray, orthonormal: list[np.ndarray]) -> np.ndarray:

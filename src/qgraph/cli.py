@@ -60,7 +60,7 @@ from .serialize import (
     strategy_from_json,
     strategy_to_json,
 )
-from .strategies import bob_from_alice, corner_compress, dilate_block_povm, round_almost_pvm
+from .strategies import BlockStrategy, bob_from_alice, corner_compress, dilate_block_povm, round_almost_pvm
 
 PASS, FAIL, MALFORMED = 0, 1, 2
 
@@ -171,7 +171,7 @@ def _cmd_round_pvm(args, tol):
     ops = ops_from_json(_load_json(args.input))
     rounded, distance = round_almost_pvm(ops)
     report = {
-        "projections": [matrix_to_json(q) for q in rounded],
+        "projections": matrix_to_json(rounded),
         "input": check_measurement(ops, tol).to_dict(),
         "max_distance_2norm": distance,
     }
@@ -232,11 +232,16 @@ def _cmd_verify_hom(args, tol):
     return {**report, "pass": ok}, ok
 
 
-def _cmd_correlation(args, tol):
-    strat = strategy_from_json(_load_json(args.strategy))
+def _in_ancilla_algebra(strat: BlockStrategy, tol) -> BlockStrategy:
+    """The strategy, once its operators are block diagonal over its ancilla within tol."""
     defect = strat.ancilla_block_defect()
     if not defect <= tol.eps:
         raise ValueError(f"strategy leaves its ancilla algebra (ancilla_block_defect {defect:.3e})")
+    return strat
+
+
+def _cmd_correlation(args, tol):
+    strat = _in_ancilla_algebra(strategy_from_json(_load_json(args.strategy)), tol)
     if args.source == "tensor":
         x = correlation_from_tensor(bob_from_alice(strat))
     else:
@@ -277,7 +282,7 @@ def _cmd_compress(args, tol):
 
 def _cmd_embed(args, tol):
     families, ancilla = families_from_json(_load_json(args.input))
-    strat = embed_classical(families, ancilla)
+    strat = _in_ancilla_algebra(embed_classical(families, ancilla), tol)
     return strategy_to_json(strat), True
 
 
@@ -293,7 +298,7 @@ def _cmd_extract_channel(args, tol):
     rep = extract_channel(inst, strat, tol)
     report = {
         "num_kraus": rep.num_kraus,
-        "kraus": [matrix_to_json(f) for f in rep.kraus],
+        "kraus": matrix_to_json(rep.kraus),
         "choi": matrix_to_json(rep.choi),
         "subset_residual": rep.subset_residual,
     }
@@ -351,7 +356,7 @@ def _cmd_rigidity(args, tol):
         "block_sum_residual": rep.block_sum_residual,
         "total_sum_residual": rep.total_sum_residual,
         "trace_covariance_residual": rep.trace_covariance_residual,
-        "rigidity": [matrix_to_json(m) for m in rep.rigidity],
+        "rigidity": matrix_to_json(rep.rigidity),
     }
     return report, rep.passed(tol)
 

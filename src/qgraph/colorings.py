@@ -33,7 +33,7 @@ from .graphs import (
     proper_coloring,
 )
 from .homgame import GameInstance, verify_structural
-from .linalg import DEFAULT_TOL, CheckReport, Tolerance, hs_norm, matrix_unit, unit_root_power, worst_residual
+from .linalg import DEFAULT_TOL, CheckReport, Tolerance, hs_norm, unit_root_power, worst_residual
 from .strategies import BlockStrategy, TracialAncilla
 
 __all__ = [
@@ -51,10 +51,10 @@ __all__ = [
 
 
 def complete_quantum_graph(alg: VnAlgebra) -> QuantumGraph:
-    """(M_n, M, M_n): S is all of M_n."""
+    """(M_n, M, M_n): S is all of M_n, spanned by the matrix units E_ij in row-major
+    order, the rows of the identity on M_n."""
     n = alg.n
-    basis = tuple(matrix_unit(n, i, j) for i in range(n) for j in range(n))
-    return QuantumGraph(n=n, algebra=alg, s_basis=basis)
+    return QuantumGraph(n=n, algebra=alg, s_basis=np.eye(n * n).reshape(n * n, n, n))
 
 
 def _bell_projections(k: int) -> np.ndarray:
@@ -88,9 +88,7 @@ def teleport_coloring(d: int, k: int) -> BlockStrategy:
     swapped = _bell_projections(k).transpose(0, 2, 1, 4, 3)
     stack = np.einsum("xX,ciujv,yY->cxiyuXjYv", eye_d, swapped, eye_d)
     ancilla = TracialAncilla.full_matrix_block(n)
-    return BlockStrategy(
-        n=n, c=k * k, ancilla=ancilla, projections=tuple(stack.reshape(k * k, n * n, n * n))
-    )
+    return BlockStrategy(n=n, c=k * k, ancilla=ancilla, projections=stack.reshape(k * k, n * n, n * n))
 
 
 def shift_multiply_coloring(alg: VnAlgebra) -> BlockStrategy:
@@ -115,7 +113,7 @@ def shift_multiply_coloring(alg: VnAlgebra) -> BlockStrategy:
         stack[first : first + c_s, rows, :, rows, :] = block.reshape(c_s, size, d, size, d)
         first += c_s
     ancilla = TracialAncilla.full_matrix_block(d)
-    projections = tuple(alg.embed(stack.reshape(alg.dim_algebra, n * d, n * d)))
+    projections = alg.embed(stack.reshape(alg.dim_algebra, n * d, n * d))
     return BlockStrategy(n=n, c=alg.dim_algebra, ancilla=ancilla, projections=projections)
 
 
@@ -125,13 +123,8 @@ def abelian_loc_coloring(alg: VnAlgebra) -> BlockStrategy:
         raise ValueError(
             f"algebra with blocks {alg.blocks} is non-abelian; no loc coloring exists"
         )
-    projections = [e.copy() for e in alg.central_projections()]
-    return BlockStrategy(
-        n=alg.n,
-        c=len(projections),
-        ancilla=TracialAncilla.trivial(),
-        projections=tuple(projections),
-    )
+    projections = alg.central_projections()
+    return BlockStrategy(n=alg.n, c=len(projections), ancilla=TracialAncilla.trivial(), projections=projections)
 
 
 def diagonal_strategy(coloring, c: int) -> BlockStrategy:
@@ -142,7 +135,7 @@ def diagonal_strategy(coloring, c: int) -> BlockStrategy:
     """
     n = len(coloring)
     mask = np.arange(c)[:, None, None] == np.asarray(coloring)[None, :, None]
-    projections = tuple(mask * np.eye(n, dtype=np.complex128))
+    projections = mask * np.eye(n, dtype=np.complex128)
     return BlockStrategy(n=n, c=c, ancilla=TracialAncilla.trivial(), projections=projections)
 
 
@@ -154,8 +147,8 @@ class ColoringReport:
     model: str  # "loc" or "q"
     strategy: BlockStrategy
     verification: CheckReport
-    rigidity: tuple[np.ndarray, ...]  # (psi_M (x) id)(P_a) per color
-    r_values: tuple[tuple[np.ndarray, ...], ...]  # R_a^(r) per color, per block
+    rigidity: np.ndarray  # (psi_M (x) id)(P_a) per color, (c, D, D)
+    r_values: np.ndarray  # R_a^(r) per color, per block, (c, blocks, D, D)
     idempotent_residual: float  # worst |R_a^(r)^2 - R_a^(r)|
     block_sum_residual: float  # worst |sum_a R_a^(r) - k_r^2 1|
     total_sum_residual: float  # |sum_a R_a - dim(M) 1|
@@ -190,7 +183,7 @@ def rigidity_check(
         raise ValueError("strategy is not a valid coloring of the quantum complete graph")
 
     d = strategy.ancilla.dim
-    stack = alg.to_canonical(np.stack(strategy.projections))
+    stack = alg.to_canonical(strategy.projections)
 
     dim_m = alg.dim_algebra
     eye_d = np.eye(d)
@@ -222,8 +215,8 @@ def rigidity_check(
         model=model,
         strategy=strategy,
         verification=verification,
-        rigidity=tuple(rigidity),
-        r_values=tuple(tuple(per_block) for per_block in r_stack),
+        rigidity=rigidity,
+        r_values=r_stack,
         idempotent_residual=idem,
         block_sum_residual=block_sum,
         total_sum_residual=total_sum,
@@ -273,8 +266,7 @@ def chromatic_bounds(g: QuantumGraph, tol: Tolerance = DEFAULT_TOL) -> BoundsRep
     notes = []
     if len(alg.blocks) == 1:
         s = teleport_coloring(*alg.blocks[0])
-        projections = tuple(alg.embed(np.stack(s.projections)))
-        candidates.append(("q", "teleport", False, BlockStrategy(s.n, s.c, s.ancilla, projections)))
+        candidates.append(("q", "teleport", False, BlockStrategy(s.n, s.c, s.ancilla, alg.embed(s.projections))))
     if alg.is_abelian():
         candidates.append(("loc", "abelian_loc", False, abelian_loc_coloring(alg)))
     elif complete:

@@ -16,7 +16,7 @@ from .linalg import (
     Check,
     CheckReport,
     Tolerance,
-    as_matrix,
+    frozen_stack,
     worst_residual,
 )
 from .strategies import BlockStrategy, TensorStrategy, TracialAncilla
@@ -105,10 +105,10 @@ def correlation_from_tensor(strategy: TensorStrategy) -> Correlation:
     da, db = strategy.dims
     chi = strategy.chi.reshape(da, db)
     # P_{a,ij} is a D_A x D_A cell of C^n (x) H_A; Q_{b,kl} is the stride-n cell of H_B (x) C^n.
-    right = (np.stack(strategy.alice).reshape(-1, da) @ chi).reshape(c, n, da, n * db)  # [a, i, u, (j, y)]
+    right = (strategy.alice.reshape(-1, da) @ chi).reshape(c, n, da, n * db)  # [a, i, u, (j, y)]
     m = chi.conj().T @ right.transpose(2, 0, 1, 3).reshape(da, -1)  # [x, (a, i, j, y)]
     m = m.reshape(db, c * n * n, db).transpose(1, 0, 2).reshape(c * n * n, db * db)
-    q_ent = np.stack(strategy.bob).reshape(c, db, n, db, n).transpose(0, 2, 4, 1, 3)
+    q_ent = strategy.bob.reshape(c, db, n, db, n).transpose(0, 2, 4, 1, 3)
     x = m @ q_ent.reshape(c * n * n, db * db).T
     return Correlation(n=n, c=c, tensor=x.reshape(c, n, n, c, n, n).transpose(0, 3, 1, 2, 4, 5))
 
@@ -138,7 +138,7 @@ def outcome_probability(
     unnormalized = ~(np.abs(norms - 1.0) <= tol.eps * ROUNDING_SLACK)
     if unnormalized.any():
         raise ValueError(f"input state is not normalized: |Y|_F = {norms[unnormalized][0]}")
-    ps = np.stack(strategy.projections)
+    ps = strategy.projections
     c, size = ps.shape[:2]
     d, ys = size // n, y.reshape(-1, n, n)
     rows = ps.reshape(c, n, d, n, d).transpose(0, 1, 2, 4, 3).reshape(-1, n)  # [(a, i, u, v), j]
@@ -224,25 +224,18 @@ def embed_classical(
     c = len(families[0])
     if c == 0:
         raise ValueError("need at least one output per input family")
-    mats = [[as_matrix(e) for e in fam] for fam in families]
-    h = mats[0][0].shape[0]
-    for fam in mats:
-        if len(fam) != c:
-            raise ValueError("all families must have the same number of outputs")
-        for e in fam:
-            if e.shape != (h, h):
-                raise ValueError(f"operator shape {e.shape}, expected {(h, h)}")
+    if any(len(fam) != c for fam in families):
+        raise ValueError("all families must have the same number of outputs")
+    h = len(families[0][0])
+    ops = frozen_stack([e for fam in families for e in fam], h, "operator").reshape(n, c, h, h)
     if ancilla is None:
         ancilla = TracialAncilla.full_matrix_block(h) if h > 1 else TracialAncilla.trivial()
     if ancilla.dim != h:
         raise ValueError(f"ancilla dim {ancilla.dim} does not match operators on C^{h}")
-    projections = []
-    for a in range(c):
-        big = np.zeros((n * h, n * h), dtype=np.complex128)
-        for x in range(n):
-            big[x * h : (x + 1) * h, x * h : (x + 1) * h] = mats[x][a]
-        projections.append(big)
-    return BlockStrategy(n=n, c=c, ancilla=ancilla, projections=tuple(projections))
+    # P_a holds E_{a,x} in its diagonal block (x, x): [a, (x, u), (y, v)] with x = y.
+    projections = np.zeros((c, n, h, n, h), dtype=np.complex128)
+    projections[:, np.arange(n), :, np.arange(n), :] = ops
+    return BlockStrategy(n=n, c=c, ancilla=ancilla, projections=projections.reshape(c, n * h, n * h))
 
 
 def compress_to_classical(
@@ -250,7 +243,7 @@ def compress_to_classical(
 ) -> ClassicalCorrelation:
     """p(a,b|x,y) = X^{(a,b)}_{(x,x),(y,y)}; entries must be real within tolerance."""
     diag = np.einsum("abxxyy->abxy", x.tensor)
-    imag = float(np.abs(diag.imag).max())
+    imag = worst_residual(np.abs(diag.imag))[0]
     if not imag <= tol.eps * ROUNDING_SLACK:
         raise ValueError(f"compressed correlation has imaginary residual {imag:.3e}")
     return ClassicalCorrelation(n=x.n, c=x.c, p=diag.real)

@@ -22,8 +22,7 @@ from .linalg import (
     Check,
     CheckReport,
     Tolerance,
-    as_matrix,
-    matrix_unit,
+    frozen_stack,
 )
 
 __all__ = [
@@ -53,21 +52,20 @@ class QuantumGraph:
     Traceless means tr Y_i = 0 for each spanning element Y_i, that is S is
     orthogonal to the identity.  That is Weaver's irreflexive S perp M' only
     when M' = C 1; for a larger commutant it is the weaker condition.
+
+    s_basis is stored as a read-only complex (m, n, n) copy of the spanning set
+    given, so no write reaches the reports cached on the graph.
     """
 
     n: int
     algebra: VnAlgebra
-    s_basis: tuple[np.ndarray, ...]
+    s_basis: np.ndarray
     traceless: bool = False
 
     def __post_init__(self):
-        mats = tuple(as_matrix(m) for m in self.s_basis)
-        for m in mats:
-            if m.shape != (self.n, self.n):
-                raise ValueError(f"s_basis element of shape {m.shape}, expected {(self.n, self.n)}")
+        object.__setattr__(self, "s_basis", frozen_stack(self.s_basis, self.n, "s_basis element"))
         if self.algebra.n != self.n:
             raise ValueError(f"algebra lives in M_{self.algebra.n}, graph in M_{self.n}")
-        object.__setattr__(self, "s_basis", mats)
 
     def span_basis(self) -> list[np.ndarray]:
         """HS-orthonormal basis of span(S)."""
@@ -80,7 +78,7 @@ class QuantumGraph:
         span(S) and span(S)perp.  As in orthonormalize, directions at or below
         SPAN_RANK_FLOOR are left out of span(S), so they belong to the complement."""
         nn = self.n * self.n
-        stack = np.reshape(np.asarray(self.s_basis, dtype=np.complex128), (len(self.s_basis), nn))
+        stack = self.s_basis.reshape(-1, nn)
         if not len(stack):
             return stack, np.eye(nn, dtype=np.complex128)
         _, s, vh = np.linalg.svd(stack, full_matrices=len(stack) < nn)
@@ -118,7 +116,7 @@ class QuantumGraph:
         """The game's same-vertex and adjacency input spaces M' and S n (M')perp as (m, n, n) stacks,
         each with the kappa = max(|sum_Y Y Y*|_2, |sum_Y Y* Y|_2) of homgame._sandwich's bound."""
         out = []
-        for ys in (np.asarray(commutant(self.algebra)), self._adjacency_basis):
+        for ys in (commutant(self.algebra), self._adjacency_basis):
             grams = np.stack([np.einsum("kij,klj->il", ys, ys.conj()), np.einsum("kji,kjl->il", ys.conj(), ys)])
             out.append((ys, np.linalg.eigvalsh(grams)[:, -1].max()))
         return tuple(out)
@@ -152,16 +150,15 @@ def _compute_validation(g: QuantumGraph) -> CheckReport:
         """|Q vec(Z)| for each Z of an (..., n, n) stack: its distance from span(S)."""
         return np.linalg.norm(np.reshape(stack, (*stack.shape[:-2], n * n)) @ perp.conj().T, axis=-1)
 
-    basis = np.reshape(np.asarray(g.s_basis, dtype=np.complex128), (len(g.s_basis), n, n))
     checks = [
-        Check.of("self_adjoint", distances(basis.conj().transpose(0, 2, 1)), tol, "basis_index")
+        Check.of("self_adjoint", distances(g.s_basis.conj().transpose(0, 2, 1)), tol, "basis_index")
     ]
     if g.traceless:
-        traces = [abs(np.trace(y)) for y in g.s_basis]
+        traces = np.abs(np.trace(g.s_basis, axis1=1, axis2=2))
         checks.append(Check.of("traceless", traces, tol, "basis_index"))
     else:
         checks.append(Check.of("operator_system", distances(np.eye(n)), tol))
-    bimodule = _bimodule_distances(g.algebra, basis, perp.reshape(-1, n, n))
+    bimodule = _bimodule_distances(g.algebra, g.s_basis, perp.reshape(-1, n, n))
     checks.append(Check.of("bimodule", bimodule, tol, "comm_left", "comm_right", "basis_index"))
     return CheckReport(tuple(checks))
 
@@ -321,14 +318,12 @@ class ClassicalGraph:
 
 
 def graph_operator_system(g: ClassicalGraph) -> QuantumGraph:
-    """S_G = span({E_ii} u {E_ij : i ~ j}) over the diagonal algebra D_n."""
+    """S_G = span({E_ii} u {E_ij : i ~ j}) over the diagonal algebra D_n: the E_ii,
+    then E_ij and E_ji for each edge (i, j), as rows of the identity on M_n."""
     n = g.vertices
-    basis = [matrix_unit(n, i, i) for i in range(n)]
-    for i, j in g.edges:
-        basis.append(matrix_unit(n, i, j))
-        basis.append(matrix_unit(n, j, i))
+    units = [i * n + i for i in range(n)] + [u for i, j in g.edges for u in (i * n + j, j * n + i)]
     diag = VnAlgebra(n=n, blocks=tuple((1, 1) for _ in range(n)))
-    return QuantumGraph(n=n, algebra=diag, s_basis=tuple(basis))
+    return QuantumGraph(n=n, algebra=diag, s_basis=np.eye(n * n)[units].reshape(len(units), n, n))
 
 
 def classical_graph_from_operator_system(

@@ -153,11 +153,11 @@ def verify_operational(
 class ChannelRep:
     """Kraus form of the CPTP map extracted from a winning PVM.
 
-    kraus[i] maps C^{n D} -> C^c; choi is the (positive) Choi matrix of the
-    map X -> sum_i F_i X F_i*.
+    kraus is the (nD, c, nD) stack of the F_i, each mapping C^{n D} -> C^c; choi
+    is the (positive) Choi matrix of the map X -> sum_i F_i X F_i*.
     """
 
-    kraus: tuple[np.ndarray, ...]
+    kraus: np.ndarray
     choi: np.ndarray
     subset_residual: float
 
@@ -193,7 +193,7 @@ def extract_channel(
     if worst > tol.eps:
         raise ValueError(f"channel subset conditions violated (residual {worst:.3e})")
     return ChannelRep(
-        kraus=tuple(stack),
+        kraus=stack,
         choi=choi.reshape(size * c, size * c),
         subset_residual=worst,
     )
@@ -265,4 +265,4 @@ def compose_reps(
         kron = np.einsum("aijxy,avzw->vijxzyw", ents[..., sa, sa], f[:, :, sb, sb])
         q[..., sn, sn] = kron.reshape(r, n, n, size, size)
     projections = q.transpose(0, 1, 3, 2, 4).reshape(r, n * d_new, n * d_new)
-    return BlockStrategy(n=n, c=r, ancilla=new_ancilla, projections=tuple(projections))
+    return BlockStrategy(n=n, c=r, ancilla=new_ancilla, projections=projections)

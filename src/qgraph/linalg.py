@@ -20,6 +20,7 @@ __all__ = [
     "worst_residual",
     "POVM_CHECKS",
     "as_matrix",
+    "frozen_stack",
     "square_stack",
     "matrix_unit",
     "hs_norm",
@@ -171,6 +172,18 @@ def as_matrix(m) -> np.ndarray:
     return a
 
 
+def frozen_stack(family, size: int, what: str) -> np.ndarray:
+    """An owned, read-only complex (m, size, size) copy of a family (a sequence or an array)
+    of size x size matrices; what names one element in the ValueError for any other shape."""
+    stack = np.array(family, dtype=np.complex128)
+    if not len(stack):
+        stack = stack.reshape(0, size, size)
+    if stack.shape[1:] != (size, size):
+        raise ValueError(f"{what} of shape {stack.shape[1:]}, expected {(size, size)}")
+    stack.flags.writeable = False
+    return stack
+
+
 def matrix_unit(n: int, i: int, j: int) -> np.ndarray:
     """Matrix unit E_ij in M_n (0-based)."""
     e = np.zeros((n, n), dtype=np.complex128)
@@ -234,17 +247,10 @@ POVM_CHECKS = ("hermitian", "positivity", "sum")
 
 
 def square_stack(ops) -> np.ndarray:
-    """A non-empty family of square matrices of one size, as a (c, N, N) stack."""
+    """A non-empty family of square matrices of one size, as a read-only (c, N, N) stack."""
     if len(ops) == 0:
         raise ValueError("measurement must have at least one operator")
-    mats = [as_matrix(p) for p in ops]
-    shape = mats[0].shape
-    if shape[0] != shape[1]:
-        raise ValueError(f"measurement operators must be square, got {shape}")
-    for p in mats:
-        if p.shape != shape:
-            raise ValueError(f"shape mismatch: {p.shape} vs {shape}")
-    return np.stack(mats)
+    return frozen_stack(ops, len(ops[0]), "measurement operator")
 
 
 def check_measurement(ops, tol: Tolerance = DEFAULT_TOL) -> CheckReport:

@@ -174,7 +174,7 @@ def graph_to_json(g: QuantumGraph) -> dict:
     return {
         "n": g.n,
         "algebra": algebra_to_json(g.algebra),
-        "s_basis": [matrix_to_json(m) for m in g.s_basis],
+        "s_basis": matrix_to_json(g.s_basis),
         "traceless": g.traceless,
     }
 
@@ -182,7 +182,7 @@ def graph_to_json(g: QuantumGraph) -> dict:
 def graph_from_json(obj, path: str = "") -> QuantumGraph:
     n = _as_int(_require(obj, "n", path), f"{path}/n", minimum=1)
     alg = algebra_from_json(_require(obj, "algebra", path), f"{path}/algebra")
-    basis = tuple(_matrices(_require(obj, "s_basis", path), f"{path}/s_basis", (n, n)))
+    basis = _matrices(_require(obj, "s_basis", path), f"{path}/s_basis", (n, n))
     traceless = obj.get("traceless", False)
     if not isinstance(traceless, bool):
         raise SchemaError(f"{path}/traceless", f"expected a boolean, got {traceless!r}")
@@ -247,7 +247,7 @@ def strategy_to_json(s: BlockStrategy) -> dict:
         "n": s.n,
         "c": s.c,
         "ancilla": _ancilla_to_json(s.ancilla),
-        "projections": [matrix_to_json(p) for p in s.projections],
+        "projections": matrix_to_json(s.projections),
     }
 
 
@@ -256,7 +256,7 @@ def strategy_from_json(obj, path: str = "") -> BlockStrategy:
     c = _as_int(_require(obj, "c", path), f"{path}/c", minimum=1)
     ancilla = _ancilla_from_json(_require(obj, "ancilla", path), f"{path}/ancilla")
     size = n * ancilla.dim
-    projections = tuple(_matrices(_require(obj, "projections", path), f"{path}/projections", (size, size), c))
+    projections = _matrices(_require(obj, "projections", path), f"{path}/projections", (size, size), c)
     return BlockStrategy(n=n, c=c, ancilla=ancilla, projections=projections)
 
 

@@ -23,6 +23,7 @@ from .linalg import (
     as_matrix,
     canonical_shuffle,
     check_measurement,
+    frozen_stack,
     psd_sqrt,
     square_stack,
     worst_residual,
@@ -98,13 +99,15 @@ class TracialAncilla:
             t[sl] = w / d
         return t
 
+    def block_mask(self) -> np.ndarray:
+        """The D x D boolean mask of the block-diagonal algebra."""
+        block = np.repeat(np.arange(len(self.block_dims)), self.block_dims)
+        return block[:, None] == block
+
     def block_defect(self, x: np.ndarray) -> float:
         """Frobenius norm of the part of x, or of a (..., D, D) stack, outside the
         block-diagonal algebra."""
-        mask = np.zeros((self.dim, self.dim), dtype=bool)
-        for sl in self.block_slices():
-            mask[sl, sl] = True
-        return float(np.linalg.norm(np.where(mask, 0.0, x)))
+        return float(np.linalg.norm(np.where(self.block_mask(), 0.0, x)))
 
     def tensor(self, other: "TracialAncilla") -> "TracialAncilla":
         """Tensor-product ancilla with blocks (d_s e_t) in lexicographic order."""
@@ -115,22 +118,22 @@ class TracialAncilla:
 
 @dataclass(frozen=True)
 class BlockStrategy:
-    """PVM (or POVM, for embeddings) in M_n(A) over a tracial ancilla A."""
+    """PVM (or POVM, for embeddings) in M_n(A) over a tracial ancilla A.
+
+    projections is stored as a read-only complex (c, nD, nD) copy of the
+    operators given, so no write reaches the reports cached on the strategy.
+    """
 
     n: int
     c: int
     ancilla: TracialAncilla
-    projections: tuple[np.ndarray, ...]
+    projections: np.ndarray
 
     def __post_init__(self):
-        mats = tuple(as_matrix(p) for p in self.projections)
-        if len(mats) != self.c:
-            raise ValueError(f"expected {self.c} operators, got {len(mats)}")
+        if len(self.projections) != self.c:
+            raise ValueError(f"expected {self.c} operators, got {len(self.projections)}")
         size = self.n * self.ancilla.dim
-        for p in mats:
-            if p.shape != (size, size):
-                raise ValueError(f"operator of shape {p.shape}, expected {(size, size)}")
-        object.__setattr__(self, "projections", mats)
+        object.__setattr__(self, "projections", frozen_stack(self.projections, size, "operator"))
 
     def entry(self, a: int, i: int, j: int) -> np.ndarray:
         """The D x D entry P_{a,ij}."""
@@ -140,16 +143,17 @@ class BlockStrategy:
     def entries(self) -> np.ndarray:
         """All entries as an array of shape (c, n, n, D, D)."""
         d = self.ancilla.dim
-        stack = np.stack(self.projections)
-        return stack.reshape(self.c, self.n, d, self.n, d).transpose(0, 1, 3, 2, 4)
+        return self.projections.reshape(self.c, self.n, d, self.n, d).transpose(0, 1, 3, 2, 4)
 
     def measurement_report(self, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
         """check_measurement of the P_a, decided at tol; the residuals are computed once."""
         return self._measurement.at(tol)
 
     def ancilla_block_defect(self) -> float:
-        """Worst violation of the ancilla's block-diagonal structure by any P_a."""
-        return worst_residual([self.ancilla.block_defect(p) for p in self.entries()])[0]
+        """Worst violation of the ancilla's block-diagonal structure by any P_a: the
+        largest Frobenius norm of the entries of one P_a outside the blocks."""
+        outside = np.where(self.ancilla.block_mask(), 0.0, self.entries())
+        return worst_residual(np.linalg.norm(outside.reshape(self.c, -1), axis=1))[0]
 
     def is_loc(self, tol: Tolerance = DEFAULT_TOL) -> bool:
         """True when the entries E = {P_{a,ij}} *-commute: L(E) <= tol.eps, with
@@ -168,7 +172,7 @@ class BlockStrategy:
     @cached_property
     def factors(self) -> OutcomeFactors | None:
         """round_outcomes of the P_a: None when an entry is not finite."""
-        return round_outcomes(np.stack(self.projections))
+        return round_outcomes(self.projections)
 
 
 @dataclass(frozen=True)
@@ -243,44 +247,38 @@ def _star_commutator_norm(ents: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class TensorStrategy:
-    """Tensor-product strategy: Alice on C^n (x) H_A, Bob on H_B (x) C^n."""
+    """Tensor-product strategy: Alice on C^n (x) H_A, Bob on H_B (x) C^n.
+
+    alice and bob are stored as read-only complex (c, n D_A, n D_A) and
+    (c, D_B n, D_B n) copies of the operators given, chi as a read-only copy
+    of the state's D_A D_B amplitudes.
+    """
 
     dims: tuple[int, int]
-    alice: tuple[np.ndarray, ...]
-    bob: tuple[np.ndarray, ...]
+    alice: np.ndarray
+    bob: np.ndarray
     chi: np.ndarray
 
     def __post_init__(self):
         da, db = self.dims
         if not (da >= 1 and db >= 1):
             raise ValueError(f"dims of H_A and H_B must be positive, got {tuple(self.dims)}")
-        alice = tuple(as_matrix(p) for p in self.alice)
-        bob = tuple(as_matrix(q) for q in self.bob)
-        chi = np.asarray(self.chi, dtype=np.complex128).reshape(-1)
-        if len(alice) != len(bob):
-            raise ValueError(f"Alice has {len(alice)} operators, Bob has {len(bob)}")
-        if not alice:
+        if len(self.alice) != len(self.bob):
+            raise ValueError(f"Alice has {len(self.alice)} operators, Bob has {len(self.bob)}")
+        if not len(self.alice):
             raise ValueError("a tensor strategy needs at least one operator per party")
-        n = self.n
-        for p in alice:
-            if p.shape != (n * da, n * da):
-                raise ValueError(f"Alice operator shape {p.shape} inconsistent with dims")
-        for q in bob:
-            if q.shape != (db * n, db * n):
-                raise ValueError(f"Bob operator shape {q.shape} inconsistent with dims")
+        n = len(self.alice[0]) // da  # a size that da does not divide fails the shape check
+        chi = np.array(self.chi, dtype=np.complex128).reshape(-1)
         if chi.size != da * db:
             raise ValueError(f"state has {chi.size} amplitudes, expected {da * db}")
-        object.__setattr__(self, "alice", alice)
-        object.__setattr__(self, "bob", bob)
+        chi.flags.writeable = False
+        object.__setattr__(self, "alice", frozen_stack(self.alice, n * da, "Alice operator"))
+        object.__setattr__(self, "bob", frozen_stack(self.bob, db * n, "Bob operator"))
         object.__setattr__(self, "chi", chi)
 
     @property
     def n(self) -> int:
-        da = self.dims[0]
-        size = as_matrix(self.alice[0]).shape[0]
-        if size % da != 0:
-            raise ValueError("Alice operator size not divisible by dim H_A")
-        return size // da
+        return self.alice.shape[1] // self.dims[0]
 
     @property
     def c(self) -> int:
@@ -356,17 +354,18 @@ def dilate_block_povm(
     return [canonical_shuffle(s, outer=c + 1, inner=n) for s in dilated]
 
 
-def round_almost_pvm(ops) -> tuple[list[np.ndarray], float]:
+def round_almost_pvm(ops) -> tuple[np.ndarray, float]:
     """Round a family of almost-projections to an exact PVM by round_outcomes, the
-    rounding every game check reads.  Succeeds on finite input; returns the projections
-    and their max operator-norm distance to the input, the quality of the rounding.
+    rounding every game check reads.  Succeeds on finite input; returns the projections,
+    as a (c, N, N) stack, and their max operator-norm distance to the input, the
+    quality of the rounding.
     """
     stack = square_stack(ops)
     rounding = round_outcomes(stack)
     if rounding is None:
         raise ValueError("operators have non-finite entries")
     dist = np.linalg.norm(rounding.projections - stack, ord=2, axis=(-2, -1))
-    return list(rounding.projections), worst_residual(dist)[0]
+    return rounding.projections, worst_residual(dist)[0]
 
 
 def bob_from_alice(strategy: BlockStrategy) -> TensorStrategy:
@@ -381,6 +380,6 @@ def bob_from_alice(strategy: BlockStrategy) -> TensorStrategy:
     """
     n, c, d = strategy.n, strategy.c, strategy.ancilla.dim
     chi = np.diag(np.sqrt(strategy.ancilla.trace_diagonal())).reshape(-1)
-    bob = np.conj(np.stack(strategy.projections)).reshape(c, n, d, n, d)
+    bob = np.conj(strategy.projections).reshape(c, n, d, n, d)
     bob = bob.transpose(0, 2, 1, 4, 3).reshape(c, d * n, d * n)
-    return TensorStrategy(dims=(d, d), alice=strategy.projections, bob=tuple(bob), chi=chi)
+    return TensorStrategy(dims=(d, d), alice=strategy.projections, bob=bob, chi=chi)

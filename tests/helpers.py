@@ -316,7 +316,7 @@ def conjugate(u, mats):
 
 
 def merge_first_two(s):
-    merged = (s.projections[0] + s.projections[1],) + s.projections[2:]
+    merged = (s.projections[0] + s.projections[1],) + tuple(s.projections[2:])
     return BlockStrategy(n=s.n, c=s.c - 1, ancilla=s.ancilla, projections=merged)
 
 
@@ -347,3 +347,18 @@ def ladder_cases():
     yield "S_C5 winning", g, ClassicalGraph.complete(3), s, True
     yield "S_C5 merged", g, ClassicalGraph.complete(2), merge_first_two(s), False
     yield "S_C5 rotated", g, ClassicalGraph.complete(3), rotate(rng, s), False
+
+
+def reference_ancilla_block_defect(strategy: BlockStrategy) -> float:
+    """The per-outcome loop that BlockStrategy.ancilla_block_defect replaced, kept as its reference."""
+    return worst_residual([strategy.ancilla.block_defect(p) for p in strategy.entries()])[0]
+
+
+def reference_embed_projections(families) -> np.ndarray:
+    """The per-block loop that correlations.embed_classical replaced, kept as its reference."""
+    n, c, h = len(families), len(families[0]), len(families[0][0])
+    out = np.zeros((c, n * h, n * h), dtype=np.complex128)
+    for a in range(c):
+        for x in range(n):
+            out[a, x * h : (x + 1) * h, x * h : (x + 1) * h] = families[x][a]
+    return out

@@ -27,12 +27,14 @@ from helpers import (
     random_povm,
     random_pvm,
     reference_algebra_basis,
+    reference_ancilla_block_defect,
     reference_bob_from_alice,
     reference_central_projections,
     reference_commutant,
     reference_correlation_from_tensor,
     reference_correlation_from_trace,
     reference_diagonal_projections,
+    reference_embed_projections,
     reference_shift_multiply_projections,
     reference_synchronous_identities,
     reference_teleport_projections,
@@ -592,7 +594,7 @@ def validate_cases():
     cycle = conjugate(v, graph_operator_system(ClassicalGraph.cycle(5)).s_basis)
     yield "S_C5, redundant", QuantumGraph(5, g.algebra, cycle + (cycle[5] + cycle[6], 2 * cycle[0]))
     g = complete_quantum_graph(VnAlgebra(n=2, blocks=((1, 2),), unitary=rand_unitary(rng, 2)))
-    yield "M_2 complete, redundant", QuantumGraph(2, g.algebra, g.s_basis + random_matrices(rng, 2, 2))
+    yield "M_2 complete, redundant", QuantumGraph(2, g.algebra, tuple(g.s_basis) + random_matrices(rng, 2, 2))
     yield "empty", QuantumGraph(n=3, algebra=VnAlgebra(n=3, blocks=((1, 1),) * 3), s_basis=())
     yield "traceless", QuantumGraph(
         n=2,
@@ -1179,7 +1181,7 @@ def rigidity_cases():
     zero = np.zeros_like(s.projections[0])
     # One colour more than dim M: not minimal.
     yield "C+M_2 plus an empty colour", alg, BlockStrategy(
-        n=s.n, c=s.c + 1, ancilla=s.ancilla, projections=s.projections + (zero,)
+        n=s.n, c=s.c + 1, ancilla=s.ancilla, projections=tuple(s.projections) + (zero,)
     )
 
 
@@ -1228,7 +1230,7 @@ def test_sandwich_kernel_matches_reference_loop(label, g, target, s, wins):
     for mats in (commutant(g.algebra), list(g._adjacency_basis), []):
         stack = np.reshape(mats, (-1, s.n, s.n))
         # Another orthonormal basis of the same span.
-        mixed = np.einsum("kl,lij->kij", rand_unitary(rng, len(mats)), stack) if mats else stack
+        mixed = np.einsum("kl,lij->kij", rand_unitary(rng, len(mats)), stack) if len(mats) else stack
         for mask in masks:
             for weights in (None, rng.random(size)):
                 ref = reference_sandwich(s, mats, mask, np.ones(size) if weights is None else weights)
@@ -2017,6 +2019,34 @@ def test_algebra_bases_match_reference_loops(blocks, rotated):
     ):
         assert len(new) == len(old)
         assert_same_bits(np.stack(new), np.stack(old))
+
+
+@pytest.mark.parametrize("n, c, h", [(1, 1, 1), (2, 3, 2), (3, 2, 3)])
+def test_embed_classical_matches_reference_loop(n, c, h):
+    families = [random_povm(np.random.default_rng(2043 + x), h, c) for x in range(n)]
+    assert_same_bits(embed_classical(families).projections, reference_embed_projections(families))
+
+
+# One norm per outcome, or per traced matrix, replaced one per entry: the sums and the
+# modulus of a complex number round in another order, within a few ulps of the reference.
+REORDERED_RTOL = 64 * np.finfo(np.float64).eps
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_ancilla_block_defect_matches_reference_loop(seed):
+    rng = np.random.default_rng(2044 + seed)
+    for s in (block_mixing_strategy(rng), random_block_strategy(rng, 2, 3, (2, 1, 1))):
+        assert s.ancilla_block_defect() == pytest.approx(reference_ancilla_block_defect(s), rel=REORDERED_RTOL, abs=0)
+
+
+@pytest.mark.parametrize("n", [2, 5, 9])
+def test_traceless_residual_matches_reference_loop(n):
+    rng = np.random.default_rng(2045 + n)
+    g = QuantumGraph(n, VnAlgebra(n=n, blocks=((1, n),)), random_matrices(rng, n, 6), traceless=True)
+    reference = [abs(np.trace(y)) for y in g.s_basis]
+    check = validate(g).check("traceless")
+    assert check.max_residual == pytest.approx(max(reference), rel=REORDERED_RTOL, abs=0)
+    assert check.witness == {"basis_index": int(np.argmax(reference))}
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])

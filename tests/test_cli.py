@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from helpers import block_mixing_strategy, random_block_strategy, random_povm
-from qgraph import ClassicalGraph, VnAlgebra, graph_operator_system
+from qgraph import ClassicalGraph, TracialAncilla, VnAlgebra, embed_classical, graph_operator_system
 from qgraph import cli
 from qgraph.cli import main
 from qgraph.colorings import complete_quantum_graph
@@ -214,6 +214,21 @@ def test_embed_refuses_an_ancilla_of_another_dim_with_pointer(tmp_path, capsys):
     assert main(["embed", write(tmp_path, "fam.json", doc)]) == 2
     out, err = capsys.readouterr()
     assert out == "" and json.loads(err)["pointer"] == "/ancilla"
+
+
+def test_embed_refuses_a_family_outside_its_ancilla_algebra(tmp_path, capsys):
+    # E_0 = |+><+| and E_1 = 1 - E_0 on C^2 are not block diagonal over the ancilla
+    # C + C, so embed refuses the strategy it would write, with correlation's error.
+    plus = np.full((2, 2), 0.5)
+    families = [[plus, np.eye(2) - plus]]
+    doc = {"n": 1, "c": 2, "h": 2, "families": [[matrix_to_json(e) for e in families[0]]],
+           "ancilla": {"block_dims": [1, 1]}}
+    assert main(["embed", write(tmp_path, "fam.json", doc)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "ancilla_block_defect" in json.loads(err)["error"]
+    strategy = strategy_to_json(embed_classical(families, TracialAncilla((1, 1))))
+    assert main(["correlation", "--strategy", write(tmp_path, "s.json", strategy)]) == 1
+    assert capsys.readouterr() == ("", err)
 
 
 def test_extract_channel_command(tmp_path, m2_graph_file, capsys):
