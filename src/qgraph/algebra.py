@@ -15,7 +15,7 @@ import numpy as np
 
 from .linalg import (
     FRAME_RESIDUAL, GENERIC_WINDOW, GENERIC_ZERO, NULLSPACE_ABS_FLOOR, NULLSPACE_FLOOR, SPAN_RANK_FLOOR,
-    UNITARY_DEFECT, as_matrix, frozen_stack, hs_norm, worst_residual,
+    UNITARY_DEFECT, frozen_stack, hs_norm, worst_residual,
 )
 
 __all__ = [
@@ -196,15 +196,11 @@ def orthonormalize(mats) -> list[np.ndarray]:
     Uses an SVD of the stacked, flattened family; singular directions at or
     below SPAN_RANK_FLOOR (relative to the largest) are discarded.
     """
-    mats = [as_matrix(m) for m in mats]
-    if not mats:
+    stack = np.asarray(mats, dtype=np.complex128)
+    if not len(stack):
         return []
-    shape = mats[0].shape
-    stack = np.stack([m.ravel() for m in mats])
-    _, s, vh = np.linalg.svd(stack, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return []
-    return list(vh[s > SPAN_RANK_FLOOR * s[0]].reshape(-1, *shape))
+    _, s, vh = np.linalg.svd(stack.reshape(len(stack), -1), full_matrices=False)
+    return list(vh[s > SPAN_RANK_FLOOR * s[0]].reshape(-1, *stack.shape[1:]))
 
 
 def _nullspace(mat: np.ndarray) -> np.ndarray:
@@ -255,17 +251,15 @@ def normal_form(generators) -> tuple[VnAlgebra, np.ndarray]:
     U, U* b U in the canonical algebra and sum n_r^2 = dim A' together
     certify the result.
     """
-    generators = [as_matrix(g) for g in generators]
-    if not generators:
+    if not len(generators):
         raise ValueError("need at least one generator")
-    n = generators[0].shape[0]
-    if any(g.shape != (n, n) for g in generators):
-        raise ValueError(f"generator shapes {[g.shape for g in generators]} are not all {(n, n)}")
-    if not all(np.isfinite(g).all() for g in generators):
+    generators = frozen_stack(generators, len(generators[0]), "generator")
+    n = generators.shape[-1]
+    if not np.isfinite(generators).all():
         raise ValueError("generators have non-finite entries")
-    if not any(g.any() for g in generators):
+    if not generators.any():
         raise ValueError("generators are all zero, so they generate no unital algebra")
-    basis = orthonormalize(generators + [g.conj().T for g in generators])
+    basis = orthonormalize(np.concatenate([generators, generators.conj().transpose(0, 2, 1)]))
 
     # A *-algebra contains I exactly when its generators and their adjoints
     # have no common kernel vector.

@@ -152,7 +152,7 @@ def _cmd_dilate(args, tol):
     ops, n, h = povm_from_json(_load_json(args.input))
     c = len(ops)
     dilated = dilate_block_povm(ops, n=n, h=h, tol=tol)
-    corner = [np.linalg.norm(corner_compress(p, n, c, h) - q) for p, q in zip(dilated, ops)]
+    corner = np.linalg.norm(corner_compress(dilated, n, c, h) - ops, axis=(-2, -1))
     rep = CheckReport(
         check_measurement(dilated, tol).checks
         + (Check.of("corner", corner, Tolerance(tol.eps * ROUNDING_SLACK), "a"),)
@@ -161,7 +161,7 @@ def _cmd_dilate(args, tol):
         "n": n,
         "c": c,
         "h": h,
-        "projections": [matrix_to_json(p) for p in dilated],
+        "projections": matrix_to_json(dilated),
         **rep.to_dict(),
     }
     return report, rep.passed

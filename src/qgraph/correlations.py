@@ -16,7 +16,6 @@ from .linalg import (
     Check,
     CheckReport,
     Tolerance,
-    frozen_stack,
     worst_residual,
 )
 from .strategies import BlockStrategy, TensorStrategy, TracialAncilla
@@ -193,6 +192,11 @@ class IdentityReport:
 
 
 def synchronous_identities(x: Correlation, tol: Tolerance = DEFAULT_TOL) -> IdentityReport:
+    """Residuals of the four identities of a synchronous correlation X: (1) X^{(a,b)}_{(i,i),(j,j)} >= 0,
+    (2) X^{(a,b)}_{(i,j),(k,l)} = conj(X^{(a,b)}_{(j,i),(l,k)}), (3) sum_k X^{(a,b)}_{(i,k),(j,k)} = 0 for
+    a != b and (4) sum_a sum_k X^{(a,a)}_{(i,k),(j,k)} = delta_ij, (3) and (4) on the row and column sums.
+    tol is not read here: IdentityReport.passed(tol) decides, and the callers still pass tol.
+    """
     t = x.tensor
     diag_entries = np.einsum("abiijj->abij", t)
     positivity = worst_residual([np.abs(diag_entries.imag), np.maximum(-diag_entries.real, 0.0)])[0]
@@ -214,20 +218,16 @@ def embed_classical(
 ) -> BlockStrategy:
     """Embed n families of c-output POVMs on H as one block POVM: P_a = (+)_x E_{a,x}.
 
-    families[x][a] is the operator for input x and output a.  The resulting
-    correlation vanishes off the diagonal entries, which is the image of the
-    classical correlation set inside the quantum-input one.
+    families[x][a], of one (n, c, h, h) array, is the operator for input x and
+    output a.  The resulting correlation vanishes off the diagonal entries, which
+    is the image of the classical correlation set inside the quantum-input one.
     """
-    n = len(families)
-    if n == 0:
-        raise ValueError("need at least one input family")
-    c = len(families[0])
-    if c == 0:
-        raise ValueError("need at least one output per input family")
-    if any(len(fam) != c for fam in families):
-        raise ValueError("all families must have the same number of outputs")
-    h = len(families[0][0])
-    ops = frozen_stack([e for fam in families for e in fam], h, "operator").reshape(n, c, h, h)
+    ops = np.asarray(families, dtype=np.complex128)
+    if not ops.size:
+        raise ValueError("need at least one input family and at least one output per family")
+    if ops.ndim != 4 or ops.shape[2] != ops.shape[3]:
+        raise ValueError(f"families of shape {ops.shape}, expected (n, c, h, h)")
+    n, c, h = ops.shape[:3]
     if ancilla is None:
         ancilla = TracialAncilla.full_matrix_block(h) if h > 1 else TracialAncilla.trivial()
     if ancilla.dim != h:

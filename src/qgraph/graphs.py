@@ -210,7 +210,7 @@ def _bimodule_distances(alg: VnAlgebra, ys: np.ndarray, perp: np.ndarray) -> np.
 
 @dataclass(frozen=True)
 class EdgeBasisElement:
-    matrix: np.ndarray
+    matrix: np.ndarray  # read-only: the basis is cached on its graph
     tag: str  # SAME_VERTEX or ADJACENCY
     block: tuple[int, int]  # indices into the flattened K-block list
 
@@ -256,6 +256,8 @@ def _compute_edge_basis(g: QuantumGraph) -> EdgeBasis:
             for v in vh[s >= 0.5]:
                 y = wa @ v.reshape(ka.dim, kb.dim) @ wb.conj().T
                 elements.append(EdgeBasisElement(y, ADJACENCY, (a_idx, b_idx)))
+    for e in elements:
+        e.matrix.flags.writeable = False
     return EdgeBasis(tuple(elements), tuple(k.dim for k in kblocks))
 
 

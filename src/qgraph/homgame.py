@@ -230,24 +230,21 @@ def compose_reps(
 ) -> BlockStrategy:
     """Compose a strategy for target K_c with a representation of Hom(K_c, K_r).
 
-    hom_rep[a][v] are self-adjoint idempotents over the hom ancilla with
-    sum_v f_{a,v} = 1 for each a and f_{a,v} f_{b,v} = 0 for a != b.  The
-    output entries are q_{v,ij} = sum_a p_{a,ij} (x) f_{a,v} over the
-    tensor-product ancilla.
+    hom_rep[a][v], of one (c, r, e, e) array, are self-adjoint idempotents over
+    the hom ancilla with sum_v f_{a,v} = 1 for each a and f_{a,v} f_{b,v} = 0
+    for a != b.  The output entries are q_{v,ij} = sum_a p_{a,ij} (x) f_{a,v}
+    over the tensor-product ancilla.
     """
-    c = strategy.c
-    if len(hom_rep) != c:
-        raise ValueError(f"hom representation must have {c} input rows")
-    r = len(hom_rep[0])
-    e = hom_ancilla.dim
-    f = [[np.asarray(m, dtype=np.complex128).reshape(e, e) for m in row] for row in hom_rep]
-    if any(len(row) != r for row in f):
-        raise ValueError("ragged hom representation")
+    c, e = strategy.c, hom_ancilla.dim
+    f = np.asarray(hom_rep, dtype=np.complex128)  # axes (a, v, z, w)
+    if f.ndim != 4 or f.shape[0] != c or f.shape[2:] != (e, e):
+        raise ValueError(f"hom representation of shape {f.shape}, expected ({c}, r, {e}, {e})")
+    r = f.shape[1]
 
     # Each row {f_{a,v}}_v is a PVM and each column {f_{a,v}}_a is orthogonal.
     rows = [check_measurement(row, tol) for row in f]
     residuals = [m.check(name).max_residual for m in rows for name in ("hermitian", "idempotency", "sum")]
-    residuals += [check_measurement(col, tol).check("orthogonality").max_residual for col in zip(*f)]
+    residuals += [check_measurement(col, tol).check("orthogonality").max_residual for col in f.swapaxes(0, 1)]
     worst = worst_residual(residuals)[0]
     if worst > tol.eps:
         raise ValueError(f"hom representation fails the K_c -> K_r relations ({worst:.3e})")
@@ -255,7 +252,6 @@ def compose_reps(
     new_ancilla = strategy.ancilla.tensor(hom_ancilla)
     n, d_new = strategy.n, new_ancilla.dim
     ents = strategy.entries()  # axes (a, i, j, x, y)
-    f = np.array(f)  # axes (a, v, z, w)
     # q_{v,ij} is block diagonal over the tensor ancilla: its blocks, in
     # lexicographic order, are sum_a p_{a,ij}[sa, sa] (x) f_{a,v}[sb, sb].
     q = np.zeros((r, n, n, d_new, d_new), dtype=np.complex128)

@@ -19,7 +19,6 @@ __all__ = [
     "CheckReport",
     "worst_residual",
     "POVM_CHECKS",
-    "as_matrix",
     "frozen_stack",
     "square_stack",
     "matrix_unit",
@@ -164,14 +163,6 @@ class CheckReport:
         }
 
 
-def as_matrix(m) -> np.ndarray:
-    """Coerce input to a 2-D complex matrix, rejecting anything else."""
-    a = np.asarray(m, dtype=np.complex128)
-    if a.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got ndim={a.ndim}")
-    return a
-
-
 def frozen_stack(family, size: int, what: str) -> np.ndarray:
     """An owned, read-only complex (m, size, size) copy of a family (a sequence or an array)
     of size x size matrices; what names one element in the ValueError for any other shape."""
@@ -199,38 +190,39 @@ def hs_norm(a) -> float:
 def canonical_shuffle(m, outer: int, inner: int) -> np.ndarray:
     """Reindex from an M_outer(M_inner(...)) layout to M_inner(M_outer(...)).
 
-    A permutation similarity swapping the two leading tensor legs.  The matrix
-    size must be divisible by outer*inner; any remaining factor is kept as an
-    untouched trailing leg (the B(H) slot in block-operator matrices).
+    A permutation similarity swapping the two leading tensor legs, of each matrix
+    of a (..., size, size) stack.  The size must be divisible by outer*inner; any
+    remaining factor is an untouched trailing leg (the B(H) slot of block operators).
     """
-    m = as_matrix(m)
-    size = m.shape[0]
-    if m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got {m.shape}")
+    m = np.asarray(m, dtype=np.complex128)
+    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
+    size = m.shape[-1]
     if outer < 1 or inner < 1 or size % (outer * inner) != 0:
         raise ValueError(f"size {size} not divisible by {outer}*{inner}")
-    rest = size // (outer * inner)
-    t = m.reshape(outer, inner, rest, outer, inner, rest)
-    t = t.transpose(1, 0, 2, 4, 3, 5)
-    return np.ascontiguousarray(t.reshape(size, size))
+    rest, k = size // (outer * inner), m.ndim - 2
+    t = m.reshape(*m.shape[:-2], outer, inner, rest, outer, inner, rest)
+    t = t.transpose(*range(k), k + 1, k, k + 2, k + 4, k + 3, k + 5)
+    return np.ascontiguousarray(t.reshape(m.shape))
 
 
 def hermitian_eig(a, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of each Hermitian matrix of a (..., k, k) stack.
 
-    Returns (eigenvalues ascending, eigenvector columns).  Rejects inputs whose
-    anti-Hermitian part exceeds the tolerance.
+    Returns (eigenvalues ascending, eigenvector columns).  Rejects inputs in which
+    the anti-Hermitian part of a matrix exceeds the tolerance.
     """
-    a = as_matrix(a)
-    herm_defect = hs_norm(a - a.conj().T)
+    a = np.asarray(a, dtype=np.complex128)
+    adjoint = a.conj().swapaxes(-2, -1)
+    herm_defect = worst_residual(np.linalg.norm(a - adjoint, axis=(-2, -1)))[0]
     if not herm_defect <= tol.eps * MATRIX_SLACK:
         raise ValueError(f"matrix is not Hermitian (defect {herm_defect:.3e})")
-    w, v = np.linalg.eigh((a + a.conj().T) / 2)
+    w, v = np.linalg.eigh((a + adjoint) / 2)
     return w, v
 
 
 def psd_sqrt(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Hermitian square root with eigenvalues clamped at 0.
+    """Hermitian square root with eigenvalues clamped at 0, of each matrix of a (..., k, k) stack.
 
     Negative eigenvalues down to -MATRIX_SLACK * eps are zeroed (numerical
     positivity drift); anything more negative is an error.
@@ -239,7 +231,7 @@ def psd_sqrt(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     if not w.min(initial=0.0) >= -tol.eps * MATRIX_SLACK:
         raise ValueError(f"matrix is not positive (min eigenvalue {w.min():.3e})")
     w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ v.conj().T
+    return (v * np.sqrt(w)[..., None, :]) @ v.conj().swapaxes(-2, -1)
 
 
 # The checks of check_measurement that make a family a POVM; all five make a PVM.

@@ -61,40 +61,82 @@ def _as_int(value, path, minimum=None):
     return value
 
 
-def _finite(arr: np.ndarray, path: str) -> np.ndarray:
-    """Reject NaN and infinite entries; the pointer names the first in C order."""
-    bad = ~np.isfinite(arr)
-    if bad.any():
-        index = np.unravel_index(int(np.argmax(bad)), np.shape(arr))
-        raise SchemaError(path + "".join(f"/{i}" for i in index), "expected a finite number")
-    return arr
-
-
-def _as_real(value, path):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(path, f"expected a real number, got {value!r}")
+def _as_float(value) -> float:
     try:
-        return float(_finite(np.float64(value), path))
+        return float(value)
     except OverflowError:  # an integer literal beyond the float range
-        raise SchemaError(path, "expected a finite number") from None
+        return np.inf if value > 0 else -np.inf
 
 
-def _number_array(data, path: str, shape: tuple[int, ...]) -> np.ndarray:
-    """A rectangular array of JSON numbers of the given shape, as floats.
+def _numbers(data, path: str, shape: tuple, pairs: bool = False) -> np.ndarray:
+    """A JSON array of numbers of the given shape as float64; a None in shape is any length >= 1.
 
-    Strings, booleans and nulls are refused by the dtype numpy infers; a
-    boolean among numbers is coerced to 0 or 1, because checking each leaf
-    would cost more than the parse.
+    Every leaf must be a JSON int or float, not a boolean, a string, null or an array; its type
+    is read once, and located again only when some leaf fails.  An integer literal beyond the
+    float range reads as inf, and every entry must be finite.  The first bad leaf in C order is
+    named, at its [re, im] pair when pairs (the last three axes are then a matrix of pairs); a
+    shape fault is named where _shape_fault finds it.
     """
     try:
-        arr = np.asarray(data)
-    except ValueError as exc:
-        raise SchemaError(path, f"not a rectangular numeric array: {exc}") from exc
-    if arr.dtype.kind not in "iuf":
-        raise SchemaError(path, f"not a rectangular numeric array: entries of type {arr.dtype}")
-    if arr.shape != shape:
-        raise SchemaError(path, f"expected shape {shape}, got {arr.shape}")
-    return _finite(arr.astype(np.float64), path)
+        leaves = np.array(data, dtype=object)
+    except ValueError:  # nesting that numpy cannot hold as one object array
+        leaves = None
+    if leaves is None or leaves.ndim != len(shape) or any(
+        k != s if s is not None else k < 1 for k, s in zip(leaves.shape, shape)
+    ):
+        _shape_fault(data, path, shape, pairs)
+    if not set(map(type, leaves.ravel().tolist())) <= {int, float}:
+        kinds = np.frompyfunc(type, 1, 1)(leaves)
+        pointer, at = _first(path, (kinds != float) & (kinds != int), pairs)
+        expected = "[re, im]" if pairs else "a number"
+        raise SchemaError(pointer, f"expected {expected}, got {leaves[(*at, ...)].tolist()!r}")
+    try:
+        values = leaves.astype(np.float64)
+    except OverflowError:
+        values = np.frompyfunc(_as_float, 1, 1)(leaves).astype(np.float64)
+    bad = ~np.isfinite(values)
+    if bad.any():
+        raise SchemaError(_first(path, bad, pairs)[0], "expected a finite number")
+    return values
+
+
+def _first(path: str, bad: np.ndarray, pairs: bool) -> tuple[str, tuple]:
+    """Pointer and index of the first true entry of bad in C order, cut to its pair when pairs."""
+    index = tuple(int(i) for i in np.unravel_index(int(np.argmax(bad)), bad.shape))[: bad.ndim - pairs]
+    return path + "".join(f"/{i}" for i in index), index
+
+
+def _shape_fault(data, path: str, shape: tuple, pairs: bool):
+    """Raise the SchemaError of the first node of data, in C order, that breaks shape.
+
+    Without pairs it names the array.  With pairs it names the array with a wrong count of
+    matrices, the matrix with a wrong shape (at a faulty row too), or the pair that is not a pair.
+    """
+    lengths, rows = list(shape), len(shape) - 2 if pairs else None
+
+    def walk(node, depth, pointer, named):
+        named = pointer if pairs and depth != rows else named
+        last = depth == len(shape) - 1
+        if (  # a free length is the first length met at its depth, and never 0
+            not isinstance(node, list)
+            or len(node) != (lengths[depth] or len(node) or 1)
+            or last and any(isinstance(leaf, list) for leaf in node)
+        ):
+            if not pairs:
+                raise SchemaError(path, f"expected an array of shape {shape}")
+            if last:
+                raise SchemaError(named, f"expected [re, im], got {node!r}")
+            if depth >= rows - 1:
+                dims = tuple(lengths[rows - 1 : rows + 1])
+                raise SchemaError(named, "expected a non-empty matrix" if None in dims else f"expected a matrix of shape {dims}")
+            count = "a non-empty array of" if lengths[depth] is None else f"an array of {lengths[depth]}"
+            raise SchemaError(named, f"expected {count} {'matrices' if depth == rows - 2 else 'arrays'}")
+        lengths[depth] = len(node)
+        for i, child in enumerate(node if not last else ()):
+            walk(child, depth + 1, f"{pointer}/{i}", named)
+
+    walk(data, 0, path, path)
+    raise SchemaError(path, f"expected an array of shape {shape}")
 
 
 def matrix_to_json(m) -> list:
@@ -103,45 +145,10 @@ def matrix_to_json(m) -> list:
     return np.stack([m.real, m.imag], -1).tolist()
 
 
-def matrix_from_json(obj, path: str, shape: tuple[int, int] | None = None) -> np.ndarray:
-    if not isinstance(obj, list) or not obj:
-        raise SchemaError(path, "expected a non-empty array of rows")
-    rows = len(obj)
-    out = None
-    for i, row in enumerate(obj):
-        if not isinstance(row, list) or not row:
-            raise SchemaError(f"{path}/{i}", "expected a non-empty array of entries")
-        if out is None:
-            out = np.zeros((rows, len(row)), dtype=np.complex128)
-        elif len(row) != out.shape[1]:
-            raise SchemaError(f"{path}/{i}", f"ragged row of length {len(row)}")
-        for j, z in enumerate(row):
-            if (
-                not isinstance(z, list)
-                or len(z) != 2
-                or any(isinstance(t, bool) or not isinstance(t, (int, float)) for t in z)
-            ):
-                raise SchemaError(f"{path}/{i}/{j}", f"expected [re, im], got {z!r}")
-            try:
-                out[i, j] = complex(z[0], z[1])
-            except OverflowError:
-                raise SchemaError(f"{path}/{i}/{j}", "expected a finite number") from None
-    if shape is not None and out.shape != shape:
-        raise SchemaError(path, f"expected shape {shape}, got {out.shape}")
-    return _finite(out, path)
-
-
-def _array(raw, path: str, count: int | None = None, of: str = "matrices") -> list:
-    """raw as a JSON array: non-empty, and of count entries when count is given."""
-    if not isinstance(raw, list) or not raw or count not in (None, len(raw)):
-        expected = "a non-empty array" if count is None else f"an array of {count}"
-        raise SchemaError(path, f"expected {expected} {of}")
-    return raw
-
-
-def _matrices(raw, path: str, shape: tuple[int, int], count: int | None = None) -> list[np.ndarray]:
-    """A JSON array of matrices of one shape, entry i read at the pointer path/i."""
-    return [matrix_from_json(m, f"{path}/{i}", shape) for i, m in enumerate(_array(raw, path, count))]
+def matrix_from_json(obj, path: str, shape: tuple | None = None) -> np.ndarray:
+    """The complex array of the given shape, by default one matrix of any size, from nested
+    arrays of [re, im] pairs; a bad entry is named at its pair."""
+    return _numbers(obj, path, (*(shape or (None, None)), 2), pairs=True).view(np.complex128)[..., 0]
 
 
 def algebra_to_json(alg: VnAlgebra) -> dict:
@@ -182,7 +189,7 @@ def graph_to_json(g: QuantumGraph) -> dict:
 def graph_from_json(obj, path: str = "") -> QuantumGraph:
     n = _as_int(_require(obj, "n", path), f"{path}/n", minimum=1)
     alg = algebra_from_json(_require(obj, "algebra", path), f"{path}/algebra")
-    basis = _matrices(_require(obj, "s_basis", path), f"{path}/s_basis", (n, n))
+    basis = matrix_from_json(_require(obj, "s_basis", path), f"{path}/s_basis", (None, n, n))
     traceless = obj.get("traceless", False)
     if not isinstance(traceless, bool):
         raise SchemaError(f"{path}/traceless", f"expected a boolean, got {traceless!r}")
@@ -231,11 +238,7 @@ def _ancilla_from_json(obj, path: str) -> TracialAncilla:
     weights_raw = obj.get("trace_weights")
     weights = None
     if weights_raw is not None:
-        if not isinstance(weights_raw, list) or len(weights_raw) != len(dims):
-            raise SchemaError(f"{path}/trace_weights", "expected one weight per block")
-        weights = tuple(
-            _as_real(w, f"{path}/trace_weights/{i}") for i, w in enumerate(weights_raw)
-        )
+        weights = _numbers(weights_raw, f"{path}/trace_weights", (len(dims),))
     try:
         return TracialAncilla(block_dims=dims, trace_weights=weights)
     except ValueError as exc:
@@ -256,7 +259,7 @@ def strategy_from_json(obj, path: str = "") -> BlockStrategy:
     c = _as_int(_require(obj, "c", path), f"{path}/c", minimum=1)
     ancilla = _ancilla_from_json(_require(obj, "ancilla", path), f"{path}/ancilla")
     size = n * ancilla.dim
-    projections = _matrices(_require(obj, "projections", path), f"{path}/projections", (size, size), c)
+    projections = matrix_from_json(_require(obj, "projections", path), f"{path}/projections", (c, size, size))
     return BlockStrategy(n=n, c=c, ancilla=ancilla, projections=projections)
 
 
@@ -267,8 +270,8 @@ def correlation_to_json(x: Correlation) -> dict:
 def correlation_from_json(obj, path: str = "") -> Correlation:
     n = _as_int(_require(obj, "n", path), f"{path}/n", minimum=1)
     c = _as_int(_require(obj, "c", path), f"{path}/c", minimum=1)
-    arr = _number_array(_require(obj, "X", path), f"{path}/X", (c, c, n, n, n, n, 2))
-    return Correlation(n=n, c=c, tensor=arr[..., 0] + 1j * arr[..., 1])
+    arr = _numbers(_require(obj, "X", path), f"{path}/X", (c, c, n, n, n, n, 2))
+    return Correlation(n=n, c=c, tensor=arr.view(np.complex128)[..., 0])
 
 
 def classical_correlation_to_json(p: ClassicalCorrelation) -> dict:
@@ -278,35 +281,34 @@ def classical_correlation_to_json(p: ClassicalCorrelation) -> dict:
 def classical_correlation_from_json(obj, path: str = "") -> ClassicalCorrelation:
     n = _as_int(_require(obj, "n", path), f"{path}/n", minimum=1)
     c = _as_int(_require(obj, "c", path), f"{path}/c", minimum=1)
-    arr = _number_array(_require(obj, "p", path), f"{path}/p", (c, c, n, n))
+    arr = _numbers(_require(obj, "p", path), f"{path}/p", (c, c, n, n))
     return ClassicalCorrelation(n=n, c=c, p=arr)
 
 
-def povm_from_json(obj, path: str = "") -> tuple[list[np.ndarray], int, int]:
-    """POVM input for the dilate command: {"n", "h", "ops"}; returns (ops, n, h)."""
+def povm_from_json(obj, path: str = "") -> tuple[np.ndarray, int, int]:
+    """POVM input for the dilate command: {"n", "h", "ops"}; returns the (c, nh, nh) ops, n and h."""
     n = _as_int(_require(obj, "n", path), f"{path}/n", minimum=1)
     h = _as_int(_require(obj, "h", path), f"{path}/h", minimum=1)
     return ops_from_json(obj, path, n * h), n, h
 
 
-def ops_from_json(obj, path: str = "", size: int | None = None) -> list[np.ndarray]:
+def ops_from_json(obj, path: str = "", size: int | None = None) -> np.ndarray:
     """The non-empty array "ops" of size x size matrices; the round-pvm input.
 
     Without a size, every op must be square with the first op's row count.
     """
-    ops_raw = _array(_require(obj, "ops", path), f"{path}/ops")
-    if size is None and isinstance(ops_raw[0], list):
-        size = len(ops_raw[0])
-    return _matrices(ops_raw, f"{path}/ops", (size, size))
+    ops = _require(obj, "ops", path)
+    if size is None and isinstance(ops, list) and ops and isinstance(ops[0], list):
+        size = len(ops[0])
+    return matrix_from_json(ops, f"{path}/ops", (None, size, size))
 
 
-def families_from_json(obj, path: str = "") -> tuple[list, TracialAncilla | None]:
+def families_from_json(obj, path: str = "") -> tuple[np.ndarray, TracialAncilla | None]:
     """POVM families for the embed command: {"n", "c", "h", "families", "ancilla"?}."""
     n = _as_int(_require(obj, "n", path), f"{path}/n", minimum=1)
     c = _as_int(_require(obj, "c", path), f"{path}/c", minimum=1)
     h = _as_int(_require(obj, "h", path), f"{path}/h", minimum=1)
-    fams_raw = _array(_require(obj, "families", path), f"{path}/families", n, "families")
-    families = [_matrices(fam, f"{path}/families/{x}", (h, h), c) for x, fam in enumerate(fams_raw)]
+    families = matrix_from_json(_require(obj, "families", path), f"{path}/families", (n, c, h, h))
     ancilla = None
     if obj.get("ancilla") is not None:
         ancilla = _ancilla_from_json(obj["ancilla"], f"{path}/ancilla")
@@ -315,11 +317,10 @@ def families_from_json(obj, path: str = "") -> tuple[list, TracialAncilla | None
     return families, ancilla
 
 
-def hom_rep_from_json(obj, path: str = "") -> tuple[list, TracialAncilla]:
+def hom_rep_from_json(obj, path: str = "") -> tuple[np.ndarray, TracialAncilla]:
     """Representation of Hom(K_c, K_r): {"c", "r", "ancilla", "f"} with f[a][v]."""
     c = _as_int(_require(obj, "c", path), f"{path}/c", minimum=1)
     r = _as_int(_require(obj, "r", path), f"{path}/r", minimum=1)
     ancilla = _ancilla_from_json(_require(obj, "ancilla", path), f"{path}/ancilla")
-    f_raw = _array(_require(obj, "f", path), f"{path}/f", c, "rows")
     e = ancilla.dim
-    return [_matrices(row, f"{path}/f/{a}", (e, e), r) for a, row in enumerate(f_raw)], ancilla
+    return matrix_from_json(_require(obj, "f", path), f"{path}/f", (c, r, e, e)), ancilla

@@ -20,7 +20,6 @@ from .linalg import (
     TRACE_WEIGHT_SLACK,
     CheckReport,
     Tolerance,
-    as_matrix,
     canonical_shuffle,
     check_measurement,
     frozen_stack,
@@ -209,7 +208,10 @@ def round_outcomes(ops: np.ndarray) -> OutcomeFactors | None:
     v = v @ np.linalg.solve(np.eye(len(v)) - half, np.eye(len(v)) + half)
     cuts = np.searchsorted(labels, np.arange(c + 1))  # outcome a owns the columns cuts[a]:cuts[a + 1]
     pi = np.stack([v[:, lo:hi] @ v[:, lo:hi].conj().T for lo, hi in zip(cuts, cuts[1:])])
-    return OutcomeFactors(c, v, labels, pi, np.linalg.norm(ops - pi, axis=(1, 2)))
+    defects = np.linalg.norm(ops - pi, axis=(1, 2))
+    for cached in (v, labels, pi, defects):  # shared by every game check of the strategy
+        cached.flags.writeable = False
+    return OutcomeFactors(c, v, labels, pi, defects)
 
 
 def _star_commutator_norm(ents: np.ndarray) -> float:
@@ -290,21 +292,20 @@ class TensorStrategy:
         return self.bob[b][k::n, ell::n].reshape(self.dims[1], self.dims[1])
 
 
-def dilate_povm(povm, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
-    """Dilate a POVM {Q_a} on H to a PVM {P_a} on C^{c+1} (x) H.
+def dilate_povm(povm, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """Dilate a POVM {Q_a} on H to a PVM {P_a} on C^{c+1} (x) H, as a (c, N, N) stack.
 
     Builds the isometry V of square roots and completes it to a unitary U.
     With U_a the a-th block of h rows of U, P_a = U*(E_aa (x) I)U = U_a* U_a for
     a < c-1, and P_{c-1} = U_{c-1}* U_{c-1} + U_c* U_c.  The (0,0) corner of P_a
     recovers Q_a.
     """
-    mats = [as_matrix(q) for q in povm]
-    failed = check_measurement(mats, tol).failures(POVM_CHECKS)
+    stack = square_stack(povm)
+    failed = check_measurement(stack, tol).failures(POVM_CHECKS)
     if failed:
         raise ValueError(f"input is not a POVM within tolerance: {failed}")
-    c = len(mats)
-    h = mats[0].shape[0]
-    v = np.vstack([psd_sqrt(q, tol) for q in mats])  # isometry H -> H^c
+    c, h = stack.shape[:2]
+    v = psd_sqrt(stack, tol).reshape(c * h, h)  # isometry H -> H^c
     # sqrt(I - VV*) is the projection onto the cokernel of the isometry V;
     # taking it by spectral rounding avoids the square root's noise
     # amplification at the zero eigenvalues.
@@ -319,39 +320,35 @@ def dilate_povm(povm, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
     blocks = u.reshape(c + 1, h, (c + 1) * h)
     out = blocks.conj().transpose(0, 2, 1) @ blocks
     out[c - 1] += out[c]
-    return list(out[:c])
+    return out[:c]
 
 
-def corner_compress(p: np.ndarray, n: int, c: int, h: int) -> np.ndarray:
-    """(1,1)-corner map for dilated block operators.
+def corner_compress(p, n: int, c: int, h: int) -> np.ndarray:
+    """(1,1)-corner map for dilated block operators, of each matrix of a (..., size, size) stack.
 
     For p in M_n(M_{c+1}(B(H))) returns the M_n(B(H)) matrix of H-corners,
     i.e. V* p V for the isometry V: e_i (x) xi -> e_i (x) e_0 (x) xi.
     """
-    p = as_matrix(p)
+    p = np.asarray(p, dtype=np.complex128)
     size = n * (c + 1) * h
-    if p.shape != (size, size):
+    if p.shape[-2:] != (size, size):
         raise ValueError(f"shape {p.shape} inconsistent with (n,c,h)=({n},{c},{h})")
-    t = p.reshape(n, c + 1, h, n, c + 1, h)
-    return np.ascontiguousarray(t[:, 0, :, :, 0, :].reshape(n * h, n * h))
+    t = p.reshape(*p.shape[:-2], n, c + 1, h, n, c + 1, h)
+    return np.ascontiguousarray(t[..., 0, :, :, 0, :].reshape(*p.shape[:-2], n * h, n * h))
 
 
-def dilate_block_povm(
-    povm, n: int, h: int, tol: Tolerance = DEFAULT_TOL
-) -> list[np.ndarray]:
-    """Dilate a POVM in M_n(B(H)) to a PVM in M_n(M_{c+1}(B(H))).
+def dilate_block_povm(povm, n: int, h: int, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """Dilate a POVM in M_n(B(H)) to a PVM in M_n(M_{c+1}(B(H))), as a (c, N, N) stack.
 
     Views each Q_a as an operator on C^n (x) H, dilates, then performs the
     canonical shuffle to bring the n-leg back outside.  Corner compression of
     each output entry recovers the input entry: V* p_{a,ij} V = q_{a,ij}.
     """
-    mats = [as_matrix(q) for q in povm]
-    c = len(mats)
-    for q in mats:
-        if q.shape != (n * h, n * h):
-            raise ValueError(f"operator shape {q.shape} inconsistent with n={n}, h={h}")
-    dilated = dilate_povm(mats, tol)  # on C^{c+1} (x) C^n (x) H
-    return [canonical_shuffle(s, outer=c + 1, inner=n) for s in dilated]
+    stack = square_stack(povm)
+    if stack.shape[1] != n * h:
+        raise ValueError(f"operator shape {stack.shape[1:]} inconsistent with n={n}, h={h}")
+    dilated = dilate_povm(stack, tol)  # on C^{c+1} (x) C^n (x) H
+    return canonical_shuffle(dilated, outer=len(stack) + 1, inner=n)
 
 
 def round_almost_pvm(ops) -> tuple[np.ndarray, float]:

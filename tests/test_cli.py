@@ -490,17 +490,22 @@ NUMBER = r"-?\d+(\.\d+)?(e-?\d+)?"
 @pytest.mark.parametrize(
     "argv, example, key", [(["check-sync"], "correlation.json", "X"), (["bisync"], "classical_correlation.json", "p")]
 )
-@pytest.mark.parametrize("leaf", ["string", "all-boolean"])
+@pytest.mark.parametrize("leaf", ["string", "all-boolean", "mixed boolean"])
 def test_array_loaders_reject_non_numbers(tmp_path, capsys, argv, example, key, leaf):
     doc = json.loads((EXAMPLES / example).read_text())
+    numbers = _numeric_leaves(doc[key], "/" + key)
     text = json.dumps(doc[key])
     if leaf == "string":  # the first number becomes "0.5", say
         text = re.sub(NUMBER, lambda m: json.dumps(m.group()), text, count=1)
-    else:
+    elif leaf == "all-boolean":
         text = re.sub(NUMBER, "true", text)
     doc[key] = json.loads(text)
+    # Each fault is named at its number: the first in C order, or the one true among the numbers.
+    replaced = numbers[-1 if leaf == "mixed boolean" else 0]
+    if leaf == "mixed boolean":
+        _set_field(doc, replaced, True)
     assert main(argv + [write(tmp_path, example, doc)]) == 2
-    assert json.loads(capsys.readouterr().err)["pointer"] == "/" + key
+    assert json.loads(capsys.readouterr().err)["pointer"] == replaced
 
 
 # Every verb that writes a report, run on the example files (each ".json" names
@@ -613,7 +618,9 @@ def _numeric_leaves(node, path=""):
 def test_non_finite_leaf_anywhere_exits_2_with_a_pointer_above_it(tmp_path, capsys, example, data):
     doc = json.loads((EXAMPLES / example).read_text())
     leaf = data.draw(st.sampled_from(_numeric_leaves(doc)), label="leaf")
-    literal = data.draw(st.sampled_from(["NaN", "Infinity", "-Infinity", "1e999"]), label="literal")
+    literal = data.draw(
+        st.sampled_from(["NaN", "Infinity", "-Infinity", "1e999", "true", "false", "null", '"0.5"']), label="literal"
+    )
     sentinel = 123456.5
     _set_field(doc, leaf, sentinel)
     path = tmp_path / example

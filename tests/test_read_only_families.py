@@ -8,6 +8,7 @@ through a field raises, and a write to the arrays a caller passed in changes not
 import numpy as np
 import pytest
 
+from helpers import merge_first_two
 from qgraph import (
     BlockStrategy,
     ClassicalGraph,
@@ -16,9 +17,13 @@ from qgraph import (
     TracialAncilla,
     VnAlgebra,
     bob_from_alice,
+    check_game_algebra_rep,
     commutant,
+    complete_quantum_graph,
     diagonal_strategy,
+    edge_basis,
     graph_operator_system,
+    shift_multiply_coloring,
     teleport_coloring,
     validate,
     verify_structural,
@@ -122,3 +127,18 @@ def test_a_write_to_the_callers_unitary_or_tensor_operators_changes_no_field():
     np.testing.assert_array_equal(fresh.alice, ts.alice)
     np.testing.assert_array_equal(fresh.bob, ts.bob)
     np.testing.assert_array_equal(fresh.chi, ts.chi)
+
+
+def test_a_write_through_the_cached_rounding_or_edge_basis_raises_and_no_verdict_moves():
+    # Merging two colours of the shift-multiply colouring of M_2 loses against K_3.
+    alg = VnAlgebra(n=2, blocks=((1, 2),))
+    g = complete_quantum_graph(alg)
+    s = merge_first_two(shift_multiply_coloring(alg))
+    inst = GameInstance(source=g, target=ClassicalGraph.complete(3))
+    assert not verify_structural(inst, s).passed and not check_game_algebra_rep(inst, s).passed
+
+    f = s.factors
+    for cached in (f.v, f.labels, f.projections, f.defects, edge_basis(g).elements[0].matrix):
+        with pytest.raises(ValueError, match="read-only"):
+            cached[...] = 0
+    assert not verify_structural(inst, s).passed and not check_game_algebra_rep(inst, s).passed
