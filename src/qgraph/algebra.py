@@ -20,10 +20,10 @@ from .linalg import (
 
 __all__ = [
     "VnAlgebra",
-    "KBlock",
     "algebra_basis",
     "commutant",
     "commutant_units",
+    "irreducible_copies",
     "normal_form",
     "orthonormalize",
     "project_onto_span",
@@ -102,20 +102,6 @@ class VnAlgebra:
         e[block, np.arange(self.n), np.arange(self.n)] = 1.0
         return self.embed(e)
 
-    def k_blocks(self) -> list["KBlock"]:
-        """Irreducible subspaces K_alpha of the M-action, standard-basis split.
-
-        Within central block r the copies are K_(r,p) = e_p (x) C^{k_r} for
-        p = 0..n_r-1; any valid split is equivalent for the game.
-        """
-        u = self.unitary if self.unitary is not None else np.eye(self.n, dtype=np.complex128)
-        out = []
-        for r, (off, (m, k)) in enumerate(zip(self.block_offsets(), self.blocks)):
-            for p in range(m):
-                cols = [off + p * k + i for i in range(k)]
-                out.append(KBlock(central=r, dim=k, isometry=np.ascontiguousarray(u[:, cols])))
-        return out
-
     # Values are immutable, so derived bases are computed once per instance.
     @cached_property
     def _algebra_basis(self) -> np.ndarray:
@@ -124,15 +110,6 @@ class VnAlgebra:
     @cached_property
     def _commutant_basis(self) -> np.ndarray:
         return frozen_stack(_compute_commutant(self), self.n, "commutant basis element")
-
-
-@dataclass(frozen=True)
-class KBlock:
-    """One irreducible subspace K_alpha; isometry columns span it."""
-
-    central: int
-    dim: int
-    isometry: np.ndarray
 
 
 def _compute_algebra_basis(alg: VnAlgebra) -> np.ndarray:
@@ -146,16 +123,24 @@ def _compute_algebra_basis(alg: VnAlgebra) -> np.ndarray:
     return alg.embed(out)
 
 
+def irreducible_copies(alg: VnAlgebra) -> list[tuple[int, int, int]]:
+    """(central, row, k) of each irreducible copy K_(r,p) = e_p (x) C^{k_r} of the
+    M-action: in canonical coordinates it spans rows row .. row + k - 1, with
+    row = off + p k in central block r.  The copies of one block come in order of p,
+    next to each other; any valid split is equivalent for the game."""
+    return [
+        (r, off + p * k, k)
+        for r, (off, (m, k)) in enumerate(zip(alg.block_offsets(), alg.blocks))
+        for p in range(m)
+    ]
+
+
 def commutant_units(alg: VnAlgebra) -> list[tuple[int, int, int]]:
     """(lead, trail, k) of each unit E_pq (x) I_k / sqrt(k) of the commutant basis, in
     its order: in canonical coordinates the unit has 1/sqrt(k) at (lead + i, trail + i)
-    for i < k, with lead = off + p k and trail = off + q k in its central block."""
-    return [
-        (off + p * k, off + q * k, k)
-        for off, (m, k) in zip(alg.block_offsets(), alg.blocks)
-        for p in range(m)
-        for q in range(m)
-    ]
+    for i < k, for each pair of copies (lead, trail) of one central block, row-major."""
+    copies = irreducible_copies(alg)
+    return [(lead, trail, k) for r, lead, k in copies for s, trail, _ in copies if r == s]
 
 
 def _compute_commutant(alg: VnAlgebra) -> np.ndarray:

@@ -42,7 +42,7 @@ from .correlations import (
 )
 from .graphs import ClassicalGraph, chromatic_number, edge_basis, validate
 from .homgame import GameInstance, check_game_algebra_rep, compose_reps, extract_channel, verify_operational, verify_structural
-from .linalg import ROUNDING_SLACK, Check, CheckReport, Tolerance, check_measurement
+from .linalg import POVM_CHECKS, ROUNDING_SLACK, Check, CheckReport, Tolerance, check_measurement
 from .serialize import (
     SchemaError,
     algebra_from_json,
@@ -134,18 +134,11 @@ def _cmd_validate(args, tol):
 def _cmd_edge_basis(args, tol):
     g = graph_from_json(_load_json(args.input))
     basis = edge_basis(g, tol)
-    report = {
-        "block_dims": list(basis.block_dims),
-        "elements": [
-            {
-                "matrix": matrix_to_json(e.matrix),
-                "tag": e.tag,
-                "block": list(e.block),
-            }
-            for e in basis.elements
-        ],
-    }
-    return report, True
+    elements = [
+        {"matrix": matrix_to_json(y), "tag": tag, "block": list(block)}
+        for y, tag, block in zip(basis.matrices, basis.tags, basis.blocks)
+    ]
+    return {"block_dims": list(basis.block_dims), "elements": elements}, True
 
 
 def _cmd_dilate(args, tol):
@@ -282,6 +275,10 @@ def _cmd_compress(args, tol):
 
 def _cmd_embed(args, tol):
     families, ancilla = families_from_json(_load_json(args.input))
+    for x, family in enumerate(families):
+        failed = check_measurement(family, tol).failures(POVM_CHECKS)
+        if failed:
+            raise ValueError(f"input family {x} is not a POVM within tolerance: {failed}")
     strat = _in_ancilla_algebra(embed_classical(families, ancilla), tol)
     return strategy_to_json(strat), True
 

@@ -162,7 +162,7 @@ class ColoringReport:
             self.total_sum_residual,
             self.trace_covariance_residual,  # 0 unless minimal
         )
-        return self.verification.passed and worst_residual(residuals)[0] <= tol.eps
+        return self.verification.at(tol).passed and worst_residual(residuals)[0] <= tol.eps
 
 
 def rigidity_check(

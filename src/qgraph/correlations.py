@@ -229,7 +229,7 @@ def embed_classical(
         raise ValueError(f"families of shape {ops.shape}, expected (n, c, h, h)")
     n, c, h = ops.shape[:3]
     if ancilla is None:
-        ancilla = TracialAncilla.full_matrix_block(h) if h > 1 else TracialAncilla.trivial()
+        ancilla = TracialAncilla.full_matrix_block(h)
     if ancilla.dim != h:
         raise ValueError(f"ancilla dim {ancilla.dim} does not match operators on C^{h}")
     # P_a holds E_{a,x} in its diagonal block (x, x): [a, (x, u), (y, v)] with x = y.

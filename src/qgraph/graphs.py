@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import VnAlgebra, commutant, commutant_units
+from .algebra import VnAlgebra, commutant, commutant_units, irreducible_copies
 from .linalg import (
     _CHUNK_BYTES,
     DEFAULT_TOL,
@@ -27,7 +27,6 @@ from .linalg import (
 
 __all__ = [
     "QuantumGraph",
-    "EdgeBasisElement",
     "EdgeBasis",
     "ClassicalGraph",
     "validate",
@@ -67,9 +66,9 @@ class QuantumGraph:
         if self.algebra.n != self.n:
             raise ValueError(f"algebra lives in M_{self.algebra.n}, graph in M_{self.n}")
 
-    def span_basis(self) -> list[np.ndarray]:
-        """HS-orthonormal basis of span(S)."""
-        return list(self._split[0].reshape(-1, self.n, self.n))
+    def span_basis(self) -> np.ndarray:
+        """HS-orthonormal basis of span(S), as a read-only (dim S, n, n) stack."""
+        return self._split[0].reshape(-1, self.n, self.n)
 
     # Immutable value: each derived basis and report is computed once, free of any tolerance.
     @cached_property
@@ -82,7 +81,7 @@ class QuantumGraph:
         if not len(stack):
             return stack, np.eye(nn, dtype=np.complex128)
         _, s, vh = np.linalg.svd(stack, full_matrices=len(stack) < nn)
-        vh.flags.writeable = False  # span_basis hands out views of it
+        vh.flags.writeable = False  # span_basis hands out a view of it
         rank = int(np.count_nonzero(s > SPAN_RANK_FLOOR * s[0]))
         return vh[:rank], vh[rank:]
 
@@ -209,56 +208,61 @@ def _bimodule_distances(alg: VnAlgebra, ys: np.ndarray, perp: np.ndarray) -> np.
 
 
 @dataclass(frozen=True)
-class EdgeBasisElement:
-    matrix: np.ndarray  # read-only: the basis is cached on its graph
-    tag: str  # SAME_VERTEX or ADJACENCY
-    block: tuple[int, int]  # indices into the flattened K-block list
-
-
-@dataclass(frozen=True)
 class EdgeBasis:
-    elements: tuple[EdgeBasisElement, ...]
+    """The basis as one read-only (m, n, n) stack, with the tag (SAME_VERTEX or
+    ADJACENCY) of each matrix and its copy pair (a, b), indices into block_dims."""
+
+    matrices: np.ndarray
+    tags: tuple[str, ...]
+    blocks: tuple[tuple[int, int], ...]
     block_dims: tuple[int, ...]
 
 
 def edge_basis(g: QuantumGraph, tol: Tolerance = DEFAULT_TOL) -> EdgeBasis:
     """Quantum edge basis for the homomorphism game.
 
-    The K-block pairs (a, b) come in row-major order.  Each pair first gets
-    its same-vertex element, the normalized matrix unit W_a W_b*/sqrt(k)
-    between two copies of one irreducible representation (none across
-    central blocks); these units are an orthonormal basis of M' for every
-    graph, traceless or not.  Its adjacency elements follow:
-    an orthonormal basis of E_a (S n (M')perp) E_b, the right singular
-    vectors of the coordinates W_a* Z W_b over an orthonormal basis Z of
-    S n (M')perp with singular value at least 1/2.  Deterministic, and computed
-    once per graph; tol only gates it on validate.
+    The pairs (a, b) of irreducible copies W_a of M come in row-major order.
+    Each pair first gets its same-vertex element, the normalized matrix unit
+    W_a W_b*/sqrt(k) between two copies of one irreducible representation (none
+    across central blocks); these are the units of commutant(M), in their
+    order, an orthonormal basis of M' for every graph, traceless or not.  Its
+    adjacency elements follow: an orthonormal basis of E_a (S n (M')perp) E_b,
+    the right singular vectors of the coordinates W_a* Z W_b over an orthonormal
+    basis Z of S n (M')perp with singular value at least 1/2.  Deterministic, and
+    computed once per graph; tol only gates it on validate.
     """
     require_valid(g, tol)
     return g._edge_basis
 
 
 def _compute_edge_basis(g: QuantumGraph) -> EdgeBasis:
-    kblocks = g.algebra.k_blocks()
-    perp = g._adjacency_basis
-    elements: list[EdgeBasisElement] = []
-    for a_idx, ka in enumerate(kblocks):
-        for b_idx, kb in enumerate(kblocks):
-            wa, wb = ka.isometry, kb.isometry
-            if ka.central == kb.central:
+    alg, n = g.algebra, g.n
+    copies = irreducible_copies(alg)
+    # In the canonical frame W_a* Z W_b is a slice of U* Z U, and W_a v W_b* holds v there.
+    z = alg.to_canonical(g._adjacency_basis)
+    adjacency, tags, blocks = [np.zeros((0, n, n), dtype=np.complex128)], [], []
+    for a, (ra, la, ka) in enumerate(copies):
+        for b, (rb, lb, kb) in enumerate(copies):
+            if ra == rb:
                 # E_a M' E_b is one-dimensional and orthogonal to (M')perp.
-                unit = wa @ wb.conj().T / np.sqrt(ka.dim)
-                elements.append(EdgeBasisElement(unit, SAME_VERTEX, (a_idx, b_idx)))
+                tags.append(SAME_VERTEX)
+                blocks.append((a, b))
             # On a bimodule the compression maps S n (M')perp into itself, so
             # the singular values are 0 or 1: the directions kept are those at 1.
-            coords = (wa.conj().T @ perp @ wb).reshape(len(perp), ka.dim * kb.dim)
+            coords = z[:, la : la + ka, lb : lb + kb].reshape(len(z), ka * kb)
             _, s, vh = np.linalg.svd(coords, full_matrices=False)
-            for v in vh[s >= 0.5]:
-                y = wa @ v.reshape(ka.dim, kb.dim) @ wb.conj().T
-                elements.append(EdgeBasisElement(y, ADJACENCY, (a_idx, b_idx)))
-    for e in elements:
-        e.matrix.flags.writeable = False
-    return EdgeBasis(tuple(elements), tuple(k.dim for k in kblocks))
+            v = vh[s >= 0.5]
+            kept = np.zeros((len(v), n, n), dtype=np.complex128)
+            kept[:, la : la + ka, lb : lb + kb] = v.reshape(-1, ka, kb)
+            adjacency.append(kept)
+            tags += [ADJACENCY] * len(kept)
+            blocks += [(a, b)] * len(kept)
+    same = np.array(tags) == SAME_VERTEX
+    matrices = np.empty((len(tags), n, n), dtype=np.complex128)
+    matrices[same] = commutant(alg)
+    matrices[~same] = alg.embed(np.concatenate(adjacency))
+    matrices.flags.writeable = False  # cached on its graph
+    return EdgeBasis(matrices, tuple(tags), tuple(blocks), tuple(k for _, _, k in copies))
 
 
 @dataclass(frozen=True)

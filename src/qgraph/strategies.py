@@ -103,11 +103,6 @@ class TracialAncilla:
         block = np.repeat(np.arange(len(self.block_dims)), self.block_dims)
         return block[:, None] == block
 
-    def block_defect(self, x: np.ndarray) -> float:
-        """Frobenius norm of the part of x, or of a (..., D, D) stack, outside the
-        block-diagonal algebra."""
-        return float(np.linalg.norm(np.where(self.block_mask(), 0.0, x)))
-
     def tensor(self, other: "TracialAncilla") -> "TracialAncilla":
         """Tensor-product ancilla with blocks (d_s e_t) in lexicographic order."""
         dims = tuple(d * e for d in self.block_dims for e in other.block_dims)

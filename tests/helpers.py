@@ -21,7 +21,7 @@ from qgraph import (
 from qgraph.algebra import commutant_units
 from qgraph.colorings import complete_quantum_graph, diagonal_strategy
 from qgraph.correlations import IdentityReport
-from qgraph.graphs import EdgeBasis, EdgeBasisElement
+from qgraph.graphs import ADJACENCY, SAME_VERTEX, EdgeBasis
 from qgraph.linalg import canonical_shuffle, matrix_unit, unit_root_power, worst_residual
 
 
@@ -105,9 +105,44 @@ def block_mixing_strategy(rng: np.random.Generator) -> BlockStrategy:
     return BlockStrategy(n=3, c=3, ancilla=s.ancilla, projections=conjugate(mix, s.projections))
 
 
-def tagged(basis: EdgeBasis, tag: str) -> list[EdgeBasisElement]:
-    """The elements of an edge basis with the given tag, in order."""
-    return [e for e in basis.elements if e.tag == tag]
+def tagged(basis: EdgeBasis, tag: str) -> np.ndarray:
+    """The matrices of an edge basis with the given tag, in order, as a stack."""
+    return basis.matrices[np.array(basis.tags) == tag]
+
+
+def copy_isometries(alg: VnAlgebra) -> list[tuple[int, np.ndarray]]:
+    """(central block, isometry W) of each irreducible copy e_p (x) C^k of M, in the order
+    of algebra.irreducible_copies: W holds the columns of the embedding unitary spanning it."""
+    u = alg.unitary if alg.unitary is not None else np.eye(alg.n, dtype=np.complex128)
+    return [
+        (r, u[:, off + p * k : off + (p + 1) * k])
+        for r, (off, (m, k)) in enumerate(zip(alg.block_offsets(), alg.blocks))
+        for p in range(m)
+    ]
+
+
+def reference_isometry_edge_basis(g: QuantumGraph) -> EdgeBasis:
+    """The ambient-isometry construction that graphs._compute_edge_basis replaced, kept as
+    its reference: per copy pair, W_a W_b*/sqrt(k), then one SVD of the coordinates W_a* Z W_b
+    over S n (M')perp, each kept direction mapped back by W_a v W_b* on its own."""
+    copies = copy_isometries(g.algebra)
+    perp = g._adjacency_basis
+    mats, tags, blocks = [], [], []
+    for a, (ra, wa) in enumerate(copies):
+        for b, (rb, wb) in enumerate(copies):
+            ka, kb = wa.shape[1], wb.shape[1]
+            if ra == rb:
+                mats.append(wa @ wb.conj().T / np.sqrt(ka))
+                tags.append(SAME_VERTEX)
+                blocks.append((a, b))
+            coords = (wa.conj().T @ perp @ wb).reshape(len(perp), ka * kb)
+            _, s, vh = np.linalg.svd(coords, full_matrices=False)
+            for v in vh[s >= 0.5]:
+                mats.append(wa @ v.reshape(ka, kb) @ wb.conj().T)
+                tags.append(ADJACENCY)
+                blocks.append((a, b))
+    dims = tuple(w.shape[1] for _, w in copies)
+    return EdgeBasis(np.reshape(mats, (-1, g.n, g.n)), tuple(tags), tuple(blocks), dims)
 
 
 def reference_synchronous_identities(x: Correlation) -> IdentityReport:
@@ -351,7 +386,8 @@ def ladder_cases():
 
 def reference_ancilla_block_defect(strategy: BlockStrategy) -> float:
     """The per-outcome loop that BlockStrategy.ancilla_block_defect replaced, kept as its reference."""
-    return worst_residual([strategy.ancilla.block_defect(p) for p in strategy.entries()])[0]
+    mask = strategy.ancilla.block_mask()
+    return worst_residual([float(np.linalg.norm(np.where(mask, 0.0, p))) for p in strategy.entries()])[0]
 
 
 def reference_embed_projections(families) -> np.ndarray:

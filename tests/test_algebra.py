@@ -149,7 +149,7 @@ class TestPlancherel:
         basis = algebra_basis(alg)
         assert len(basis) == alg.dim_algebra
         for x in basis:
-            assert ancilla.block_defect(x) == 0.0
+            assert not x[~ancilla.block_mask()].any()
             for y in basis:
                 assert t @ np.diag(x @ y) == pytest.approx(t @ np.diag(y @ x), abs=1e-12)
             assert (t @ np.diag(x.conj().T @ x)).real > 1e-12

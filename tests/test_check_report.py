@@ -17,6 +17,7 @@ from helpers import (
     LADDER,
     block_mixing_strategy,
     conjugate,
+    copy_isometries,
     dense_membership,
     dense_sandwich,
     ladder_cases,
@@ -35,6 +36,7 @@ from helpers import (
     reference_correlation_from_trace,
     reference_diagonal_projections,
     reference_embed_projections,
+    reference_isometry_edge_basis,
     reference_shift_multiply_projections,
     reference_synchronous_identities,
     reference_teleport_projections,
@@ -87,7 +89,6 @@ from qgraph.graphs import (
     ADJACENCY,
     SAME_VERTEX,
     EdgeBasis,
-    EdgeBasisElement,
     _bimodule_distances,
     classical_graph_from_operator_system,
     edge_basis,
@@ -103,7 +104,7 @@ from qgraph.linalg import (
     unit_root_power,
     worst_residual,
 )
-from qgraph.serialize import matrix_from_json
+from qgraph.serialize import graph_from_json, matrix_from_json
 from qgraph.strategies import _star_commutator_norm, round_outcomes
 
 K = ClassicalGraph.complete
@@ -426,9 +427,9 @@ def reference_operational(inst, strategy, tol, basis=None):
     c = strategy.c
     same_worst, same_wit, same_table = 0.0, None, {}
     adj_worst, adj_wit, adj_table = 0.0, None, {}
-    for idx, elem in enumerate(basis.elements):
-        p = reference_outcome_probability(strategy, elem.matrix, tol)
-        if elem.tag == SAME_VERTEX:
+    for idx, (y, tag) in enumerate(zip(basis.matrices, basis.tags)):
+        p = reference_outcome_probability(strategy, y, tol)
+        if tag == SAME_VERTEX:
             for a in range(c):
                 for b in range(c):
                     if a != b:
@@ -459,10 +460,10 @@ def reference_operational_amplitude(inst, strategy, tol, basis=None):
     rules = (("same_vertex_rule", SAME_VERTEX, offdiag), ("adjacency_rule", ADJACENCY, nonadj))
     for name, tag, pairs in rules:
         worst, witness, table = 0.0, None, {}
-        for idx, elem in enumerate(basis.elements):
-            if elem.tag != tag:
+        for idx, (y, y_tag) in enumerate(zip(basis.matrices, basis.tags)):
+            if y_tag != tag:
                 continue
-            w = np.kron(elem.matrix, eye)
+            w = np.kron(y, eye)
             for a, b in pairs:
                 r = hs_norm(root_t @ strategy.projections[a] @ w @ strategy.projections[b])
                 _record(table, {"a": a, "b": b, "basis_index": idx}, r)
@@ -1597,24 +1598,26 @@ def test_normal_form_refuses_all_zero_generators():
 
 def reference_edge_basis(g, tol):
     """The modified Gram-Schmidt that edge_basis ran over every compression P_a Z P_b."""
-    kblocks = g.algebra.k_blocks()
-    elements = []
-    for a_idx, ka in enumerate(kblocks):
-        for b_idx, kb in enumerate(kblocks):
+    copies = copy_isometries(g.algebra)
+    mats, tags, blocks = [], [], []
+    for a_idx, (ra, wa) in enumerate(copies):
+        for b_idx, (rb, wb) in enumerate(copies):
             kept = []
-            if ka.central == kb.central:
-                unit = ka.isometry @ kb.isometry.conj().T / np.sqrt(ka.dim)
-                kept.append(unit)
-                elements.append(EdgeBasisElement(unit, SAME_VERTEX, (a_idx, b_idx)))
+            if ra == rb:
+                kept.append(wa @ wb.conj().T / np.sqrt(wa.shape[1]))
+                tags.append(SAME_VERTEX)
             for z in g._adjacency_basis:
-                cand = ka.isometry @ ka.isometry.conj().T @ z @ kb.isometry @ kb.isometry.conj().T
+                cand = wa @ wa.conj().T @ z @ wb @ wb.conj().T
                 for prev in kept:
                     cand = cand - np.vdot(prev, cand) * prev
                 nrm = hs_norm(cand)
                 if nrm >= tol.eps * 10:
                     kept.append(cand / nrm)
-                    elements.append(EdgeBasisElement(cand / nrm, ADJACENCY, (a_idx, b_idx)))
-    return EdgeBasis(tuple(elements), tuple(k.dim for k in kblocks))
+                    tags.append(ADJACENCY)
+            mats += kept
+            blocks += [(a_idx, b_idx)] * len(kept)
+    dims = tuple(w.shape[1] for _, w in copies)
+    return EdgeBasis(np.reshape(mats, (-1, g.n, g.n)), tuple(tags), tuple(blocks), dims)
 
 
 EDGE_LADDER = dict(LADDER, **{
@@ -1652,8 +1655,8 @@ EDGE_CASES = list(edge_basis_cases())
 
 def _by_block_pair(basis):
     pairs = {}
-    for e in basis.elements:
-        pairs.setdefault(e.block, {SAME_VERTEX: [], ADJACENCY: []})[e.tag].append(e.matrix)
+    for y, tag, pair in zip(basis.matrices, basis.tags, basis.blocks):
+        pairs.setdefault(pair, {SAME_VERTEX: [], ADJACENCY: []})[tag].append(y)
     return pairs
 
 
@@ -1662,7 +1665,7 @@ def test_edge_basis_matches_gram_schmidt_reference(label, g):
     tol = Tolerance()
     basis, reference = edge_basis(g, tol), reference_edge_basis(g, tol)
     assert basis.block_dims == reference.block_dims
-    assert [(e.block, e.tag) for e in basis.elements] == [(e.block, e.tag) for e in reference.elements]
+    assert (basis.blocks, basis.tags) == (reference.blocks, reference.tags)
     got, want = _by_block_pair(basis), _by_block_pair(reference)
     for pair, tags in want.items():
         for y, ref in zip(got[pair][SAME_VERTEX], tags[SAME_VERTEX]):
@@ -1671,8 +1674,42 @@ def test_edge_basis_matches_gram_schmidt_reference(label, g):
         vecs = [np.reshape(got[pair][ADJACENCY], (-1, g.n * g.n)), np.reshape(tags[ADJACENCY], (-1, g.n * g.n))]
         projectors = [v.T @ v.conj() for v in vecs]
         assert np.abs(projectors[0] - projectors[1]).max() <= 1e-12
-    gram = np.reshape([e.matrix for e in basis.elements], (len(basis.elements), -1))
+    gram = basis.matrices.reshape(len(basis.matrices), -1)
     assert np.abs(gram.conj() @ gram.T - np.eye(len(gram))).max() <= 1e-12
+
+
+EXAMPLES = os.path.join(os.path.dirname(__file__), os.pardir, "docs", "examples")
+
+
+def isometry_cases():
+    """The seeded edge-basis cases (the ladder's complete graphs in Haar frames, C+M_2
+    among them, and rotated S_C5..S_C8), the example graphs and the edgeless S_G."""
+    yield from EDGE_CASES
+    for name in ("quantum_graph", "traceless_graph", "rotated_scalar_graph"):
+        with open(os.path.join(EXAMPLES, f"{name}.json")) as fh:
+            yield name, graph_from_json(json.load(fh))
+    yield "S_G, G edgeless on 3", graph_operator_system(ClassicalGraph.empty(3))
+
+
+ISOMETRY_CASES = list(isometry_cases())
+
+
+@pytest.mark.parametrize("label, g", ISOMETRY_CASES, ids=[c[0] for c in ISOMETRY_CASES])
+def test_edge_basis_matches_isometry_reference(label, g):
+    # The canonical-frame slices give what W_a* Z W_b gave: the same tags and copy pairs,
+    # the same units W_a W_b*/sqrt(k) and the same span per pair, in one read-only stack.
+    basis, reference = edge_basis(g), reference_isometry_edge_basis(g)
+    assert (basis.block_dims, basis.tags, basis.blocks) == (reference.block_dims, reference.tags, reference.blocks)
+    same = np.array(basis.tags) == SAME_VERTEX
+    assert np.abs(basis.matrices[same] - reference.matrices[same]).max() <= 1e-12
+    got, want = _by_block_pair(basis), _by_block_pair(reference)
+    for pair, tags in want.items():
+        vecs = [np.reshape(got[pair][ADJACENCY], (-1, g.n * g.n)), np.reshape(tags[ADJACENCY], (-1, g.n * g.n))]
+        projectors = [v.T @ v.conj() for v in vecs]
+        assert np.abs(projectors[0] - projectors[1]).max() <= 1e-12
+    gram = basis.matrices.reshape(len(basis.matrices), -1)
+    assert np.abs(gram.conj() @ gram.T - np.eye(len(gram))).max() <= 1e-12
+    assert basis.matrices.shape == (len(basis.tags), g.n, g.n) and not basis.matrices.flags.writeable
 
 
 @pytest.mark.parametrize("label, g, target, s, wins", CASES, ids=[c[0] for c in CASES])
@@ -1789,8 +1826,8 @@ def test_tolerance_changes_verdicts_only(label, g, target, s):
     first = next(iter(bases.values()), None)
     for basis in bases.values():
         assert basis.block_dims == first.block_dims
-        assert [(e.tag, e.block) for e in basis.elements] == [(e.tag, e.block) for e in first.elements]
-        assert all(np.array_equal(e.matrix, f.matrix) for e, f in zip(basis.elements, first.elements))
+        assert (basis.tags, basis.blocks) == (first.tags, first.blocks)
+        assert np.array_equal(basis.matrices, first.matrices)
 
 
 def test_tolerance_cases_move_verdicts():
@@ -1836,14 +1873,15 @@ def reference_subset_residual(inst, strategy, kraus, tol):
     offdiag = ~np.eye(strategy.c, dtype=bool)
     nonadjacent = inst.target._nonadjacent
     residuals, sums, inputs = [], {}, {}
-    for elem in edge_basis(inst.source, tol).elements:
-        big = np.kron(elem.matrix, eye_d)
+    basis = edge_basis(inst.source, tol)
+    for y, tag in zip(basis.matrices, basis.tags):
+        big = np.kron(y, eye_d)
         table = np.einsum("mau,uv,lbv->mlab", stack, big, np.conj(stack))
-        forbidden = offdiag if elem.tag == SAME_VERTEX else nonadjacent
+        forbidden = offdiag if tag == SAME_VERTEX else nonadjacent
         residuals.append(np.where(forbidden, np.abs(table).max(axis=(0, 1)), 0.0))
         squares = np.where(forbidden, (np.abs(table) ** 2).sum(axis=(0, 1)), 0.0)
-        sums[elem.tag] = sums.get(elem.tag, 0.0) + squares
-        inputs[elem.tag] = inputs.get(elem.tag, 0) + 1
+        sums[tag] = sums.get(tag, 0.0) + squares
+        inputs[tag] = inputs.get(tag, 0) + 1
     new = max((np.sqrt(total).max() for total in sums.values()), default=0.0)
     # One (a, b) sum has a term per input of its tag and per Kraus pair (k, l) of (a, b).
     rank = max(round(np.trace(p).real) for p in strategy.projections)

@@ -231,6 +231,21 @@ def test_embed_refuses_a_family_outside_its_ancilla_algebra(tmp_path, capsys):
     assert capsys.readouterr() == ("", err)
 
 
+@pytest.mark.parametrize("case, failed", [("negative operator", "positivity"), ("family summing to 0", "sum")])
+def test_embed_refuses_a_family_that_is_not_a_povm(tmp_path, capsys, case, failed):
+    if case == "negative operator":  # 2 and -1 sum to 1, but -1 is not positive
+        doc = {"n": 1, "c": 2, "h": 1, "families": [[[[[2.0, 0.0]]], [[[-1.0, 0.0]]]]]}
+    else:  # the example with its first operator set to 0
+        doc = json.loads((EXAMPLES / "families.json").read_text())
+        doc["families"][0][0] = [[[0.0, 0.0]]]
+    assert main(["embed", write(tmp_path, "fam.json", doc)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert "input family 0 is not a POVM" in error and failed in error
+    assert main(["embed", str(EXAMPLES / "families.json")]) == 0
+
+
 def test_extract_channel_command(tmp_path, m2_graph_file, capsys):
     strat_path = str(tmp_path / "s.json")
     main(["color", "--method", "teleport", "--d", "1", "--k", "2", "--out", strat_path])

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from helpers import rand_unitary
+from helpers import rand_hermitian, rand_unitary
 from qgraph import (
     BlockStrategy,
     ClassicalGraph,
     GameInstance,
+    Tolerance,
     TracialAncilla,
     VnAlgebra,
     abelian_loc_coloring,
@@ -99,7 +100,7 @@ class TestShiftMultiplyColoring:
 
     def test_conjugated_algebra(self):
         rng = np.random.default_rng(70)
-        from helpers import rand_unitary
+        from helpers import rand_hermitian, rand_unitary
 
         u = rand_unitary(rng, 3)
         alg = VnAlgebra(n=3, blocks=((1, 1), (1, 2)), unitary=u)
@@ -192,6 +193,24 @@ class TestRigidity:
         rep = rigidity_check(s, alg)
         assert rep.model == "loc"
         assert rep.passed()
+
+    def test_passed_decides_the_verification_at_its_own_tolerance(self):
+        # Rotating P_1 by 1 (x) exp(i delta H) on the ancilla, delta = 1e-7, puts the pvm
+        # check near 7.6e-8: it passes at 1e-6 and fails at 1e-9, so a report built at
+        # 1e-6 must not pass at 1e-9, where rigidity_check refuses the strategy.
+        alg = VnAlgebra(n=3, blocks=((1, 1), (1, 2)))
+        s = shift_multiply_coloring(alg)
+        w, v = np.linalg.eigh(rand_hermitian(np.random.default_rng(0), s.ancilla.dim))
+        rotation = np.kron(np.eye(s.n), (v * np.exp(1e-7j * w)) @ v.conj().T)
+        projections = np.array(s.projections)
+        projections[1] = rotation @ projections[1] @ rotation.conj().T
+        rotated = BlockStrategy(s.n, s.c, s.ancilla, projections)
+        loose, tight = Tolerance(1e-6), Tolerance(1e-9)
+        rep = rigidity_check(rotated, alg, loose)
+        assert 1e-9 < rep.verification.check("pvm").max_residual < 1e-6
+        assert rep.passed(loose) and not rep.passed(tight)
+        with pytest.raises(ValueError, match="not a valid coloring"):
+            rigidity_check(rotated, alg, tight)
 
 
 class TestChromaticBounds:

@@ -155,9 +155,9 @@ class TestOutcomeProbability:
         g = nonloop_graph(3)
         s = diagonal_unit_strategy(3)
         basis = edge_basis(g)
-        for e in basis.elements:
-            p = outcome_probability(s, e.matrix)
-            if e.tag == SAME_VERTEX:
+        for y, tag in zip(basis.matrices, basis.tags):
+            p = outcome_probability(s, y)
+            if tag == SAME_VERTEX:
                 off = p - np.diag(np.diagonal(p))
                 assert np.abs(off).max() <= 1e-12
             else:
@@ -170,9 +170,10 @@ class TestOutcomeProbability:
             algebra=VnAlgebra(n=2, blocks=((1, 2),)),
             s_basis=tuple(matrix_unit(2, i, j) for i in range(2) for j in range(2)),
         )
-        for e in edge_basis(g).elements:
-            p = outcome_probability(s, e.matrix)
-            if e.tag == ADJACENCY:
+        basis = edge_basis(g)
+        for y, tag in zip(basis.matrices, basis.tags):
+            p = outcome_probability(s, y)
+            if tag == ADJACENCY:
                 assert np.abs(np.diagonal(p)).max() <= 1e-12
 
     def test_non_unit_input_rejected(self):

@@ -74,7 +74,7 @@ class TestValidate:
         assert calls[2:] == ["_compute_validation", "_compute_edge_basis"]
 
     def test_cached_bases_are_read_only(self):
-        # span_basis hands out views of what validate reads, and the adjacency basis is
+        # span_basis hands out a view of what validate reads, and the adjacency basis is
         # one of the cached game inputs, so a write into either must not reach them.
         g = full_graph(2)
         for basis in (g.span_basis(), g._adjacency_basis):
@@ -106,13 +106,13 @@ class TestEdgeBasis:
         basis = edge_basis(g)
         same = tagged(basis, SAME_VERTEX)
         adj = tagged(basis, "adjacency")
-        assert len(basis.elements) == 4
+        assert len(basis.matrices) == 4
         assert len(same) == 2 and len(adj) == 2
-        same_span = orthonormalize([e.matrix for e in same])
+        same_span = orthonormalize(same)
         for i in range(2):
             e = matrix_unit(2, i, i)
             assert hs_norm(e - project_onto_span(e, same_span)) < 1e-12
-        adj_span = orthonormalize([e.matrix for e in adj])
+        adj_span = orthonormalize(adj)
         for pos in [(0, 1), (1, 0)]:
             e = matrix_unit(2, *pos)
             assert hs_norm(e - project_onto_span(e, adj_span)) < 1e-12
@@ -121,27 +121,27 @@ class TestEdgeBasis:
         basis = edge_basis(full_graph(2))
         same = tagged(basis, SAME_VERTEX)
         assert len(same) == 1
-        np.testing.assert_allclose(same[0].matrix, np.eye(2) / np.sqrt(2), atol=1e-12)
+        np.testing.assert_allclose(same[0], np.eye(2) / np.sqrt(2), atol=1e-12)
 
     def test_cardinality(self):
         for g in [graph_operator_system(ClassicalGraph.cycle(4)), full_graph(3)]:
             basis = edge_basis(g)
-            assert len(basis.elements) == len(orthonormalize(list(g.s_basis)))
+            assert len(basis.matrices) == len(orthonormalize(g.s_basis))
 
     def test_orthonormal(self):
         g = graph_operator_system(ClassicalGraph.cycle(5))
-        mats = [e.matrix for e in edge_basis(g).elements]
+        mats = edge_basis(g).matrices
         gram = np.array([[np.vdot(b, a) for b in mats] for a in mats])
         np.testing.assert_allclose(gram, np.eye(len(mats)), atol=1e-10)
 
     def test_block_positions(self):
         g = graph_operator_system(ClassicalGraph.complete(2))
-        for e in edge_basis(g).elements:
-            r, s = e.block
+        basis = edge_basis(g)
+        for y, (r, s) in zip(basis.matrices, basis.blocks):
             # E_r Y E_s = Y for the tagged block pair.
             er = np.zeros((2, 2)); er[r, r] = 1
             es = np.zeros((2, 2)); es[s, s] = 1
-            np.testing.assert_allclose(er @ e.matrix @ es, e.matrix, atol=1e-12)
+            np.testing.assert_allclose(er @ y @ es, y, atol=1e-12)
 
     def test_reordering_spans_same_space(self):
         g = graph_operator_system(ClassicalGraph.cycle(4))
@@ -152,10 +152,8 @@ class TestEdgeBasis:
         b2 = edge_basis(reordered)
         assert len(tagged(b1, SAME_VERTEX)) == len(tagged(b2, SAME_VERTEX))
         assert len(tagged(b1, "adjacency")) == len(tagged(b2, "adjacency"))
-        span2 = orthonormalize([e.matrix for e in b2.elements])
-        worst = max(
-            hs_norm(e.matrix - project_onto_span(e.matrix, span2)) for e in b1.elements
-        )
+        span2 = orthonormalize(b2.matrices)
+        worst = max(hs_norm(y - project_onto_span(y, span2)) for y in b1.matrices)
         assert worst < 1e-10
 
     def test_multiplicity_blocks(self):
@@ -165,17 +163,14 @@ class TestEdgeBasis:
         basis = tuple(matrix_unit(4, i, j) for i in range(4) for j in range(4))
         g = QuantumGraph(n=4, algebra=alg, s_basis=basis)
         eb = edge_basis(g)
-        same = tagged(eb, SAME_VERTEX)
+        same = [(y, pair) for y, tag, pair in zip(eb.matrices, eb.tags, eb.blocks) if tag == SAME_VERTEX]
         assert len(same) == alg.dim_commutant == 4
-        assert sorted(e.block for e in same) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        assert [pair for _, pair in same] == [(0, 0), (0, 1), (1, 0), (1, 1)]
         assert eb.block_dims == (2, 2)
-        for e in same:
-            if e.block[0] == e.block[1]:
-                # Diagonal seeds are the normalized block projections.
-                k = g.algebra.k_blocks()[e.block[0]]
-                np.testing.assert_allclose(
-                    e.matrix, k.isometry @ k.isometry.conj().T / np.sqrt(k.dim), atol=1e-12
-                )
+        for y, (a, b) in same:
+            if a == b:
+                # Diagonal seeds are the normalized projections onto the copies, rows 2a, 2a + 1.
+                np.testing.assert_allclose(y, np.diag(np.repeat(np.arange(2) == a, 2)) / np.sqrt(2), atol=1e-12)
 
     def test_adjacency_perp_to_commutant(self):
         alg = VnAlgebra(n=4, blocks=((2, 2),))
@@ -184,8 +179,8 @@ class TestEdgeBasis:
         eb = edge_basis(g)
         comm = commutant(alg)
         worst = max(
-            abs(np.vdot(a, e.matrix))
-            for e in tagged(eb, "adjacency")
+            abs(np.vdot(a, y))
+            for y in tagged(eb, "adjacency")
             for a in comm
         )
         assert worst <= 1e-10
@@ -207,9 +202,9 @@ class TestGraphOperatorSystem:
         assert len(g.s_basis) == 3
 
     def test_empty_edge_basis_is_same_vertex_units(self):
-        elements = edge_basis(graph_operator_system(ClassicalGraph.empty(3))).elements
-        assert [e.tag for e in elements] == [SAME_VERTEX] * 3
-        assert all(hs_norm(e.matrix - matrix_unit(3, a, a)) <= 1e-12 for a, e in enumerate(elements))
+        basis = edge_basis(graph_operator_system(ClassicalGraph.empty(3)))
+        assert basis.tags == (SAME_VERTEX,) * 3
+        assert all(hs_norm(y - matrix_unit(3, a, a)) <= 1e-12 for a, y in enumerate(basis.matrices))
 
     def test_c5_dimension(self):
         g = graph_operator_system(ClassicalGraph.cycle(5))

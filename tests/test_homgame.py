@@ -430,8 +430,8 @@ class TestTracelessVariant:
         from qgraph import edge_basis
 
         eb = edge_basis(g)
-        assert [e.tag for e in eb.elements].count("same_vertex") == 1
-        assert np.abs(tagged(eb, "same_vertex")[0].matrix - np.eye(3) / np.sqrt(3)).max() <= 1e-12
+        assert eb.tags.count("same_vertex") == 1
+        assert np.abs(tagged(eb, "same_vertex")[0] - np.eye(3) / np.sqrt(3)).max() <= 1e-12
         assert len(tagged(eb, "adjacency")) == 6
         inst = GameInstance(source=g, target=K(3))
         s = diagonal_unit_strategy(3)

@@ -138,7 +138,7 @@ def test_a_write_through_the_cached_rounding_or_edge_basis_raises_and_no_verdict
     assert not verify_structural(inst, s).passed and not check_game_algebra_rep(inst, s).passed
 
     f = s.factors
-    for cached in (f.v, f.labels, f.projections, f.defects, edge_basis(g).elements[0].matrix):
+    for cached in (f.v, f.labels, f.projections, f.defects, edge_basis(g).matrices):
         with pytest.raises(ValueError, match="read-only"):
             cached[...] = 0
     assert not verify_structural(inst, s).passed and not check_game_algebra_rep(inst, s).passed

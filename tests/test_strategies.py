@@ -45,12 +45,6 @@ class TestTracialAncilla:
         np.testing.assert_allclose(t, [0.125, 0.125, 0.25, 0.25, 0.25])
         assert t.sum() == pytest.approx(1.0)
 
-    def test_block_defect(self):
-        a = TracialAncilla((1, 1))
-        x = np.ones((2, 2))
-        assert a.block_defect(x) == pytest.approx(np.sqrt(2))
-        assert a.block_defect(np.diag([1.0, 2.0])) == 0.0
-
     def test_tensor(self):
         a = TracialAncilla((1, 2), (0.5, 0.5)).tensor(TracialAncilla((3,), (1.0,)))
         assert a.block_dims == (3, 6)
