@@ -175,23 +175,57 @@ def project_onto_span(x: np.ndarray, orthonormal: list[np.ndarray]) -> np.ndarra
     return ((z @ b.conj().T) @ b).reshape(x.shape)
 
 
-def orthonormalize(mats) -> list[np.ndarray]:
-    """Orthonormal basis (HS inner product) of the span of a matrix family.
+def orthonormalize(mats) -> np.ndarray:
+    """Orthonormal basis (HS inner product) of the span of a matrix family, as a
+    read-only (r, n, n) stack.
 
     Uses an SVD of the stacked, flattened family; singular directions at or
     below SPAN_RANK_FLOOR (relative to the largest) are discarded.
     """
-    stack = np.asarray(mats, dtype=np.complex128)
-    if not len(stack):
-        return []
-    _, s, vh = np.linalg.svd(stack.reshape(len(stack), -1), full_matrices=False)
-    return list(vh[s > SPAN_RANK_FLOOR * s[0]].reshape(-1, *stack.shape[1:]))
+    stack = np.array(mats, dtype=np.complex128)
+    if len(stack):
+        _, s, vh = np.linalg.svd(stack.reshape(len(stack), -1), full_matrices=False)
+        stack = vh[s > SPAN_RANK_FLOOR * s[0]].reshape(-1, *stack.shape[1:])
+    stack.flags.writeable = False
+    return stack
 
 
-def _nullspace(mat: np.ndarray) -> np.ndarray:
-    """Orthonormal rows spanning the (right) nullspace of a tall matrix."""
+def _nullspace(mat: np.ndarray, norm: float) -> np.ndarray:
+    """Orthonormal rows spanning the (right) nullspace of a tall matrix whose operator
+    norm is at most norm.  A singular value at or below NULLSPACE_FLOOR * norm, or at or
+    below NULLSPACE_ABS_FLOOR, is rounding.  The floor comes from the caller's bound, not
+    from the largest singular value: a map restricted to a subspace on which it vanishes
+    has only rounding for singular values, and a floor relative to them would count
+    some of that rounding as rank."""
     _, s, vh = np.linalg.svd(mat, full_matrices=False)
-    return vh[int(np.sum(s > max(NULLSPACE_FLOOR * s[0], NULLSPACE_ABS_FLOOR))) :].conj()
+    return vh[int(np.sum(s > max(NULLSPACE_FLOOR * norm, NULLSPACE_ABS_FLOOR))) :].conj()
+
+
+def _commutant_rows(basis: np.ndarray, h: np.ndarray, norm: float) -> np.ndarray:
+    """Orthonormal flattened rows spanning A' = {X : [b, X] = 0 for each b of basis}, an
+    HS-orthonormal (m, n, n) stack closed under adjoints, from a Hermitian element h of
+    its span; norm bounds the operator norm of the whole map X -> ([b, X])_b.
+
+    A' lies in {h}' = (+)_i W_i M_{d_i} W_i*, with W_i the eigenvectors of a group of
+    h's eigenvalues, so the nullspace is taken over the sum d_i^2 HS-orthonormal units
+    w_r w_s* of {h}'.  The groups split only at gaps above GENERIC_WINDOW * GENERIC_ZERO
+    * max(1, |h|); merging close eigenvalues only enlarges {h}'.
+    """
+    m, n = len(basis), h.shape[-1]
+    w, v = np.linalg.eigh(h)  # ascending, so each group is a run of columns
+    gap = GENERIC_WINDOW * GENERIC_ZERO * max(1.0, float(np.abs(w).max()))
+    group = np.concatenate([[0], np.cumsum(np.diff(w) > gap)])
+    rows, cols = np.nonzero(group[:, None] == group[None, :])  # units w_r w_s*, in {h}'
+    units = np.arange(len(rows))
+    # [b~, E_rs] with b~ = V* b V: column s of b~ E_rs is b~[:, r], row r of E_rs b~ is b~[s, :].
+    bt = v.conj().T @ basis @ v
+    image = np.zeros((m, n, n, len(rows)), dtype=np.complex128)
+    image[:, :, cols, units] = bt[:, :, rows]
+    image[:, rows, :, units] -= bt[:, cols, :].transpose(1, 0, 2)
+    coeffs = _nullspace(image.reshape(m * n * n, len(rows)), norm)
+    comm = np.zeros((len(coeffs), n, n), dtype=np.complex128)
+    comm[:, rows, cols] = coeffs
+    return (v @ comm @ v.conj().T).reshape(len(coeffs), n * n)
 
 
 def _cluster_eigenvalues(w: np.ndarray, gap: float) -> list[np.ndarray]:
@@ -228,8 +262,12 @@ def normal_form(generators) -> tuple[VnAlgebra, np.ndarray]:
     coordinates.  Blocks are sorted by (k_r, n_r) for determinism.
 
     Works from the commutant A' alone (Murota, Kanno, Kojima and Kojima,
-    2010): A' is one nullspace, the X with [b, X] = 0 for an orthonormal
-    basis b of the generators and their adjoints.  A generic Hermitian
+    2010): A' is the X with [b, X] = 0 for an orthonormal basis b of the
+    generators and their adjoints.  It lies in the commutant {h}' of one
+    generic Hermitian h in their span, so it is one nullspace over the
+    sum d_i^2 units of {h}' (see _commutant_rows), not over all of M_n, with a
+    rank floor relative to 2 |B|_2 (B the stacked basis), a bound on the norm
+    of the whole map X -> ([b, X])_b.  A generic Hermitian
     element of A' has the irreducible copies as eigenspaces.  For a second
     generic Y in A', V_i* Y V_j is a nonzero multiple of a unitary within a
     block and zero across blocks; its polar part aligns the frames.  A unitary
@@ -247,13 +285,16 @@ def normal_form(generators) -> tuple[VnAlgebra, np.ndarray]:
     basis = orthonormalize(np.concatenate([generators, generators.conj().transpose(0, 2, 1)]))
 
     # A *-algebra contains I exactly when its generators and their adjoints
-    # have no common kernel vector.
-    if _nullspace(np.concatenate(basis)).shape[0]:
+    # have no common kernel vector: no singular value of the stacked basis B is rounding.
+    s = np.linalg.svd(basis.reshape(-1, n), compute_uv=False)
+    if s[-1] <= max(NULLSPACE_FLOOR * s[0], NULLSPACE_ABS_FLOOR):
         raise ValueError("generated algebra does not contain the identity (common kernel vector)")
-    eye = np.eye(n)
-    comm = _nullspace(np.concatenate([np.kron(b, eye) - np.kron(eye, b.T) for b in basis]))
-
     rng = np.random.default_rng(7)
+    x = _generic(basis, rng)
+    # |[b, X]|_F <= |b X|_F + |X b|_F, and sum_b b* b = sum_b b b* = B* B on a *-closed
+    # span, so 2 |B|_2 bounds the norm of the whole map X -> ([b, X])_b.
+    comm = _commutant_rows(basis, x + x.conj().T, 2.0 * s[0])
+
     for _ in range(_MAX_ATTEMPTS):
         try:
             return _normal_form_attempt(basis, comm, n, rng)
@@ -266,19 +307,21 @@ class _GenericityFailure(RuntimeError):
     pass
 
 
-def _normal_form_attempt(basis, comm: np.ndarray, n: int, rng: np.random.Generator):
-    def generic() -> np.ndarray:
-        c = rng.normal(size=len(comm)) + 1j * rng.normal(size=len(comm))
-        return (c @ comm).reshape(n, n)
+def _generic(stack: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """A complex Gaussian combination of the elements of a stack (or of the rows of a matrix)."""
+    c = rng.normal(size=len(stack)) + 1j * rng.normal(size=len(stack))
+    return np.tensordot(c, stack, axes=1)
 
-    x = generic()
+
+def _normal_form_attempt(basis, comm: np.ndarray, n: int, rng: np.random.Generator):
+    x = _generic(comm, rng).reshape(n, n)
     w, v = np.linalg.eigh(x + x.conj().T)  # Hermitian by construction
     copies = _cluster_eigenvalues(w, gap=GENERIC_ZERO * max(1.0, float(np.abs(w).max())))
     starts = np.cumsum([0] + [len(ix) for ix in copies[:-1]])
     v = v[:, np.concatenate(copies)]  # copy i spans columns starts[i] : starts[i] + k_i
 
     # links[i, j] = |V_i* Y V_j|_F / |Y|_F; a link inside the window is not generic.
-    y = generic()
+    y = _generic(comm, rng).reshape(n, n)
     yv = v.conj().T @ y @ v
     links = np.sqrt(np.add.reduceat(np.add.reduceat(np.abs(yv) ** 2, starts, 0), starts, 1))
     links /= max(1.0, hs_norm(y))
@@ -314,7 +357,7 @@ def _normal_form_attempt(basis, comm: np.ndarray, n: int, rng: np.random.Generat
     if not defect <= UNITARY_DEFECT:
         raise _GenericityFailure(f"assembled frame is not unitary (defect {defect:.3e})")
     canon = algebra_basis(VnAlgebra(n=n, blocks=blocks))
-    b_can = u.conj().T @ np.asarray(basis) @ u
+    b_can = u.conj().T @ basis @ u
     residuals = np.linalg.norm(b_can - project_onto_span(b_can, canon), axis=(-2, -1))
     worst = worst_residual(residuals)[0]
     if not worst <= np.sqrt(n) * FRAME_RESIDUAL:

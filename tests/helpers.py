@@ -328,6 +328,22 @@ def reference_commutant(alg: VnAlgebra) -> list[np.ndarray]:
     return out
 
 
+def commutator_map(basis) -> np.ndarray:
+    """The (m n^2, n^2) matrix of X -> ([b, X])_b over an (m, n, n) stack, on row-major
+    vec(X): kron(b, 1) - kron(1, b^T) for each b."""
+    basis = np.asarray(basis, dtype=np.complex128)
+    eye = np.eye(basis.shape[-1])
+    return np.concatenate([np.kron(b, eye) - np.kron(eye, b.T) for b in basis])
+
+
+def reference_commutant_rows(basis) -> np.ndarray:
+    """The nullspace that algebra._commutant_rows replaced, kept as its reference: the
+    flattened X with [b, X] = 0 for each b of an (m, n, n) stack, from commutator_map, with
+    the rank floor relative to its largest singular value, the norm of that whole map."""
+    _, s, vh = np.linalg.svd(commutator_map(basis), full_matrices=False)
+    return vh[int(np.sum(s > max(1e-9 * s[0], 1e-12))) :].conj()
+
+
 def reference_central_projections(alg: VnAlgebra) -> list[np.ndarray]:
     """The per-block loop that VnAlgebra.central_projections replaced, kept as its reference."""
     out = []

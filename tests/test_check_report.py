@@ -1,7 +1,8 @@
 """The shared check report: its reducer, fail-closed NaN handling, and a
 seeded cross-check of every verifier and array kernel against the
 per-residual loops it replaced, of normal_form against the *-closure and
-centre solve it replaced, and of edge_basis against its Gram-Schmidt loop."""
+centre solve it replaced and of its commutant against the kron nullspace it
+replaced, and of edge_basis against its Gram-Schmidt loop."""
 
 import dataclasses
 import importlib.util
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from helpers import (
     LADDER,
     block_mixing_strategy,
+    commutator_map,
     conjugate,
     copy_isometries,
     dense_membership,
@@ -32,6 +34,7 @@ from helpers import (
     reference_bob_from_alice,
     reference_central_projections,
     reference_commutant,
+    reference_commutant_rows,
     reference_correlation_from_tensor,
     reference_correlation_from_trace,
     reference_diagonal_projections,
@@ -77,6 +80,8 @@ from qgraph import (
 )
 from qgraph.algebra import (
     _cluster_eigenvalues,
+    _commutant_rows,
+    _generic,
     _GenericityFailure,
     algebra_basis,
     commutant,
@@ -1407,7 +1412,7 @@ def reference_normal_form(generators):
     n = generators[0].shape[0]
     basis = orthonormalize(generators + [g.conj().T for g in generators])
     while True:
-        new_basis = orthonormalize(basis + [a @ b for a in basis for b in basis])
+        new_basis = orthonormalize(list(basis) + [a @ b for a in basis for b in basis])
         if len(new_basis) == len(basis):
             break
         basis = new_basis
@@ -1591,6 +1596,95 @@ def test_normal_form_refuses_non_finite_generators_before_any_svd(value):
 def test_normal_form_refuses_all_zero_generators():
     with pytest.raises(ValueError, match="all zero"):
         normal_form([np.zeros((3, 3)), np.zeros((3, 3))])
+
+
+# --- normal_form's commutant inside {h}' against the kron nullspace it replaced -------
+
+
+def _span_basis(gens):
+    """normal_form's orthonormal basis of the span of the generators and their adjoints."""
+    gens = np.asarray(gens, dtype=np.complex128)
+    return orthonormalize(np.concatenate([gens, gens.conj().transpose(0, 2, 1)]))
+
+
+def _map_norm(basis):
+    """2 |B|_2 of the stacked basis B, normal_form's bound on the norm of X -> ([b, X])_b."""
+    return 2.0 * np.linalg.norm(basis.reshape(-1, basis.shape[-1]), 2)
+
+
+def _generic_hermitian(basis, seed=7):
+    x = _generic(basis, np.random.default_rng(seed))
+    return x + x.conj().T
+
+
+def assert_commutant_matches_reference(basis, h):
+    rows, reference = _commutant_rows(basis, h, _map_norm(basis)), reference_commutant_rows(basis)
+    assert rows.shape == reference.shape
+    assert np.abs(rows.T @ rows.conj() - reference.T @ reference.conj()).max() <= 1e-12
+
+
+COMMUTANT_CASES = [(label, gens) for label, gens, _ in NF_CASES] + [
+    (f"C 1_{n}", [np.eye(n)]) for n in (1, 4, 9)  # h is scalar: one eigenvalue group
+]
+
+
+@pytest.mark.parametrize("label, gens", COMMUTANT_CASES, ids=[c[0] for c in COMMUTANT_CASES])
+def test_commutant_matches_kron_reference(label, gens):
+    basis = _span_basis(gens)
+    assert_commutant_matches_reference(basis, _generic_hermitian(basis))
+    # The rank floor's scale bounds the norm of the whole map.
+    whole = np.linalg.norm(commutator_map(basis), 2)
+    assert whole <= _map_norm(basis) * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_commutant_matches_kron_reference_when_h_commutes_with_only_the_algebra(seed):
+    """An abelian A = (+)_i C P_i in a Haar frame, rank P_i = mults[i], and h = sum_i
+    (1 + 1.03e-3 i) P_i: each split gap of h is 1.03e-3, just above the merge gap
+    1e-3 |h|, so {h}' = A' and every singular value of the restricted map is rounding.
+    A rank floor taken from the largest of them counts some of that rounding as rank."""
+    mults = (2, 2, 2, 2, 1)
+    n = sum(mults)
+    frame = rand_unitary(np.random.default_rng(seed), n)
+    alg = VnAlgebra(n=n, blocks=tuple((m, 1) for m in mults), unitary=frame)
+    basis = algebra_basis(alg)  # P_i / sqrt(rank P_i)
+    h = np.tensordot((1.0 + 1.03e-3 * np.arange(len(mults))) * np.sqrt(mults), basis, axes=1)
+    w = np.linalg.eigvalsh(h)
+    merge, gaps = 1e-3 * np.abs(w).max(), np.diff(w)
+    split = gaps[gaps > merge]
+    assert len(split) == len(mults) - 1 and split.min() < 1.05 * merge
+    assert_commutant_matches_reference(basis, h)
+    assert len(_commutant_rows(basis, h, _map_norm(basis))) == alg.dim_commutant
+
+
+@st.composite
+def block_data(draw, size=8):
+    """(mult, dim) pairs filling at most size."""
+    blocks, left = [], size
+    while left and (not blocks or draw(st.booleans())):
+        k = draw(st.integers(1, min(left, 3)))
+        blocks.append((draw(st.integers(1, left // k)), k))
+        left -= blocks[-1][0] * k
+    return blocks
+
+
+@settings(max_examples=60, deadline=None)
+@given(blocks=block_data(), seed=st.integers(0, 2**32 - 1), full=st.booleans())
+def test_normal_form_recovers_random_block_data_in_a_haar_frame(blocks, seed, full):
+    n = sum(m * k for m, k in blocks)
+    rng = np.random.default_rng(seed)
+    v = rand_unitary(rng, n)
+    source = VnAlgebra(n=n, blocks=blocks, unitary=v)
+    gens = algebra_basis(source) if full else _generic_elements(rng, blocks, v)
+    alg, u = normal_form(gens)
+    assert sorted(alg.blocks) == sorted(blocks)
+    assert max(block_pattern_residual(u.conj().T @ g @ u, alg.blocks) for g in gens) <= 1e-9
+
+
+def test_normal_form_recovers_d24_in_a_haar_frame():
+    rng = np.random.default_rng(24)
+    alg, _ = normal_form(_generic_elements(rng, ((1, 1),) * 24, rand_unitary(rng, 24)))
+    assert alg.blocks == ((1, 1),) * 24
 
 
 # --- the edge basis as one SVD per block pair, and the loops it removed --------------
