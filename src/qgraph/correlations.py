@@ -88,7 +88,8 @@ def correlation_from_trace(strategy: BlockStrategy) -> Correlation:
     e = strategy.entries().reshape(c * n * n, d * d)
     w = np.repeat(strategy.ancilla.trace_diagonal(), d)
     x = (e * w) @ e.conj().T
-    # The tensor is a transposed view: a C-contiguous copy made the checks that read it no faster.
+    # The tensor is a transposed view: identity (2) of synchronous_identities makes its one strided
+    # copy of it, and the other checks read it in place.
     return Correlation(n=n, c=c, tensor=x.reshape(c, n, n, c, n, n).transpose(0, 3, 1, 2, 4, 5))
 
 
@@ -161,8 +162,8 @@ class SyncReport:
 
 def check_synchronous(x: Correlation, tol: Tolerance = DEFAULT_TOL) -> SyncReport:
     """Partition-free synchronicity criterion on the correlation entries."""
-    diag = np.einsum("aaijij->", x.tensor) / x.n
     cross = np.einsum("abijij->ab", x.tensor)
+    diag = cross.trace() / x.n
     np.fill_diagonal(cross, 0.0)
     diagonal_residual = worst_residual(abs(complex(diag) - 1.0))[0]
     cross_residual = worst_residual(np.abs(cross))[0]
@@ -195,21 +196,28 @@ def synchronous_identities(x: Correlation, tol: Tolerance = DEFAULT_TOL) -> Iden
     """Residuals of the four identities of a synchronous correlation X: (1) X^{(a,b)}_{(i,i),(j,j)} >= 0,
     (2) X^{(a,b)}_{(i,j),(k,l)} = conj(X^{(a,b)}_{(j,i),(l,k)}), (3) sum_k X^{(a,b)}_{(i,k),(j,k)} = 0 for
     a != b and (4) sum_a sum_k X^{(a,a)}_{(i,k),(j,k)} = delta_ij, (3) and (4) on the row and column sums.
+
+    Each residual is one reduction by worst_residual: (1) of max(|Im|, -Re) on the entries, floored
+    at 0; (2) of |X - conj(X^T)| from one C-order copy of the swapped tensor, conjugated and
+    subtracted in place; (4) of the a = b blocks of the row and column sums, summed over a, before
+    (3) zeroes those blocks in place and reads the rest.
     tol is not read here: IdentityReport.passed(tol) decides, and the callers still pass tol.
     """
-    t = x.tensor
-    diag_entries = np.einsum("abiijj->abij", t)
-    positivity = worst_residual([np.abs(diag_entries.imag), np.maximum(-diag_entries.real, 0.0)])[0]
+    t, c, n = x.tensor, x.c, x.n
+    entries = np.einsum("abiijj->abij", t)
+    positivity = max(0.0, worst_residual(np.maximum(np.abs(entries.imag), -entries.real))[0])
 
-    conj_residual = worst_residual(np.abs(t - np.conj(t.transpose(0, 1, 3, 2, 5, 4))))[0]
+    swapped = t.transpose(0, 1, 3, 2, 5, 4).copy()
+    np.conjugate(swapped, out=swapped)
+    np.subtract(t, swapped, out=swapped)
+    conj_residual = worst_residual(np.abs(swapped))[0]
 
-    # Row and column sums: (3) reads the blocks a != b, and (4) sums the blocks a = b.
-    sums = np.array([np.einsum("abikjk->abij", t), np.einsum("abkikj->abij", t)])
-    distinct = ~np.eye(x.c, dtype=bool)[:, :, None, None]
-    off = worst_residual(np.where(distinct, np.abs(sums), 0.0))[0]
-
-    diag_sums = np.trace(sums, axis1=1, axis2=2)
-    diag_sum = worst_residual(np.abs(diag_sums - np.eye(x.n)))[0]
+    sums = np.empty((2, c, c, n, n), dtype=np.complex128)
+    np.einsum("abikjk->abij", t, out=sums[0])
+    np.einsum("abkikj->abij", t, out=sums[1])
+    diag_sum = worst_residual(np.abs(np.einsum("saaij->sij", sums) - np.eye(n)))[0]
+    sums.reshape(2, c * c, n, n)[:, :: c + 1] = 0.0
+    off = worst_residual(np.abs(sums))[0]
     return IdentityReport(positivity, conj_residual, off, diag_sum)
 
 

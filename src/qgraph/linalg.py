@@ -81,19 +81,23 @@ def worst_residual(residuals, axes: tuple[str, ...] = ()) -> tuple[float, dict |
     """Largest entry of a residual array and where it occurs.
 
     Entries that a check does not cover are passed as 0.  NaN counts as +inf,
-    so a residual that could not be computed fails its check.  The witness
-    names the first largest entry in C order, one key per axis; it is None
-    when the array has no axes or no positive entry.
+    so a residual that could not be computed fails its check, and a zero is
+    returned as +0.0.  Without axes the value is one `max` and there is no
+    witness.  With axes the witness names the first largest entry in C order,
+    one key per axis; it is None when no entry is positive.
     """
     r = np.asarray(residuals, dtype=np.float64)
     if r.size == 0:
         return 0.0, None
-    flat = int(np.argmax(r))
-    if np.isnan(r.flat[flat]):  # argmax stops at the first NaN; an earlier inf ties with it
+    if not axes:
+        worst = float(r.max()) + 0.0  # max propagates NaN
+        return (np.inf if worst != worst else worst), None
+    flat = int(r.argmax())
+    worst = float(r.flat[flat]) + 0.0
+    if worst != worst:  # argmax stops at the first NaN; an earlier inf ties with it
         r = np.where(np.isnan(r), np.inf, r)
-        flat = int(np.argmax(r))
-    worst = float(r.flat[flat])
-    if not axes or not worst > 0:
+        flat, worst = int(r.argmax()), np.inf
+    if not worst > 0:
         return worst, None
     return worst, {axis: int(i) for axis, i in zip(axes, np.unravel_index(flat, r.shape))}
 

@@ -11,8 +11,9 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from helpers import (
     LADDER,
@@ -134,6 +135,31 @@ def test_worst_residual_without_witness():
     assert worst_residual(np.zeros((2, 3)), ("a", "b")) == (0.0, None)
     assert worst_residual(np.zeros((0, 3)), ("a", "b")) == (0.0, None)
     assert worst_residual(0.25) == (0.25, None)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    arrays(
+        np.float64,
+        array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=4),
+        elements=st.floats(allow_nan=True, allow_infinity=True),
+    )
+)
+@example(np.array([-0.0, 0.0]))  # max and argmax disagree on the sign of a zero
+@example(np.array([0.0, -0.0]))
+def test_worst_residual_without_axes_is_the_witness_value(r):
+    axes = tuple(f"i{k}" for k in range(r.ndim))
+    (bare, none), (worst, witness) = worst_residual(r), worst_residual(r, axes)
+    assert none is None
+    assert np.float64(bare).tobytes() == np.float64(worst).tobytes()
+    finite = np.where(np.isnan(r), np.inf, r)
+    assert worst == (finite.max() if r.size else 0.0)
+    if not worst > 0:
+        assert witness is None
+        return
+    # The witness is the first largest entry in C order.
+    flat = np.ravel_multi_index(tuple(witness[a] for a in axes), r.shape)
+    assert finite.flat[flat] == worst and not (finite.ravel()[:flat] >= worst).any()
 
 
 def test_check_fails_closed_on_nan():
@@ -913,32 +939,32 @@ def reference_bisync(p):
     return sync, bisync
 
 
+def _worst(*arrays) -> float:
+    """Largest entry of all the arrays, NaN read as inf; independent of worst_residual."""
+    v = float(np.max(np.concatenate([np.ravel(a) for a in arrays])))
+    return np.inf if np.isnan(v) else v
+
+
 def reference_sync_and_identities(x):
     """The old check_synchronous residuals and synchronous_identities, off-diagonal loop included."""
     t = x.tensor
-    diagonal = abs(complex(np.einsum("aaijij->", t) / x.n) - 1.0)
+    diagonal = _worst([abs(complex(np.einsum("aaijij->", t) / x.n) - 1.0)])
     cross = np.einsum("abijij->ab", t)
     np.fill_diagonal(cross, 0.0)
-    cross_residual = float(np.abs(cross).max()) if x.c > 1 else 0.0
+    cross_residual = _worst(np.abs(cross))
     diag_entries = np.einsum("abiijj->abij", t)
-    positivity = max(
-        float(np.abs(diag_entries.imag).max()),
-        float(max(0.0, -diag_entries.real.min())),
-    )
-    conj_residual = float(np.abs(t - np.conj(t.transpose(0, 1, 3, 2, 5, 4))).max())
+    positivity = _worst(np.abs(diag_entries.imag), [0.0], -diag_entries.real)
+    conj_residual = _worst(np.abs(t - np.conj(t.transpose(0, 1, 3, 2, 5, 4))))
     row = np.einsum("abikjk->abij", t)
     col = np.einsum("abkikj->abij", t)
-    off = 0.0
+    off = [[0.0]]
     for a in range(x.c):
         for b in range(x.c):
             if a != b:
-                off = max(off, float(np.abs(row[a, b]).max()), float(np.abs(col[a, b]).max()))
+                off += [np.abs(row[a, b]), np.abs(col[a, b])]
     eye = np.eye(x.n)
-    diag_sum = max(
-        float(np.abs(np.einsum("aaikjk->ij", t) - eye).max()),
-        float(np.abs(np.einsum("aakikj->ij", t) - eye).max()),
-    )
-    return (diagonal, cross_residual), (positivity, conj_residual, off, diag_sum)
+    diag_sum = _worst(np.abs(np.einsum("aaikjk->ij", t) - eye), np.abs(np.einsum("aakikj->ij", t) - eye))
+    return (diagonal, cross_residual), (positivity, conj_residual, _worst(*off), diag_sum)
 
 
 def reference_rigidity(strategy, alg):
@@ -1113,12 +1139,35 @@ def test_classical_graph_recognition_matches_reference_loop(label, g):
 
 
 def correlation_cases():
+    """Each trace correlation in the strided layout of the trace path, and with seeded noise,
+    each with a C-order twin (the layout correlation_from_json builds); then NaN at an entry
+    of each identity on one twin."""
     rng = np.random.default_rng(2028)
-    for label, s in KERNEL_CASES:
+    strategies = list(KERNEL_CASES) + [
+        # The largest rigidity-ladder case, n = c = 8.
+        ("(I_2xM_2)^2", shift_multiply_coloring(VnAlgebra(n=8, blocks=((2, 2), (2, 2))))),
+        ("c=1 n=3", BlockStrategy(n=3, c=1, ancilla=TracialAncilla.full_matrix_block(2), projections=(np.eye(6),))),
+        ("n=1 c=3", embed_classical([[matrix_unit(3, a, a) for a in range(3)]])),
+    ]
+    for label, s in strategies:
         x = correlation_from_trace(s)
-        yield label, x
         noise = rng.normal(size=x.tensor.shape) + 1j * rng.normal(size=x.tensor.shape)
-        yield f"{label} +1e-3", Correlation(n=x.n, c=x.c, tensor=x.tensor + 1e-3 * noise)
+        noisy = x.tensor.copy(order="K")
+        noisy += 1e-3 * noise
+        for case, t in ((label, x.tensor), (f"{label} +1e-3", noisy)):
+            yield case, Correlation(n=x.n, c=x.c, tensor=t)
+            yield f"{case} C-order", Correlation(n=x.n, c=x.c, tensor=np.ascontiguousarray(t))
+    t = np.ascontiguousarray(correlation_from_trace(dict(KERNEL_CASES)["C+M_2 winning"]).tensor)
+    for identity, entry, value in (
+        ("(1) Re", (0, 1, 2, 2, 0, 0), complex(np.nan, 0.0)),
+        ("(1) Im", (0, 1, 2, 2, 0, 0), complex(0.0, np.nan)),
+        ("(2)", (0, 1, 0, 1, 2, 0), complex(np.nan, 0.0)),
+        ("(3)", (0, 1, 0, 2, 1, 2), complex(np.nan, 0.0)),
+        ("(4)", (1, 1, 0, 2, 1, 2), complex(np.nan, 0.0)),
+    ):
+        bad = t.copy()
+        bad[entry] = value
+        yield f"C+M_2 winning C-order NaN at {identity}", Correlation(n=3, c=5, tensor=bad)
 
 
 CORRELATION_CASES = list(correlation_cases())
@@ -1130,29 +1179,38 @@ def test_sync_and_identities_match_reference_loops(label, x):
     (diagonal, cross), identities = reference_sync_and_identities(x)
     sync = check_synchronous(x, tol)
     assert sync.synchronous == (diagonal <= tol.eps and cross <= tol.eps)
-    assert abs(sync.diagonal_residual - diagonal) <= 1e-12
-    assert abs(sync.cross_residual - cross) <= 1e-12
+    np.testing.assert_allclose((sync.diagonal_residual, sync.cross_residual), (diagonal, cross), rtol=0, atol=1e-12)
     rep = synchronous_identities(x, tol)
     got = (rep.positivity_defect, rep.conjugation_residual, rep.offdiag_row_residual, rep.diag_sum_residual)
-    assert np.abs(np.subtract(got, identities)).max() <= 1e-12
+    np.testing.assert_allclose(got, identities, rtol=0, atol=1e-12)
     assert rep.passed(tol) == (max(identities) <= tol.eps)
 
 
-@pytest.mark.parametrize("label, s", KERNEL_CASES, ids=[c[0] for c in KERNEL_CASES])
-def test_synchronous_identities_match_reference_einsums(label, s):
+@pytest.mark.parametrize("label, x", CORRELATION_CASES, ids=[c[0] for c in CORRELATION_CASES])
+def test_synchronous_identities_match_reference_einsums(label, x):
     # Identity (4) now sums the diagonal blocks of identity (3)'s row and column sums.
     tol = Tolerance()
-    x = correlation_from_trace(s)
     rep, ref = synchronous_identities(x, tol), reference_synchronous_identities(x)
-    assert np.abs(np.subtract(dataclasses.astuple(rep), dataclasses.astuple(ref))).max() <= 1e-12
+    np.testing.assert_allclose(dataclasses.astuple(rep), dataclasses.astuple(ref), rtol=0, atol=1e-12)
     assert rep.passed(tol) == ref.passed(tol)
 
 
+def test_nan_at_each_identity_entry_reads_as_inf():
+    cases = {label: x for label, x in CORRELATION_CASES if " NaN at " in label}
+    assert len(cases) == 5
+    for label, x in cases.items():
+        rep = dataclasses.astuple(synchronous_identities(x))
+        # (2) reads every entry; the others read the entry named in the label.
+        read = {"(1)": 0, "(2)": 1, "(3)": 2, "(4)": 3}[label.split(" NaN at ")[1][:3]]
+        assert rep[1] == np.inf and rep[read] == np.inf, label
+        assert all(np.isfinite(r) for k, r in enumerate(rep) if k not in (1, read)), label
+
+
 def classical_correlation_cases():
-    for label, x in CORRELATION_CASES:
+    for label, s in KERNEL_CASES:
         # tau is no trace on the block-mixing entries, so their compression is not real.
-        if not label.endswith("+1e-3") and not label.startswith("block-mixing"):
-            yield label, compress_to_classical(x)
+        if not label.startswith("block-mixing"):
+            yield label, compress_to_classical(correlation_from_trace(s))
     rng = np.random.default_rng(2029)
     for n, c in ((2, 2), (3, 2), (2, 4)):
         yield f"random n={n} c={c}", ClassicalCorrelation(n=n, c=c, p=rng.uniform(size=(c, c, n, n)))

@@ -44,6 +44,9 @@ GRAPHS = "src/qgraph/graphs.py"
 COMMUTANT_TESTS = ("tests/test_check_report.py", "-k", "kron_reference")
 NORMAL_FORM_TESTS = ("tests/test_check_report.py", "-k", "normal_form", "tests/test_algebra.py")
 EDGE_BASIS_TESTS = ("tests/test_check_report.py", "-k", "edge_basis")
+CORRELATIONS = "src/qgraph/correlations.py"
+LINALG = "src/qgraph/linalg.py"
+SYNC_TESTS = ("tests/test_check_report.py", "-k", "sync_and_identities_match_reference_loops")
 
 MUTANTS = (
     Mutant(
@@ -103,6 +106,50 @@ MUTANTS = (
         "z = alg.to_canonical(g._adjacency_basis)",
         "z = g._adjacency_basis",
         EDGE_BASIS_TESTS,
+    ),
+    Mutant(
+        "identity (2): no conjugation",
+        CORRELATIONS,
+        "    np.conjugate(swapped, out=swapped)\n",
+        "",
+        SYNC_TESTS,
+    ),
+    Mutant(
+        "identity (2): (i, j) not swapped",
+        CORRELATIONS,
+        "swapped = t.transpose(0, 1, 3, 2, 5, 4).copy()",
+        "swapped = t.transpose(0, 1, 2, 3, 5, 4).copy()",
+        SYNC_TESTS,
+    ),
+    Mutant(
+        "identity (4): summed after the a = b blocks are zeroed",
+        CORRELATIONS,
+        "    diag_sum = worst_residual(np.abs(np.einsum(\"saaij->sij\", sums) - np.eye(n)))[0]\n"
+        "    sums.reshape(2, c * c, n, n)[:, :: c + 1] = 0.0\n",
+        "    sums.reshape(2, c * c, n, n)[:, :: c + 1] = 0.0\n"
+        "    diag_sum = worst_residual(np.abs(np.einsum(\"saaij->sij\", sums) - np.eye(n)))[0]\n",
+        SYNC_TESTS,
+    ),
+    Mutant(
+        "identity (1): positivity reads only -Re",
+        CORRELATIONS,
+        "np.maximum(np.abs(entries.imag), -entries.real)",
+        "-entries.real",
+        SYNC_TESTS,
+    ),
+    Mutant(
+        "check_synchronous: diagonal taken after fill_diagonal",
+        CORRELATIONS,
+        "    diag = cross.trace() / x.n\n    np.fill_diagonal(cross, 0.0)\n",
+        "    np.fill_diagonal(cross, 0.0)\n    diag = cross.trace() / x.n\n",
+        SYNC_TESTS,
+    ),
+    Mutant(
+        "worst_residual: NaN not read as inf without axes",
+        LINALG,
+        "return (np.inf if worst != worst else worst), None",
+        "return worst, None",
+        ("tests/test_check_report.py::test_worst_residual_nan_counts_as_infinity",),
     ),
 )
 
