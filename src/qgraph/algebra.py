@@ -229,26 +229,18 @@ def _commutant_rows(basis: np.ndarray, h: np.ndarray, norm: float) -> np.ndarray
 
 
 def _cluster_eigenvalues(w: np.ndarray, gap: float) -> list[np.ndarray]:
-    """Index groups of (sorted) eigenvalues split at gaps larger than gap.
+    """Index groups of ascending eigenvalues split at steps larger than gap.
 
-    A split gap below GENERIC_WINDOW * gap is a nearly degenerate generic element: its
+    A split step up to GENERIC_WINDOW * gap is a nearly degenerate generic element: its
     eigenvectors, and so the recovered frame, are accurate only to about
     roundoff over that gap.  That is a genericity failure, and the caller
     draws another element.
     """
-    order = np.argsort(w)
-    groups, current = [], [order[0]]
-    for idx in order[1:]:
-        step = w[idx] - w[current[-1]]
-        if gap < step <= GENERIC_WINDOW * gap:
-            raise _GenericityFailure(f"eigenvalue gap {step:.3e} is too close to {gap:.3e}")
-        if step > gap:
-            groups.append(np.array(current))
-            current = [idx]
-        else:
-            current.append(idx)
-    groups.append(np.array(current))
-    return groups
+    step = np.diff(w)
+    near = (step > gap) & (step <= GENERIC_WINDOW * gap)
+    if near.any():
+        raise _GenericityFailure(f"eigenvalue gap {step[near.argmax()]:.3e} is too close to {gap:.3e}")
+    return np.split(np.arange(len(w)), np.flatnonzero(step > gap) + 1)
 
 
 _MAX_ATTEMPTS = 8
@@ -315,10 +307,9 @@ def _generic(stack: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 
 def _normal_form_attempt(basis, comm: np.ndarray, n: int, rng: np.random.Generator):
     x = _generic(comm, rng).reshape(n, n)
-    w, v = np.linalg.eigh(x + x.conj().T)  # Hermitian by construction
+    w, v = np.linalg.eigh(x + x.conj().T)  # Hermitian by construction, w ascending
     copies = _cluster_eigenvalues(w, gap=GENERIC_ZERO * max(1.0, float(np.abs(w).max())))
-    starts = np.cumsum([0] + [len(ix) for ix in copies[:-1]])
-    v = v[:, np.concatenate(copies)]  # copy i spans columns starts[i] : starts[i] + k_i
+    starts = np.array([ix[0] for ix in copies])  # copy i spans columns starts[i] : starts[i] + k_i
 
     # links[i, j] = |V_i* Y V_j|_F / |Y|_F; a link inside the window is not generic.
     y = _generic(comm, rng).reshape(n, n)
@@ -352,10 +343,7 @@ def _normal_form_attempt(basis, comm: np.ndarray, n: int, rng: np.random.Generat
     if sum(m * m for m, _ in blocks) != len(comm):
         raise _GenericityFailure(f"blocks {blocks} do not match dim A' = {len(comm)}")
 
-    # Validate the recovery before committing to it.
-    defect = hs_norm(u.conj().T @ u - np.eye(n))
-    if not defect <= UNITARY_DEFECT:
-        raise _GenericityFailure(f"assembled frame is not unitary (defect {defect:.3e})")
+    # The columns of u are orthonormal by construction (VnAlgebra checks it); certify the span.
     canon = algebra_basis(VnAlgebra(n=n, blocks=blocks))
     b_can = u.conj().T @ basis @ u
     residuals = np.linalg.norm(b_can - project_onto_span(b_can, canon), axis=(-2, -1))

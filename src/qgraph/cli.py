@@ -374,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     def verb(name, func, help):
         p = sub.add_parser(name, help=help)
         p.add_argument(
-            "--tol", type=float, default=None, help=f"absolute tolerance (Frobenius scale), at most {MAX_TOL}"
+            "--tol", default=None, help=f"absolute tolerance (Frobenius scale), at most {MAX_TOL}"
         )
         p.add_argument("--out", default=None, help="write the JSON report here instead of stdout")
         p.set_defaults(func=func)

@@ -313,15 +313,6 @@ class ClassicalGraph:
         mask.flags.writeable = False
         return mask
 
-    def neighbors(self, x: int) -> list[int]:
-        out = []
-        for a, b in self.edges:
-            if a == x:
-                out.append(b)
-            elif b == x:
-                out.append(a)
-        return sorted(out)
-
 
 def graph_operator_system(g: ClassicalGraph) -> QuantumGraph:
     """S_G = span({E_ii} u {E_ij : i ~ j}) over the diagonal algebra D_n: the E_ii,
@@ -377,7 +368,7 @@ def _first_homomorphism(g: ClassicalGraph, h: ClassicalGraph) -> tuple[int, ...]
     """Backtracking over the vertices of g in index order, images in index
     order; deterministic."""
     assignment = [-1] * g.vertices
-    earlier = [[u for u in g.neighbors(v) if u < v] for v in range(g.vertices)]
+    earlier = [[a for a, b in g.edges if b == v] for v in range(g.vertices)]  # edges are (min, max)
 
     def extend(v: int) -> bool:
         if v == g.vertices:

@@ -24,8 +24,6 @@ __all__ = [
     "matrix_unit",
     "hs_norm",
     "canonical_shuffle",
-    "hermitian_eig",
-    "psd_sqrt",
     "check_measurement",
     "unit_root_power",
 ]
@@ -49,8 +47,8 @@ DEFAULT_TOL = Tolerance()
 # a quantity sums rounding over many more terms than the residual that tol.eps bounds.
 ROUNDING_SLACK = 100
 
-# Factor by which a check on one given matrix's own defect (anti-Hermitian part, negative
-# spectrum, |U*U - 1|_F, a distance that must be 0 or 1) widens tol.eps for its rounding.
+# Factor by which a check on a distance that must be 0 or 1 widens tol.eps for its rounding:
+# classical_graph_from_operator_system reads the distance of each matrix unit E_ij from span(S).
 MATRIX_SLACK = 10
 
 # Relative rank floor of the spans of matrix families (orthonormalize, normal_form's
@@ -208,34 +206,6 @@ def canonical_shuffle(m, outer: int, inner: int) -> np.ndarray:
     t = m.reshape(*m.shape[:-2], outer, inner, rest, outer, inner, rest)
     t = t.transpose(*range(k), k + 1, k, k + 2, k + 4, k + 3, k + 5)
     return np.ascontiguousarray(t.reshape(m.shape))
-
-
-def hermitian_eig(a, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of each Hermitian matrix of a (..., k, k) stack.
-
-    Returns (eigenvalues ascending, eigenvector columns).  Rejects inputs in which
-    the anti-Hermitian part of a matrix exceeds the tolerance.
-    """
-    a = np.asarray(a, dtype=np.complex128)
-    adjoint = a.conj().swapaxes(-2, -1)
-    herm_defect = worst_residual(np.linalg.norm(a - adjoint, axis=(-2, -1)))[0]
-    if not herm_defect <= tol.eps * MATRIX_SLACK:
-        raise ValueError(f"matrix is not Hermitian (defect {herm_defect:.3e})")
-    w, v = np.linalg.eigh((a + adjoint) / 2)
-    return w, v
-
-
-def psd_sqrt(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Hermitian square root with eigenvalues clamped at 0, of each matrix of a (..., k, k) stack.
-
-    Negative eigenvalues down to -MATRIX_SLACK * eps are zeroed (numerical
-    positivity drift); anything more negative is an error.
-    """
-    w, v = hermitian_eig(a, tol)
-    if not w.min(initial=0.0) >= -tol.eps * MATRIX_SLACK:
-        raise ValueError(f"matrix is not positive (min eigenvalue {w.min():.3e})")
-    w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)[..., None, :]) @ v.conj().swapaxes(-2, -1)
 
 
 # The checks of check_measurement that make a family a POVM; all five make a PVM.

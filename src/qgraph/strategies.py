@@ -23,7 +23,6 @@ from .linalg import (
     canonical_shuffle,
     check_measurement,
     frozen_stack,
-    psd_sqrt,
     square_stack,
     worst_residual,
 )
@@ -300,7 +299,11 @@ def dilate_povm(povm, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     if failed:
         raise ValueError(f"input is not a POVM within tolerance: {failed}")
     c, h = stack.shape[:2]
-    v = psd_sqrt(stack, tol).reshape(c * h, h)  # isometry H -> H^c
+    # The root of each Hermitian part, its spectrum clipped at 0: the POVM check has
+    # bounded the anti-Hermitian part and the negative spectrum.
+    w, q = np.linalg.eigh((stack + stack.conj().transpose(0, 2, 1)) / 2)
+    roots = (q * np.sqrt(np.clip(w, 0.0, None))[:, None, :]) @ q.conj().transpose(0, 2, 1)
+    v = roots.reshape(c * h, h)  # isometry H -> H^c
     # sqrt(I - VV*) is the projection onto the cokernel of the isometry V;
     # taking it by spectral rounding avoids the square root's noise
     # amplification at the zero eigenvalues.

@@ -18,11 +18,11 @@ from qgraph import (
     round_almost_pvm,
     shift_multiply_coloring,
 )
-from qgraph.algebra import commutant_units
+from qgraph.algebra import _GenericityFailure, commutant_units
 from qgraph.colorings import complete_quantum_graph, diagonal_strategy
 from qgraph.correlations import IdentityReport
 from qgraph.graphs import ADJACENCY, SAME_VERTEX, EdgeBasis
-from qgraph.linalg import canonical_shuffle, matrix_unit, unit_root_power, worst_residual
+from qgraph.linalg import GENERIC_WINDOW, canonical_shuffle, matrix_unit, unit_root_power, worst_residual
 
 
 def rand_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -342,6 +342,25 @@ def reference_commutant_rows(basis) -> np.ndarray:
     the rank floor relative to its largest singular value, the norm of that whole map."""
     _, s, vh = np.linalg.svd(commutator_map(basis), full_matrices=False)
     return vh[int(np.sum(s > max(1e-9 * s[0], 1e-12))) :].conj()
+
+
+def reference_cluster_eigenvalues(w: np.ndarray, gap: float) -> list[np.ndarray]:
+    """The sort-and-loop that algebra._cluster_eigenvalues replaced, kept as its reference:
+    index groups of the eigenvalues in sorted order, split at steps larger than gap; a
+    split step up to GENERIC_WINDOW * gap is a genericity failure."""
+    order = np.argsort(w)
+    groups, current = [], [order[0]]
+    for idx in order[1:]:
+        step = w[idx] - w[current[-1]]
+        if gap < step <= GENERIC_WINDOW * gap:
+            raise _GenericityFailure(f"eigenvalue gap {step:.3e} is too close to {gap:.3e}")
+        if step > gap:
+            groups.append(np.array(current))
+            current = [idx]
+        else:
+            current.append(idx)
+    groups.append(np.array(current))
+    return groups
 
 
 def reference_central_projections(alg: VnAlgebra) -> list[np.ndarray]:

@@ -34,6 +34,7 @@ from helpers import (
     reference_ancilla_block_defect,
     reference_bob_from_alice,
     reference_central_projections,
+    reference_cluster_eigenvalues,
     reference_commutant,
     reference_commutant_rows,
     reference_correlation_from_tensor,
@@ -101,10 +102,10 @@ from qgraph.graphs import (
 )
 from qgraph.homgame import _forbidden_outcomes, _sandwich
 from qgraph.linalg import (
+    GENERIC_WINDOW,
     POVM_CHECKS,
     Check,
     canonical_shuffle,
-    hermitian_eig,
     hs_norm,
     matrix_unit,
     unit_root_power,
@@ -302,11 +303,6 @@ def test_compress_to_classical_refuses_nan_imaginary_part():
     t[0, 0, 0, 0, 0, 0] = complex(0.0, np.nan)
     with pytest.raises(ValueError, match="imaginary residual"):
         compress_to_classical(Correlation(n=x.n, c=x.c, tensor=t))
-
-
-def test_hermitian_eig_refuses_nan():
-    with pytest.raises(ValueError, match="not Hermitian"):
-        hermitian_eig(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
 # --- reference: the per-residual loops the reducer replaced --------------------
@@ -1503,7 +1499,7 @@ def _reference_attempt(basis, center, n, rng):
         return g
 
     z = draw(center, n)
-    w, v = hermitian_eig(z + z.conj().T, Tolerance(1e-7))
+    w, v = np.linalg.eigh(z + z.conj().T)
     groups = _cluster_eigenvalues(w, gap=1e-6 * max(1.0, float(np.abs(w).max())))
     found = []
     for idx in groups:
@@ -1518,7 +1514,7 @@ def _reference_attempt(basis, center, n, rng):
         if comm_basis.shape[0] != mult * mult:
             raise _GenericityFailure("block commutant has unexpected dimension")
         g0 = draw(comm_basis, m_r)
-        w2, v2 = hermitian_eig(g0 + g0.conj().T, Tolerance(1e-7))
+        w2, v2 = np.linalg.eigh(g0 + g0.conj().T)
         copies = _cluster_eigenvalues(w2, gap=1e-6 * max(1.0, float(np.abs(w2).max())))
         if len(copies) != mult or any(len(ix) != k for ix in copies):
             raise _GenericityFailure("commutant element not generic")
@@ -1654,6 +1650,51 @@ def test_normal_form_refuses_non_finite_generators_before_any_svd(value):
 def test_normal_form_refuses_all_zero_generators():
     with pytest.raises(ValueError, match="all zero"):
         normal_form([np.zeros((3, 3)), np.zeros((3, 3))])
+
+
+# --- _cluster_eigenvalues' split of an ascending spectrum against the loop it replaced ---
+
+_GAP = 2.0**-10  # a power of two, so that k * _GAP and GENERIC_WINDOW * _GAP are exact
+
+
+def cluster_spectra():
+    """(label, ascending spectrum, refused) triples: seeded spectra with ties, some with a
+    step inside the genericity window (_GAP, GENERIC_WINDOW * _GAP], and steps at and next to
+    both ends of that window; refused is None where the draw decides."""
+    top = GENERIC_WINDOW * _GAP
+    yield "n=1", np.array([0.3]), False
+    yield "ties only", np.zeros(4), False
+    yield "step exactly at gap", np.array([0.0, _GAP, 2 * _GAP, 2 * _GAP + 2 * top]), False
+    yield "step exactly at the window's top", np.array([-1.0, -1.0, -1.0 + top]), True
+    yield "step just above the window's top", np.array([0.0, np.nextafter(top, np.inf)]), False
+    yield "step just above gap", np.array([0.0, 0.0, np.nextafter(_GAP, np.inf)]), True
+    yield "two steps inside the window", np.array([0.0, 2.0, 2.0 + top / 2, 2.0 + top / 2 + 2 * _GAP]), True
+    rng = np.random.default_rng(33)
+    for seed in range(12):
+        clusters = int(rng.integers(1, 5))
+        # Every other draw lets a step between clusters fall inside the window.
+        low = 2 * top if seed % 2 else top / 2
+        centres = np.cumsum(rng.uniform(low, 4 * top, size=clusters))
+        w = np.concatenate([c + _GAP * rng.choice([0.0, 0.25, 0.5], size=rng.integers(1, 4)) for c in centres])
+        yield f"seeded #{seed}", np.sort(w), None
+
+
+CLUSTER_SPECTRA = list(cluster_spectra())
+
+
+@pytest.mark.parametrize("label, w, refused", CLUSTER_SPECTRA, ids=[c[0] for c in CLUSTER_SPECTRA])
+def test_cluster_eigenvalues_matches_reference_loop(label, w, refused):
+    try:
+        expected = reference_cluster_eigenvalues(w, _GAP)
+    except _GenericityFailure as exc:
+        assert refused in (None, True)
+        with pytest.raises(_GenericityFailure) as got:
+            _cluster_eigenvalues(w, _GAP)
+        assert str(got.value) == str(exc)
+        return
+    assert refused in (None, False)
+    # argsort need not keep tied eigenvalues in index order, so compare each group as a set.
+    assert [g.tolist() for g in _cluster_eigenvalues(w, _GAP)] == [sorted(g.tolist()) for g in expected]
 
 
 # --- normal_form's commutant inside {h}' against the kron nullspace it replaced -------

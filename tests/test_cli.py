@@ -595,7 +595,8 @@ def test_every_verb_refuses_a_malformed_tolerance(tmp_path, monkeypatch, capsys,
     # main resolves the tolerance for every verb, even one that reads none.
     monkeypatch.delenv("QGRAPH_TOL", raising=False)
     args = _example_args(argv)
-    for extra, env, pointer in ((["--tol", "1e300"], None, "--tol"), ([], "nan", "QGRAPH_TOL")):
+    cases = ((["--tol", "1e300"], None, "--tol"), (["--tol", "abc"], None, "--tol"), ([], "nan", "QGRAPH_TOL"))
+    for extra, env, pointer in cases:
         with monkeypatch.context() as m:
             if env is not None:
                 m.setenv("QGRAPH_TOL", env)

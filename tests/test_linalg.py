@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from helpers import rand_hermitian, rand_unitary, random_pvm
+from helpers import rand_unitary, random_pvm
 from qgraph import Tolerance, canonical_shuffle, check_measurement
-from qgraph.linalg import POVM_CHECKS, hermitian_eig, hs_norm, matrix_unit, psd_sqrt, unit_root_power
+from qgraph.linalg import POVM_CHECKS, hs_norm, matrix_unit, unit_root_power
 
 
 def test_tolerance_positive():
@@ -146,30 +146,6 @@ class TestCheckMeasurement:
             check_measurement([np.eye(2), np.eye(3)])
         with pytest.raises(ValueError):
             check_measurement([np.ones((2, 3))])
-
-
-def test_hermitian_eig_residual():
-    rng = np.random.default_rng(6)
-    for n in (2, 8, 31, 64):
-        a = rand_hermitian(rng, n)
-        w, v = hermitian_eig(a)
-        residual = np.linalg.norm(a - (v * w) @ v.conj().T)
-        assert residual <= 1e-10 * np.linalg.norm(a)
-
-
-def test_hermitian_eig_rejects_nonhermitian():
-    with pytest.raises(ValueError):
-        hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-def test_psd_sqrt():
-    rng = np.random.default_rng(7)
-    z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    a = z @ z.conj().T
-    r = psd_sqrt(a)
-    np.testing.assert_allclose(r @ r, a, atol=1e-10)
-    with pytest.raises(ValueError):
-        psd_sqrt(-np.eye(2))
 
 
 def test_unit_root_power_exact():

@@ -211,6 +211,23 @@ class TestDilateBlockPovm:
                     assert np.linalg.norm(corner_compress(p, n, c, h) - q) <= 1e-10
 
 
+# Families that sum to 1 and fail one POVM check each: the Hermitian and positivity checks
+# are the only guard in front of dilate_povm's clipped square roots.
+NOT_POVMS = {
+    "non-Hermitian": ([[0.5, 0.25], [0.0, 0.5]], [[0.5, -0.25], [0.0, 0.5]]),
+    "negative": ([[1.5, 0.0], [0.0, 0.5]], [[-0.5, 0.0], [0.0, 0.5]]),
+    "NaN entry": ([[np.nan, 0.0], [0.0, 0.5]], [[0.5, 0.0], [0.0, 0.5]]),
+}
+
+
+@pytest.mark.parametrize("dilate", [dilate_povm, lambda ops: dilate_block_povm(ops, n=2, h=1)],
+                         ids=["dilate_povm", "dilate_block_povm"])
+@pytest.mark.parametrize("family", NOT_POVMS.values(), ids=NOT_POVMS.keys())
+def test_dilate_refuses_a_family_that_is_not_a_povm(dilate, family):
+    with pytest.raises(ValueError, match="not a POVM"):
+        dilate(np.array(family, dtype=np.complex128))
+
+
 class TestRoundAlmostPvm:
     def test_identity_on_exact(self):
         rng = np.random.default_rng(28)

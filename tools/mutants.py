@@ -47,6 +47,7 @@ EDGE_BASIS_TESTS = ("tests/test_check_report.py", "-k", "edge_basis")
 CORRELATIONS = "src/qgraph/correlations.py"
 LINALG = "src/qgraph/linalg.py"
 SYNC_TESTS = ("tests/test_check_report.py", "-k", "sync_and_identities_match_reference_loops")
+CLUSTER_TEST = "tests/test_check_report.py::test_cluster_eigenvalues_matches_reference_loop"
 
 MUTANTS = (
     Mutant(
@@ -92,6 +93,27 @@ MUTANTS = (
         "x = basis[0]",
         NORMAL_FORM_TESTS,
         equivalent="any Hermitian h in the algebra has A' inside {h}'; a non-generic h only enlarges {h}'",
+    ),
+    Mutant(
+        "eigenvalue clusters: no refusal of a step inside the genericity window",
+        ALGEBRA,
+        "    if near.any():\n        raise _GenericityFailure(",
+        "    if False:\n        raise _GenericityFailure(",
+        (f"{CLUSTER_TEST}[step just above gap]",),
+    ),
+    Mutant(
+        "eigenvalue clusters: split at a step equal to the gap",
+        ALGEBRA,
+        "np.flatnonzero(step > gap)",
+        "np.flatnonzero(step >= gap)",
+        (f"{CLUSTER_TEST}[step exactly at gap]",),
+    ),
+    Mutant(
+        "dilate_povm: no POVM check before the square roots",
+        "src/qgraph/strategies.py",
+        "    if failed:\n        raise ValueError(f\"input is not a POVM",
+        "    if False:\n        raise ValueError(f\"input is not a POVM",
+        ("tests/test_strategies.py", "-k", "refuses_a_family_that_is_not_a_povm"),
     ),
     Mutant(
         "edge basis: commutant units in reversed order",
